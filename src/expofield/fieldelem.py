@@ -91,6 +91,9 @@ class FieldElem:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
+
     def is_one(self) -> bool:
         return self.num == self.den
 

@@ -16,8 +16,8 @@ from fractions import Fraction
 from .errors import Inconsistent, UnsupportedShape, MissingExponential
 from .exprlang import FlatSystem, fresh_name
 from .fieldelem import FieldElem, coerce, eliminate_symbols
-from .linalg import (coordinate_matrix, integer_kernel_basis, kernel_basis,
-                     qlin_solve)
+from .linalg import (_rref, coordinate_matrix, integer_kernel_basis,
+                     kernel_basis, qlin_solve)
 from .mpoly import MPoly, ZETA
 
 
@@ -384,30 +384,11 @@ def from_flat(fs: FlatSystem, base_params, cyclotomic_order: int = 1,
             continue
         affine.append(affine_split(p))
 
-    # Gaussian elimination over the base function field
-    rows = [[cm.get(u, FieldElem.zero(order)) for u in unknowns] + [-const]
-            for cm, const in affine]
-    pivots = []
-    r = 0
-    for c in range(len(unknowns)):
-        pivot = next((i for i in range(r, len(rows))
-                      if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = FieldElem.one(order) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if not rows[i][-1].is_zero():
-            raise Inconsistent("affine part of the system has no solution")
+    # Gauss-Jordan over the base function field on [coefficients | constant]
+    rows, pivots = _rref([[cm.get(u, FieldElem.zero(order)) for u in unknowns]
+                          + [-const] for cm, const in affine])
+    if len(unknowns) in pivots:
+        raise Inconsistent("affine part of the system has no solution")
 
     used = set(base) | set(unknowns) | yset | set(extra_coefficients)
     free_cols = [c for c in range(len(unknowns)) if c not in pivots]
