@@ -107,7 +107,7 @@ def cmd_solve(args) -> int:
 
 def cmd_efield_check(args) -> int:
     doc = _load_json(args.presentation)
-    order = doc.get("cyclotomic_order", 1)
+    order = serialize.cyclotomic_order_of(doc)
     from .efield import build_unchecked
     pairs = []
     for i, entry in enumerate(doc.get("egraph", [])):

@@ -6,10 +6,14 @@ Grammar::
     atom   := term ("=" | "!=") term
     term   := sum
     sum    := prod (("+"|"-") prod)*
-    prod   := pow ("*" pow)*
+    prod   := factor ("*" factor)*
+    factor := "-" factor | pow
     pow    := unit ("^" NAT)?
-    unit   := RAT | INT | IDENT | "E" "(" term ")" | "(" term ")" | "-" unit
+    unit   := RAT | INT | IDENT | "E" "(" term ")" | "(" term ")"
     RAT    := INT "/" POSINT        (no spaces inside)
+
+Unary minus binds below ``^``, so ``-t^2`` is ``-(t^2)``, as ordinary
+notation and ``MPoly.__str__`` have it.
 
 ``E`` is reserved.  The same term grammar (with the reserved identifier
 ``zeta`` and an optional top-level ``(num)/(den)``) is the canonical textual
@@ -217,11 +221,24 @@ class _Parser:
         return node
 
     def parse_prod(self) -> ETerm:
-        node = self.parse_pow()
+        node = self.parse_factor()
         while self.peek()[0] == "*":
             self.next()
-            node = Mul(left=node, right=self.parse_pow())
+            node = Mul(left=node, right=self.parse_factor())
         return node
+
+    def parse_factor(self) -> ETerm:
+        kind, _, line, col = self.peek()
+        if kind != "-":
+            return self.parse_pow()
+        self.next()
+        pos = (line, col)
+        inner = self.parse_factor()
+        if isinstance(inner, IntLit):
+            return IntLit(pos=pos, value=-inner.value)
+        if isinstance(inner, RatLit):
+            return RatLit(pos=pos, value=-inner.value)
+        return Mul(pos=pos, left=IntLit(value=-1), right=inner)
 
     def parse_pow(self) -> ETerm:
         base = self.parse_unit()
@@ -238,9 +255,11 @@ class _Parser:
             self.next()
             return IntLit(pos=pos, value=int(val))
         if kind == "RAT":
+            num, den = map(int, val.split("/"))
+            if not den:
+                self.fail("a nonzero denominator")
             self.next()
-            num, den = val.split("/")
-            return RatLit(pos=pos, value=Fraction(int(num), int(den)))
+            return RatLit(pos=pos, value=Fraction(num, den))
         if kind == "IDENT":
             self.next()
             if val == "E":
@@ -254,14 +273,6 @@ class _Parser:
             node = self.parse_term()
             self.expect(")")
             return node
-        if kind == "-":
-            self.next()
-            inner = self.parse_unit()
-            if isinstance(inner, IntLit):
-                return IntLit(pos=pos, value=-inner.value)
-            if isinstance(inner, RatLit):
-                return RatLit(pos=pos, value=-inner.value)
-            return Mul(pos=pos, left=IntLit(value=-1), right=inner)
         self.fail("a term")
 
 
@@ -309,7 +320,10 @@ def _print_term(t: ETerm, prec: int) -> str:
         s = f"{_print_term(t.left, _PREC_PROD)}*{_print_term(t.right, _PREC_POW)}"
         return f"({s})" if prec > _PREC_PROD else s
     if isinstance(t, Pow):
-        s = f"{_print_term(t.base, _PREC_UNIT)}^{t.exponent}"
+        s = _print_term(t.base, _PREC_UNIT)
+        if isinstance(t.base, (IntLit, RatLit)) and t.base.value < 0:
+            s = f"({s})"  # "-2^2" would read as -(2^2)
+        s = f"{s}^{t.exponent}"
         return f"({s})" if prec > _PREC_POW else s
     raise TypeError(f"not an ETerm: {t!r}")
 

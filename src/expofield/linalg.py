@@ -3,8 +3,10 @@ bases, and rank over the rational-function field.
 
 Matrices are plain lists of lists.  ``_rref`` is Gauss-Jordan over any field
 whose elements support ``bool``, ``+``, ``-``, ``*`` and ``/``; the rational
-routines feed it Fraction entries.  The function-field rank is one forward
-elimination by division over FieldElem entries.
+routines feed it Fraction entries.  The function-field rank is one exact
+forward elimination by division over FieldElem entries; a certified lower
+bound from the rank at a random point mod p (ROADMAP direction 5a) would sit
+in front of it, not beside it.
 """
 
 from __future__ import annotations
@@ -230,12 +232,12 @@ def qlin_relations(elems, integral: bool = True):
 def ff_rank(matrix) -> int:
     """Rank of a FieldElem matrix over the rational-function field.
 
-    Forward elimination dividing by each pivot.  Jacobian entries are mostly
-    single-term numerators over single-term denominators, and on those this
-    runs in 0.55-0.6x the time of fraction-free (Bareiss) elimination on
-    denominator-cleared rows, which also needed a separate path for entries
-    carrying zeta.  Full Gauss-Jordan (``_rref``) costs 1.6x Bareiss here, so
-    rows above each pivot are left alone.
+    Forward elimination, dividing by each pivot.  On the amalg-n benchmark's
+    Jacobians (single-term numerators and denominators) this took 0.55-0.6x
+    the time of fraction-free Bareiss elimination on denominator-cleared
+    rows, which also needed a second path for entries carrying zeta.  Full
+    Gauss-Jordan (``_rref``) took 1.6x Bareiss there, so rows above each
+    pivot are left alone.
     """
     if not matrix:
         return 0

@@ -64,13 +64,19 @@ def presentation_to_json(f: EFieldPresentation) -> dict:
     }
 
 
+def cyclotomic_order_of(doc: dict, path: str = "") -> int:
+    """The document's cyclotomic order (default 1), an int >= 1."""
+    order = doc.get("cyclotomic_order", 1)
+    if not isinstance(order, int) or order < 1:
+        raise SchemaError(f"{path}/cyclotomic_order", f"bad order {order!r}")
+    return order
+
+
 def presentation_from_json(doc: dict, path: str = "") -> EFieldPresentation:
     if not isinstance(doc, dict):
         raise SchemaError(path or "/", "expected an object")
     name = _require(doc, "name", path)
-    order = doc.get("cyclotomic_order", 1)
-    if not isinstance(order, int) or order < 1:
-        raise SchemaError(f"{path}/cyclotomic_order", f"bad order {order!r}")
+    order = cyclotomic_order_of(doc, path)
     trans = _require(doc, "transcendentals", path)
     pairs = []
     for i, entry in enumerate(doc.get("egraph", [])):

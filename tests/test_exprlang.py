@@ -96,6 +96,9 @@ def test_pow_expansion():
 # -- round-trip property ---------------------------------------------------------
 
 _names = st.sampled_from(["x", "y", "zz", "t1"])
+_negative_literals = st.one_of(
+    st.integers(-9, -1).map(lambda v: IntLit(value=v)),
+    st.integers(-9, -1).map(lambda v: RatLit(value=Fraction(2 * v + 1, 2))))
 
 
 @st.composite
@@ -127,8 +130,9 @@ def canonical_terms(draw, depth=3):
             left = IntLit(value=2)  # would print as the unary-minus form
         return Mul(left=left, right=right)
     if op == 3:
-        return Pow(base=draw(canonical_terms(depth=depth - 1)),
-                   exponent=draw(st.integers(0, 4)))
+        base = draw(st.one_of(canonical_terms(depth=depth - 1),
+                              _negative_literals))
+        return Pow(base=base, exponent=draw(st.integers(0, 4)))
     if op == 4:
         return Exp(arg=draw(canonical_terms(depth=depth - 1)))
     inner = draw(canonical_terms(depth=depth - 1))

@@ -1,7 +1,7 @@
 """Field elements: canonical form, field axioms, formal differentiation."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expofield.fieldelem import (FieldElem, coerce, cyclotomic_root,
                                  eliminate_symbols)
@@ -110,6 +110,7 @@ def test_leibniz_rule(f, g):
 
 @settings(max_examples=50, deadline=None)
 @given(elems())
+@example(-S("t1") ** 2 + S("t2") ** 2)
 def test_canonical_text_roundtrip(e):
     from expofield.exprlang import parse_element
     assert parse_element(str(e)) == e

@@ -103,14 +103,24 @@ def test_rank_transpose(seed):
     rows = rng.randint(1, 3)
     cols = rng.randint(1, 3)
     syms = ["t1", "t2"]
+    order = rng.choice((1, 3))
     def entry():
-        e = FieldElem.from_int(rng.randint(-2, 2))
+        e = FieldElem.from_int(rng.randint(-2, 2), order)
+        if order == 3:
+            e = e + rng.randint(-1, 1) * cyclotomic_root(3, rng.randint(1, 2))
         for _ in range(rng.randint(0, 2)):
             e = e * S(rng.choice(syms))
+        if rng.random() < 0.3:
+            e = e / (S(rng.choice(syms)) + rng.randint(1, 2))
         return e
     m = [[entry() for _ in range(cols)] for _ in range(rows)]
     mt = [[m[r][c] for r in range(rows)] for c in range(cols)]
-    assert ff_rank(m) == ff_rank(mt)
+    rank = ff_rank(m)
+    assert rank == ff_rank(mt)
+    a, b = entry(), entry()
+    i, j = rng.randrange(rows), rng.randrange(rows)
+    combination = [a * x + b * y for x, y in zip(m[i], m[j])]
+    assert ff_rank(m + [combination]) == rank
 
 
 def test_rational_span_solve():

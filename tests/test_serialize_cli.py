@@ -185,6 +185,20 @@ class TestCLI:
         assert not doc["ok"]
         assert doc["violations"][0]["kind"] == "dependent_arguments"
 
+    def test_zero_denominator_literal_is_syntax_error(self, capsys):
+        code = main(["normalize", "-e", "x = 1/0"])
+        assert code == 1
+        assert "expected a nonzero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", [0, "3"])
+    def test_efield_check_rejects_bad_order(self, capsys, tmp_path, order):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"name": "F", "cyclotomic_order": order,
+                                    "transcendentals": [], "egraph": []}))
+        code = main(["efield-check", "-F", str(path)])
+        assert code == 1
+        assert "/cyclotomic_order" in capsys.readouterr().err
+
     def test_determinism_two_runs(self, capsys, tmp_path):
         v = tmp_path / "v.json"
         v.write_text(json.dumps({
