@@ -109,13 +109,9 @@ def cmd_efield_check(args) -> int:
     doc = _load_json(args.presentation)
     order = serialize.cyclotomic_order_of(doc)
     from .efield import build_unchecked
-    pairs = []
-    for i, entry in enumerate(doc.get("egraph", [])):
-        arg = serialize._elem(entry.get("arg"), order, f"/egraph/{i}/arg")
-        val = serialize._elem(entry.get("val"), order, f"/egraph/{i}/val")
-        pairs.append((arg, val))
+    pairs = tuple(serialize._egraph_pairs(doc, order))
     f = build_unchecked(doc.get("name", "F"), order,
-                        tuple(doc.get("transcendentals", [])), tuple(pairs))
+                        tuple(doc.get("transcendentals", [])), pairs)
     seed = int(os.environ.get("EXPOFIELD_SEED", "0"))
     return _emit(args, check_presentation(f, seed=seed))
 

@@ -11,17 +11,17 @@ so the regime is closed under all constructions here.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import (ExponentialConflict, LinearDependence, MissingExponential,
                      NotAdditivelyFree, WellDefFailure, ZeroValue)
 from . import exprlang
 from .exprlang import ETerm, Exp, fresh_name
 from .fieldelem import FieldElem, coerce
-from .linalg import (integer_kernel_basis, integer_row_basis, kernel_basis,
-                     coordinate_matrix, rational_span_solve)
+from .linalg import (_rref, integer_kernel_basis, integer_row_basis,
+                     kernel_basis, coordinate_matrix, rational_span_solve)
 from .variety import (ParametricVariety, ReductionResult, additive_freeness,
                       pullback, reduce as variety_reduce)
 
@@ -54,18 +54,36 @@ class EFieldPresentation:
         return any(a == arg for a, _ in self.egraph)
 
 
-def _validate_graph(egraph, order: int) -> None:
+def _graph_violations(egraph):
+    """Yield the graph's invariant violations, lazily and in a fixed order:
+    zero values and zero arguments by index, then one integer relation among
+    the nonzero arguments, as a certificate over all graph indices."""
     for i, (a, v) in enumerate(egraph):
         if v.is_zero():
-            raise ZeroValue(f"graph value {i} is zero")
+            yield {"kind": "zero_value", "index": i}
         if a.is_zero():
-            raise LinearDependence([int(j == i) for j in range(len(egraph))],
-                                   "E(0)=1 is implicit; 0 cannot be a graph argument")
-    args = [a for a, _ in egraph]
-    if args:
-        rel = integer_kernel_basis(coordinate_matrix(args))
+            yield {"kind": "zero_argument", "index": i}
+    idx = [i for i, (a, _) in enumerate(egraph) if not a.is_zero()]
+    if idx:
+        rel = integer_kernel_basis(coordinate_matrix([egraph[i][0] for i in idx]))
         if rel:
-            raise LinearDependence(rel[0])
+            cert = [0] * len(egraph)
+            for i, z in zip(idx, rel[0]):
+                cert[i] = z
+            yield {"kind": "dependent_arguments", "certificate": cert}
+
+
+def _validate_graph(egraph, order: int) -> None:
+    bad = next(_graph_violations(egraph), None)
+    if bad is None:
+        return
+    if bad["kind"] == "zero_value":
+        raise ZeroValue(f"graph value {bad['index']} is zero")
+    if bad["kind"] == "zero_argument":
+        unit = [int(j == bad["index"]) for j in range(len(egraph))]
+        raise LinearDependence(
+            unit, "E(0)=1 is implicit; 0 cannot be a graph argument")
+    raise LinearDependence(bad["certificate"])
 
 
 def presentation(name: str, cyclotomic_order: int = 1, transcendentals=(),
@@ -202,15 +220,20 @@ def merge_graphs(pairs, order: int):
     """Check coherence of a concatenated pair family and rebuild it on a
     Z-basis of the argument lattice.
 
-    Returns (consolidated_pairs, WellDefCheck).  Raises WellDefFailure when
-    some integer kernel vector of the arguments has value product != 1.
+    One coordinate matrix of the arguments gives both the integer kernel and,
+    through its echelon form, the coordinates of every argument in the
+    greedy independent ones (the pivots); the Z-lattice they span is then
+    echelonized by ``integer_row_basis``.  Returns (consolidated_pairs,
+    WellDefCheck).  Raises WellDefFailure when some integer kernel vector of
+    the arguments has value product != 1.
     """
     pairs = [(coerce(a, order), coerce(v, order)) for a, v in pairs]
     if not pairs:
         return (), WellDefCheck((), ())
     args = [a for a, _ in pairs]
     vals = [v for _, v in pairs]
-    kernel = integer_kernel_basis(coordinate_matrix(args))
+    mat = coordinate_matrix(args)
+    kernel = integer_kernel_basis(mat)
     verdicts = []
     for vec in kernel:
         prod = FieldElem.one(order)
@@ -225,19 +248,10 @@ def merge_graphs(pairs, order: int):
     if not kernel:
         return tuple(pairs), check
     # rebuild on a Z-basis of the argument lattice
-    basis_idx: list[int] = []
-    for i in range(len(args)):
-        if rational_span_solve([args[j] for j in basis_idx], args[i]) is None:
-            basis_idx.append(i)
-    coords = []
-    lcm = 1
-    for a in args:
-        q = rational_span_solve([args[j] for j in basis_idx], a)
-        coords.append(q)
-        for x in q:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    int_rows = [[int(x * lcm) for x in q] for q in coords]
-    h, t = integer_row_basis(int_rows)
+    m, pivots = _rref(mat)
+    coords = [[m[r][i] for r in range(len(pivots))] for i in range(len(args))]
+    den = lcm(*(x.denominator for q in coords for x in q))
+    h, t = integer_row_basis([[int(x * den) for x in q] for q in coords])
     out = []
     for j in range(len(h)):
         arg = FieldElem.zero(order)
@@ -423,7 +437,10 @@ def hull(f: EFieldPresentation, elems) -> HullPresentation:
     A combination sum(z_i arg_i) with integer z lands in the Q-span of the
     generators (and 1) exactly when the corresponding value product belongs
     to the hull; the detectable such z form a saturated lattice, recomputed
-    until the span stops growing.
+    until the span stops growing.  Each round, the value products of the
+    lattice vectors whose coordinate columns are pivots of one echelon form
+    of [generators, 1, products] join the generators: those are the
+    products outside the span of everything before them.
     """
     order = f.cyclotomic_order
     gens = []
@@ -450,17 +467,18 @@ def hull(f: EFieldPresentation, elems) -> HullPresentation:
             # projections span all of Q^len(args)
             lattice = [[1 if i == j else 0 for j in range(len(args))]
                        for i in range(len(args))]
-        grew = False
+        cands = []
         for z in lattice:
             val = one
             for zi, v in zip(z, vals):
                 if zi:
                     val = val * v ** zi
-            if rational_span_solve(gens + [one], val) is None:
-                gens.append(val)
-                grew = True
-        if not grew:
+            cands.append(val)
+        _, pivots = _rref(coordinate_matrix(gens + [one] + cands))
+        new = [cands[c - len(gens) - 1] for c in pivots if c > len(gens)]
+        if not new:
             break
+        gens += new
     return HullPresentation(tuple(gens), True)
 
 
@@ -500,18 +518,7 @@ def graph_conflicts(f1: EFieldPresentation, f2: EFieldPresentation):
 def check_presentation(f: EFieldPresentation, spot_checks: int = 10,
                        seed: int = 0) -> dict:
     """Validate the invariants and spot-check the homomorphism law."""
-    violations = []
-    for i, (a, v) in enumerate(f.egraph):
-        if v.is_zero():
-            violations.append({"kind": "zero_value", "index": i})
-        if a.is_zero():
-            violations.append({"kind": "zero_argument", "index": i})
-    args = [a for a, _ in f.egraph if not a.is_zero()]
-    if args:
-        rel = integer_kernel_basis(coordinate_matrix(args))
-        if rel:
-            violations.append({"kind": "dependent_arguments",
-                               "certificate": rel[0]})
+    violations = list(_graph_violations(f.egraph))
     checks = 0
     if not violations and f.egraph:
         rng = random.Random(seed)

@@ -12,10 +12,9 @@ in front of it, not beside it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import DimensionMismatch
-from .fieldelem import FieldElem
 from .mpoly import MPoly, _grlex_key
 
 
@@ -32,7 +31,14 @@ def _check_rect(rows) -> int:
 def _rref(rows):
     """Reduced row echelon form over the entries' field; returns
     (rref_rows, pivot_cols).  Entries must be field elements (Fraction or
-    FieldElem), not ints, so that ``1 / pivot`` stays exact."""
+    FieldElem), not ints, so that ``1 / pivot`` stays exact.
+
+    The pivots are the greedy independent columns, leftmost first: column j
+    is a pivot exactly when it is not in the span of the columns before it.
+    Every column j is the sum of ``m[r][j]`` times pivot column r, for r
+    below the rank; for a non-pivot column these are its coordinates in the
+    pivot columns to its left, and ``m[r][j]`` is zero when pivot r lies to
+    its right."""
     m = [list(row) for row in rows]
     ncols = _check_rect(m)
     pivots = []
@@ -99,10 +105,8 @@ def integer_kernel_basis(rows):
     m = []
     for row in rows:
         fr = [Fraction(x) for x in row]
-        lcm = 1
-        for x in fr:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        m.append([int(x * lcm) for x in fr])
+        den = lcm(*(x.denominator for x in fr))
+        m.append([int(x * den) for x in fr])
     u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     pivot_cols: set[int] = set()
 
@@ -213,17 +217,6 @@ def rational_span_solve(basis_elems, target):
     rows = [r[:cols] for r in mat]
     rhs = [r[cols] for r in mat]
     return qlin_solve(rows, rhs)
-
-
-def qlin_relations(elems, integral: bool = True):
-    """Relation vectors z with sum z_i * elems_i = 0.
-
-    Integral mode returns a saturated Z-basis; otherwise a rational basis.
-    """
-    mat = coordinate_matrix(elems)
-    if integral:
-        return integer_kernel_basis(mat)
-    return kernel_basis(mat)
 
 
 # -- rank over the function field ------------------------------------------

@@ -46,8 +46,14 @@ def _elem(text, order: int, path: str) -> FieldElem:
         raise SchemaError(path, f"element {text!r} has zero denominator")
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
+def _object(doc, path: str) -> dict:
+    if not isinstance(doc, dict):
+        raise SchemaError(path or "/", "expected an object")
+    return doc
+
+
+def _require(doc, key: str, path: str):
+    if key not in _object(doc, path):
         raise SchemaError(f"{path}/{key}", "missing")
     return doc[key]
 
@@ -65,25 +71,31 @@ def presentation_to_json(f: EFieldPresentation) -> dict:
 
 
 def cyclotomic_order_of(doc: dict, path: str = "") -> int:
-    """The document's cyclotomic order (default 1), an int >= 1."""
-    order = doc.get("cyclotomic_order", 1)
+    """The document's cyclotomic order (default 1), an int >= 1; the
+    document must be an object."""
+    order = _object(doc, path).get("cyclotomic_order", 1)
     if not isinstance(order, int) or order < 1:
         raise SchemaError(f"{path}/cyclotomic_order", f"bad order {order!r}")
     return order
 
 
+def _egraph_pairs(doc: dict, order: int, path: str = ""):
+    """Yield the (arg, val) elements of the document's graph entries."""
+    entries = doc.get("egraph", [])
+    if not isinstance(entries, list):
+        raise SchemaError(f"{path}/egraph", "expected an array")
+    for i, entry in enumerate(entries):
+        at = f"{path}/egraph/{i}"
+        yield (_elem(_require(entry, "arg", at), order, f"{at}/arg"),
+               _elem(_require(entry, "val", at), order, f"{at}/val"))
+
+
 def presentation_from_json(doc: dict, path: str = "") -> EFieldPresentation:
-    if not isinstance(doc, dict):
-        raise SchemaError(path or "/", "expected an object")
     name = _require(doc, "name", path)
     order = cyclotomic_order_of(doc, path)
     trans = _require(doc, "transcendentals", path)
     pairs = []
-    for i, entry in enumerate(doc.get("egraph", [])):
-        arg = _elem(_require(entry, "arg", f"{path}/egraph/{i}"), order,
-                    f"{path}/egraph/{i}/arg")
-        val = _elem(_require(entry, "val", f"{path}/egraph/{i}"), order,
-                    f"{path}/egraph/{i}/val")
+    for i, (arg, val) in enumerate(_egraph_pairs(doc, order, path)):
         if val.is_zero():
             raise SchemaError(f"{path}/egraph/{i}/val", "graph value is zero")
         if arg.is_zero():
@@ -110,7 +122,7 @@ def variety_to_json(v: ParametricVariety) -> dict:
 
 
 def variety_from_json(doc: dict, path: str = "") -> ParametricVariety:
-    order = doc.get("cyclotomic_order", 1)
+    order = cyclotomic_order_of(doc, path)
     base = tuple(_require(doc, "base_params", path))
     locus = tuple(_require(doc, "locus_params", path))
     xs = tuple(_elem(x, order, f"{path}/X/{i}")

@@ -10,14 +10,14 @@ decision is a rational linear-algebra problem, exact and complete here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import Inconsistent, UnsupportedShape, MissingExponential
 from .exprlang import FlatSystem, fresh_name
 from .fieldelem import FieldElem, coerce, eliminate_symbols
-from .linalg import (_rref, coordinate_matrix, integer_kernel_basis,
-                     kernel_basis, qlin_solve)
+from .linalg import _rref, coordinate_matrix, integer_kernel_basis
 from .mpoly import MPoly, ZETA
 
 
@@ -133,16 +133,10 @@ def freeness_oracle(v: ParametricVariety, bound: int) -> FreenessCertificate:
     Independent of the kernel computation: enumerates vectors and tests the
     locus-parameter derivatives of sum(m_i X_i) directly.
     """
-    from math import gcd
-    rows = []
-    for u in v.locus_params:
-        rows.extend(coordinate_matrix([x.derivative(u) for x in v.X]))
     int_rows = []
-    for row in rows:
-        lcm = 1
-        for q in row:
-            lcm = lcm * q.denominator // gcd(lcm, q.denominator)
-        int_rows.append([int(q * lcm) for q in row])
+    for row in _derivative_rows(list(v.X), v.locus_params):
+        den = lcm(*(q.denominator for q in row))
+        int_rows.append([int(q * den) for q in row])
     n = v.n
     vec = [-bound] * n
 
@@ -174,62 +168,28 @@ def freeness_oracle(v: ParametricVariety, bound: int) -> FreenessCertificate:
 
 def reduce(v: ParametricVariety) -> ReductionResult:
     """Select a maximal base-independent coordinate subset and factor X
-    through it: X = A * X_selected + b with N = lcm of A's denominators."""
+    through it: X = A * X_selected + b with N = lcm of A's denominators.
+
+    The derivative rows have X_i - sum_j A_ij X_j base-valued exactly when
+    column i is that combination of the columns j, so one echelon form
+    answers everything: its pivots are the selected coordinates (each
+    independent of the ones before it) and column i of the reduced rows is
+    A's row i."""
     order = v.cyclotomic_order
-    selected: list[int] = []
-    sel_rows: list = []  # derivative-coordinate columns for selected X
-    a_rows: list = []
-    b_vals: list = []
-
-    all_rows = {}  # per coordinate: its stacked derivative coordinates
-
-    # build one consistent monomial indexing for every derivative at once
-    per_param_rows = {}
-    for u in v.locus_params:
-        per_param_rows[u] = coordinate_matrix([x.derivative(u) for x in v.X])
-
-    def column(i):
-        col = []
-        for u in v.locus_params:
-            for row in per_param_rows[u]:
-                col.append(row[i])
-        return col
-
-    cols = [column(i) for i in range(v.n)]
-    height = len(cols[0]) if cols else 0
-
-    for i in range(v.n):
-        if not selected:
-            sol = None if any(cols[i]) else []
-        else:
-            rows = [[cols[j][r] for j in selected] for r in range(height)]
-            rhs = [cols[i][r] for r in range(height)]
-            sol = qlin_solve(rows, rhs)
-        if sol is None:
-            selected.append(i)
-            a_rows.append(None)  # fixed up below
-            b_vals.append(FieldElem.zero(order))
-        else:
-            a_rows.append(list(sol))
-            combo = FieldElem.zero(order)
-            for q, j in zip(sol, selected):
-                combo = combo + coerce(q, order) * v.X[j]
-            b_vals.append(eliminate_symbols(v.X[i] - combo, v.locus_params))
-
+    m, selected = _rref(_derivative_rows(list(v.X), v.locus_params))
     k = len(selected)
-    A = []
+    A = [tuple(m[r][i] for r in range(k)) for i in range(v.n)]
+    b_vals = []
     for i in range(v.n):
-        if a_rows[i] is None:
-            p = selected.index(i)
-            A.append(tuple(Fraction(1) if j == p else Fraction(0)
-                           for j in range(k)))
-        else:
-            row = a_rows[i] + [Fraction(0)] * (k - len(a_rows[i]))
-            A.append(tuple(row))
-    N = 1
-    for row in A:
-        for q in row:
-            N = N * q.denominator // __import__("math").gcd(N, q.denominator)
+        if i in selected:
+            b_vals.append(FieldElem.zero(order))
+            continue
+        combo = FieldElem.zero(order)
+        for q, j in zip(A[i], selected):
+            if j < i:
+                combo = combo + coerce(q, order) * v.X[j]
+        b_vals.append(eliminate_symbols(v.X[i] - combo, v.locus_params))
+    N = lcm(*(q.denominator for row in A for q in row))
 
     used = set(v.base_params) | set(v.locus_params)
     xprime = tuple(v.X[i] / N for i in selected)

@@ -233,6 +233,22 @@ class TestCheckPresentation:
         kinds = {v["kind"] for v in rep["violations"]}
         assert "dependent_arguments" in kinds
 
+    def test_certificate_indexes_the_whole_graph(self):
+        t = S("t")
+        args = (FieldElem.zero(), t, 2 * t)
+        bad = build_unchecked("bad", transcendentals=("t",),
+                              egraph=tuple(zip(args, map(coerce, (2, 3, 5)))))
+        rep = check_presentation(bad)
+        assert rep["violations"][0] == {"kind": "zero_argument", "index": 0}
+        cert = next(v["certificate"] for v in rep["violations"]
+                    if v["kind"] == "dependent_arguments")
+        assert cert == [0, -2, 1]
+        assert len(cert) == len(bad.egraph)
+        total = FieldElem.zero()
+        for z, a in zip(cert, args):
+            total = total + coerce(z) * a
+        assert total.is_zero()
+
 
 class TestMergeGraphs:
     def test_duplicate_collapses(self):

@@ -199,6 +199,26 @@ class TestCLI:
         assert code == 1
         assert "/cyclotomic_order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, argv", [
+        ([1, 2], ["efield-check", "-F"]),
+        ([1, 2], ["free-check", "-f"]),
+        ({"name": "F", "transcendentals": [], "egraph": [1]},
+         ["efield-check", "-F"]),
+        ({"name": "F", "transcendentals": [], "egraph": [1]},
+         ["roundtrip", "-f"]),
+        ({"name": "F", "transcendentals": [], "egraph": [1]},
+         ["hull", "-g", "t1", "-F"]),
+        ({"base_params": [], "locus_params": ["_p1", "_q1"], "X": ["_p1"],
+          "Y": ["_q1"], "free_Y": [True], "cyclotomic_order": "3"},
+         ["reduce", "-f"]),
+    ])
+    def test_malformed_document_is_schema_error(self, capsys, tmp_path, doc,
+                                                argv):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + [str(path)]) == 1
+        assert capsys.readouterr().err.startswith("schema error:")
+
     def test_determinism_two_runs(self, capsys, tmp_path):
         v = tmp_path / "v.json"
         v.write_text(json.dumps({

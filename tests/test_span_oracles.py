@@ -1,0 +1,185 @@
+"""merge_graphs, hull and reduce read their span bases and coordinates off one
+echelon form.  The oracles here answer the same questions one element at a
+time with ``rational_span_solve``: greedily keep each element outside the
+span of the ones kept before it, then solve for the coordinates of the rest.
+Outputs must agree by value and by printed text."""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from expofield import (FieldElem, coerce, eliminate_symbols, hull,
+                       merge_graphs, qlin_solve, reduce)
+from expofield.linalg import (coordinate_matrix, integer_kernel_basis,
+                              integer_row_basis, kernel_basis,
+                              rational_span_solve)
+from gen import rand_extension, rand_presentation, rand_variety, zspan_pair
+
+S = FieldElem.from_symbol
+SEEDS = range(30)
+
+
+def span_coordinates(elems):
+    """Coordinates of every element in the greedy independent ones."""
+    kept = []
+    for e in elems:
+        if rational_span_solve(kept, e) is None:
+            kept.append(e)
+    return [rational_span_solve(kept, e) for e in elems]
+
+
+def hull_oracle(f, elems):
+    order = f.cyclotomic_order
+    gens = []
+    for e in (coerce(e, order) for e in elems):
+        if not any(e == g for g in gens):
+            gens.append(e)
+    args = [a for a, _ in f.egraph]
+    vals = [v for _, v in f.egraph]
+    if not args:
+        return gens
+    one = FieldElem.one(order)
+    for _ in range(len(args) + 1):
+        rel = kernel_basis(coordinate_matrix(args + gens + [one]))
+        proj = [p for p in (vec[:len(args)] for vec in rel) if any(p)]
+        if not proj:
+            break
+        ortho = kernel_basis(proj)
+        lattice = integer_kernel_basis(ortho) if ortho else [
+            [int(i == j) for j in range(len(args))] for i in range(len(args))]
+        grew = False
+        for z in lattice:
+            val = one
+            for zi, v in zip(z, vals):
+                if zi:
+                    val = val * v ** zi
+            if rational_span_solve(gens + [one], val) is None:
+                gens.append(val)
+                grew = True
+        if not grew:
+            break
+    return gens
+
+
+def merge_oracle(pairs, order):
+    """The consolidated pairs merge_graphs builds for a coherent family."""
+    args = [coerce(a, order) for a, _ in pairs]
+    vals = [coerce(v, order) for _, v in pairs]
+    coords = span_coordinates(args)
+    den = lcm(*(x.denominator for q in coords for x in q))
+    _, t = integer_row_basis([[int(x * den) for x in q] for q in coords])
+    out = []
+    for row in t:
+        arg, val = FieldElem.zero(order), FieldElem.one(order)
+        for i, z in enumerate(row):
+            if z:
+                arg = arg + coerce(z, order) * args[i]
+                val = val * vals[i] ** z
+        out.append((arg, val))
+    return out
+
+
+def reduce_oracle(v):
+    """(index_map, A, b, N) from one solve per coordinate over the stacked
+    locus-parameter derivative coordinates."""
+    order = v.cyclotomic_order
+    rows = []
+    for u in v.locus_params:
+        rows.extend(coordinate_matrix([x.derivative(u) for x in v.X]))
+    selected, sols, b = [], [], []
+    for i in range(v.n):
+        if not selected:
+            sol = None if any(row[i] for row in rows) else []
+        else:
+            sol = qlin_solve([[row[j] for j in selected] for row in rows],
+                             [row[i] for row in rows])
+        if sol is None:
+            selected.append(i)
+            b.append(FieldElem.zero(order))
+        else:
+            combo = FieldElem.zero(order)
+            for q, j in zip(sol, selected):
+                combo = combo + coerce(q, order) * v.X[j]
+            b.append(eliminate_symbols(v.X[i] - combo, v.locus_params))
+        sols.append(sol)
+    k = len(selected)
+    A = []
+    for i, sol in enumerate(sols):
+        if sol is None:
+            sol = [Fraction(j == selected.index(i)) for j in range(k)]
+        A.append(tuple(sol) + (Fraction(0),) * (k - len(sol)))
+    N = lcm(*(q.denominator for row in A for q in row))
+    return tuple(selected), tuple(A), tuple(b), N
+
+
+def same(got, want):
+    assert list(got) == list(want)
+    assert [str(x) for x in got] == [str(x) for x in want]
+
+
+def merge_family(rng):
+    """Coherent pairs over a random graph plus duplicates, integer
+    combinations and fractional lattices such as (2c, w^2), (3c, w^3), whose
+    coordinates have denominator 2 or 3 after the shuffle."""
+    f = rand_presentation(rng, n_pairs=rng.randint(1, 3))
+    pairs = list(f.egraph)
+    for _ in range(rng.randint(0, 2)):
+        pairs.append(rng.choice(f.egraph))
+    for _ in range(rng.randint(0, 2)):
+        arg, val = FieldElem.zero(), FieldElem.one()
+        for a, v in f.egraph:
+            z = rng.randint(-2, 2)
+            if z:
+                arg, val = arg + coerce(z) * a, val * v ** z
+        if not arg.is_zero():
+            pairs.append((arg, val))
+    for arg, val, ks in (("c", "w", (2, 3)), ("d", "x", (3, 5))):
+        if rng.random() < 0.7:
+            pairs += [(coerce(k) * S(arg), S(val) ** k) for k in ks]
+    rng.shuffle(pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_merge_graphs_matches_per_element_solves(seed):
+    pairs = merge_family(random.Random(seed))
+    got, check = merge_graphs(pairs, 1)
+    kernel = integer_kernel_basis(coordinate_matrix([a for a, _ in pairs]))
+    assert check.kernel_basis == tuple(tuple(vec) for vec in kernel)
+    want = merge_oracle(pairs, 1) if kernel else pairs
+    same([a for a, _ in got], [a for a, _ in want])
+    same([v for _, v in got], [v for _, v in want])
+
+
+def test_merge_family_exercises_duplicates_and_fractions():
+    kernels = dens = 0
+    for seed in SEEDS:
+        pairs = merge_family(random.Random(seed))
+        args = [a for a, _ in pairs]
+        kernels += bool(integer_kernel_basis(coordinate_matrix(args)))
+        dens += any(x.denominator > 1 for q in span_coordinates(args) for x in q)
+    assert kernels >= len(SEEDS) // 2 and dens >= len(SEEDS) // 4
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hull_matches_per_element_solves(seed):
+    rng = random.Random(seed)
+    f = rand_presentation(rng, n_pairs=rng.randint(1, 3))
+    f = rand_extension(rng, f, "E")
+    elems = [S(rng.choice(f.transcendentals))]
+    if f.egraph:
+        elems += list(zspan_pair(rng, f))
+    same(hull(f, elems).generators, hull_oracle(f, elems))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reduce_matches_per_element_solves(seed):
+    v, _ = rand_variety(random.Random(seed))
+    rr = reduce(v)
+    index_map, A, b, N = reduce_oracle(v)
+    assert rr.index_map == index_map and rr.N == N
+    for got, want in zip(rr.A, A):
+        same(got, want)
+    same(rr.b, b)
