@@ -7,6 +7,13 @@ Pairwise amalgamation takes the free composite (new transcendentals of the
 two sides kept algebraically independent); higher-dimensional systems are
 completed the same way, with the homomorphism's well-definedness certified
 on the integer kernel of the concatenated graph arguments.
+
+The independence checks made inside one field share their work through
+``_IndepChecks``: each distinct generator input is closed to its hull once,
+each distinct hull generator is differentiated once, and each distinct set of
+Jacobian rows is ranked once.  One ``_IndepChecks`` serves one ``indep`` call
+or one node of ``verify_independent_system`` and is dropped when that call
+returns; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from .errors import IllFormedExtension, UnsupportedShape
 from .efield import (EFieldPresentation, WellDefCheck, e_eval, hull,
                      merge_graphs, presentation)
 from .fieldelem import FieldElem, coerce
-from .linalg import jacobian_rank
+from .linalg import ff_rank, jacobian_rank
 
 
 # -- transcendence degree and ACF-independence --------------------------------
@@ -47,6 +54,44 @@ def acf_indep(a, b, c, amb_params) -> bool:
     return r_abc + r_c == r_ac + r_bc
 
 
+class _IndepChecks:
+    """Hulls, Jacobian rows and ranks shared by the independence checks
+    made inside one presentation.  A row is keyed by its generator's printed
+    text (printing round-trips, so equal text means equal value), and a rank,
+    which ignores row order and repeats, by its set of row keys."""
+
+    def __init__(self, f: EFieldPresentation):
+        self.f = f
+        self.params = list(f.transcendentals)
+        self.hulls: dict = {}  # input key -> row keys of the hull generators
+        self.rows: dict = {}  # str(generator) -> Jacobian row
+        self.ranks: dict = {}  # frozenset of row keys -> rank
+
+    def hull(self, key, elems) -> tuple:
+        """Row keys of the hull of ``elems``, computed once per ``key``."""
+        keys = self.hulls.get(key)
+        if keys is None:
+            gens = hull(self.f, elems).generators
+            keys = self.hulls[key] = tuple(str(g) for g in gens)
+            for k, g in zip(keys, gens):
+                if k not in self.rows:
+                    self.rows[k] = [g.derivative(p) for p in self.params]
+        return keys
+
+    def rank(self, *hulls) -> int:
+        keys = dict.fromkeys(k for h in hulls for k in h)
+        key = frozenset(keys)
+        r = self.ranks.get(key)
+        if r is None:
+            r = self.ranks[key] = ff_rank([self.rows[k] for k in keys])
+        return r
+
+    def indep(self, h_ac, h_bc, h_c) -> bool:
+        """``acf_indep`` on hulls given by their row keys."""
+        return (self.rank(h_ac, h_bc, h_c) + self.rank(h_c)
+                == self.rank(h_ac, h_c) + self.rank(h_bc, h_c))
+
+
 def indep(f: EFieldPresentation, a, b, c) -> bool:
     """The independence relation: the hulls of AC and BC are ACF-independent
     over the hull of C, inside ``f``."""
@@ -54,10 +99,9 @@ def indep(f: EFieldPresentation, a, b, c) -> bool:
     a = [coerce(x, order) for x in a]
     b = [coerce(x, order) for x in b]
     c = [coerce(x, order) for x in c]
-    h_ac = hull(f, a + c).generators
-    h_bc = hull(f, b + c).generators
-    h_c = hull(f, c).generators
-    return acf_indep(h_ac, h_bc, h_c, f.transcendentals)
+    checks = _IndepChecks(f)
+    return checks.indep(*(checks.hull(tuple(str(x) for x in g), g)
+                          for g in (a + c, b + c, c)))
 
 
 # -- pairwise amalgamation ------------------------------------------------------
@@ -223,28 +267,38 @@ class SystemReport:
 
 
 def verify_independent_system(s: IndepSystem) -> SystemReport:
-    """Check the independence condition at every pair a < b of the diagram."""
+    """Check the independence condition at every pair a < b of the diagram.
+
+    The pairs a < b of one node b share one ``_IndepChecks``: one hull per
+    distinct tuple of symbols, one Jacobian row per distinct hull generator
+    and one rank per distinct set of rows, dropped once node b is done.
+    """
     failures = []
     subsets = sorted(s.nodes, key=lambda x: (len(x), sorted(x)))
     for b in subsets:
         fb = s.nodes[b]
+        checks = _IndepChecks(fb)
+
+        def hull_of(syms):
+            return checks.hull(syms, (fb.elem(t) for t in syms))
+
         for a in subsets:
             if not (a < b) or not a:
                 continue
-            gens_a = [fb.elem(t) for t in s.nodes[a].transcendentals]
             c_syms: set = set()
             for c in subsets:
                 if c < a:
                     c_syms |= set(s.nodes[c].transcendentals)
-            gens_c = [fb.elem(t) for t in sorted(c_syms)]
             d_syms: set = set()
             for d in subsets:
                 if d <= b and not (a <= d):
                     d_syms |= set(s.nodes[d].transcendentals)
-            gens_d = [fb.elem(t) for t in sorted(d_syms)]
-            if not gens_d:
+            if not d_syms:
                 continue
-            if not indep(fb, gens_a, gens_d, gens_c):
+            a_key = tuple(s.nodes[a].transcendentals)
+            c_key, d_key = tuple(sorted(c_syms)), tuple(sorted(d_syms))
+            if not checks.indep(hull_of(a_key + c_key), hull_of(d_key + c_key),
+                                hull_of(c_key)):
                 failures.append((subset_label(a), subset_label(b)))
     return SystemReport(ok=not failures, failures=tuple(failures))
 

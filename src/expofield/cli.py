@@ -110,8 +110,9 @@ def cmd_efield_check(args) -> int:
     order = serialize.cyclotomic_order_of(doc)
     from .efield import build_unchecked
     pairs = tuple(serialize._egraph_pairs(doc, order))
-    f = build_unchecked(doc.get("name", "F"), order,
-                        tuple(doc.get("transcendentals", [])), pairs)
+    trans = serialize.symbols_of(doc.get("transcendentals", []),
+                                 "/transcendentals")
+    f = build_unchecked(doc.get("name", "F"), order, trans, pairs)
     seed = int(os.environ.get("EXPOFIELD_SEED", "0"))
     return _emit(args, check_presentation(f, seed=seed))
 

@@ -132,7 +132,8 @@ def _rational_nth_root(w: FieldElem, n: int):
 
 def build_unchecked(name: str, cyclotomic_order: int = 1, transcendentals=(),
                     egraph=()) -> EFieldPresentation:
-    """Bypass invariant validation (diagnostics only; see check_presentation)."""
+    """Bypass invariant validation: for diagnostics (see check_presentation)
+    and for a graph already validated."""
     obj = object.__new__(EFieldPresentation)
     object.__setattr__(obj, "name", name)
     object.__setattr__(obj, "cyclotomic_order", cyclotomic_order)
@@ -204,7 +205,8 @@ def adjoin_transcendentals(f: EFieldPresentation, names) -> EFieldPresentation:
         if s in trans:
             raise LinearDependence([], f"symbol {s} already present")
         trans.append(s)
-    return replace(f, transcendentals=tuple(trans))
+    # the graph is unchanged and its checks ignore the transcendentals
+    return build_unchecked(f.name, f.cyclotomic_order, trans, f.egraph)
 
 
 # -- graph consolidation (used by the amalgamation constructions) ------------

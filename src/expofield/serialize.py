@@ -14,6 +14,7 @@ from .efield import EFieldPresentation, HullPresentation, WellDefCheck, presenta
 from .errors import ExpoFieldError, SchemaError
 from .exprlang import FlatSystem, parse_element, parse, print_system
 from .fieldelem import FieldElem
+from .mpoly import ZETA, is_valid_symbol
 from .treeprops import SOP1Candidate, TP2Witness, VerifyReport
 from .variety import FreenessCertificate, ParametricVariety, ReductionResult
 
@@ -79,6 +80,20 @@ def cyclotomic_order_of(doc: dict, path: str = "") -> int:
     return order
 
 
+def symbols_of(value, path: str) -> tuple:
+    """A list of transcendental names: a JSON array of distinct symbol
+    strings, none of them the reserved ``E`` or ``zeta``."""
+    if not isinstance(value, list):
+        raise SchemaError(path, f"expected an array of symbols, got {value!r}")
+    for i, name in enumerate(value):
+        if (not isinstance(name, str) or not is_valid_symbol(name)
+                or name in (ZETA, "E")):
+            raise SchemaError(f"{path}/{i}", f"not a symbol: {name!r}")
+        if name in value[:i]:
+            raise SchemaError(f"{path}/{i}", f"repeated symbol {name!r}")
+    return tuple(value)
+
+
 def _egraph_pairs(doc: dict, order: int, path: str = ""):
     """Yield the (arg, val) elements of the document's graph entries."""
     entries = doc.get("egraph", [])
@@ -93,7 +108,8 @@ def _egraph_pairs(doc: dict, order: int, path: str = ""):
 def presentation_from_json(doc: dict, path: str = "") -> EFieldPresentation:
     name = _require(doc, "name", path)
     order = cyclotomic_order_of(doc, path)
-    trans = _require(doc, "transcendentals", path)
+    trans = symbols_of(_require(doc, "transcendentals", path),
+                       f"{path}/transcendentals")
     pairs = []
     for i, (arg, val) in enumerate(_egraph_pairs(doc, order, path)):
         if val.is_zero():
@@ -102,7 +118,7 @@ def presentation_from_json(doc: dict, path: str = "") -> EFieldPresentation:
             raise SchemaError(f"{path}/egraph/{i}/arg", "graph argument is zero")
         pairs.append((arg, val))
     try:
-        return presentation(name, order, tuple(trans), tuple(pairs))
+        return presentation(name, order, trans, tuple(pairs))
     except ExpoFieldError as exc:
         raise SchemaError(f"{path}/egraph", str(exc))
 
@@ -173,16 +189,22 @@ def system_to_json(s: IndepSystem) -> dict:
 
 def system_from_json(doc: dict, path: str = "") -> IndepSystem:
     n = _require(doc, "n", path)
-    nodes_doc = _require(doc, "nodes", path)
+    if not isinstance(n, int):
+        raise SchemaError(f"{path}/n", f"expected an integer, got {n!r}")
     nodes = {}
-    for label, nd in nodes_doc.items():
+    for label, nd in _object(_require(doc, "nodes", path),
+                             f"{path}/nodes").items():
         subset = _label_to_subset(label, f"{path}/nodes/{label}")
         nodes[subset] = presentation_from_json(nd, f"{path}/nodes/{label}")
-    for i, arrow in enumerate(doc.get("arrows", [])):
-        mapping = arrow.get("map", {})
+    arrows = doc.get("arrows", [])
+    if not isinstance(arrows, list):
+        raise SchemaError(f"{path}/arrows", "expected an array")
+    for i, arrow in enumerate(arrows):
+        at = f"{path}/arrows/{i}"
+        mapping = _object(_object(arrow, at).get("map", {}), f"{at}/map")
         for k, v in mapping.items():
             if k != v:
-                raise SchemaError(f"{path}/arrows/{i}/map",
+                raise SchemaError(f"{at}/map",
                                   "only identity inclusion maps are supported")
     try:
         return IndepSystem(n=n, nodes=nodes)

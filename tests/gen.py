@@ -284,3 +284,39 @@ def rand_pminus_system(rng: random.Random, n: int):
                     pairs.append((S(gname), val))
         nodes[s] = presentation(f"F{label}", 1, tuple(trans), tuple(pairs))
     return IndepSystem(n=n, nodes=nodes)
+
+
+def conflicting_system(rng: random.Random):
+    """P^-(3) system whose nodes {0,1} and {0,2} give the fresh argument zz
+    different values, so completion must fail."""
+    from expofield.amalg import IndepSystem
+    nodes = dict(rand_pminus_system(rng, 3).nodes)
+    zval1, zval2 = rng.randint(2, 5), rng.randint(6, 9)
+    for a, which in ((frozenset({0, 1}), zval1), (frozenset({0, 2}), zval2)):
+        f = adjoin_transcendentals(nodes[a], ["zz"])
+        nodes[a] = extend_graph(f, [(S("zz"), coerce(which))])
+    return IndepSystem(n=3, nodes=nodes)
+
+
+def reused_transcendental_system():
+    """P^-(3) system in which sibling nodes reuse one fresh transcendental
+    gg, so it is not independent."""
+    from expofield.amalg import IndepSystem
+    one = FieldElem.one()
+    reuse = presentation("FX", 1, ("tau", "gg"), ((one, S("tau")),))
+    base = presentation("F", 1, ("tau",), ((one, S("tau")),))
+    nodes = {frozenset(x): reuse for x in ({0}, {1}, {0, 1}, {0, 2}, {1, 2})}
+    nodes[frozenset()] = base
+    nodes[frozenset({2})] = base
+    return IndepSystem(n=3, nodes=nodes)
+
+
+def shared_sibling_system(rng: random.Random, n: int):
+    """Random P^-(n) system in which every node above {i} or {j} gains one
+    shared fresh transcendental gg, so the pair ({i}, {i,j}) fails."""
+    from expofield.amalg import IndepSystem
+    s = rand_pminus_system(rng, n)
+    i, j = rng.sample(range(n), 2)
+    nodes = {a: adjoin_transcendentals(f, ["gg"]) if (i in a or j in a) else f
+             for a, f in s.nodes.items()}
+    return IndepSystem(n=n, nodes=nodes)

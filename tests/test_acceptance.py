@@ -17,23 +17,22 @@ from itertools import product
 
 import pytest
 
-from expofield import (FieldElem, IndepSystem, acf_indep, additive_freeness,
+from expofield import (FieldElem, acf_indep, additive_freeness,
                        amalgamate2, coerce, complete_system, e_eval,
-                       eval_system, extend_graph, freeness_oracle, indep,
+                       eval_system, freeness_oracle, indep,
                        minimal_ea_family, presentation, solve, tp2_witness,
                        type_family, verify_finite_witness,
                        verify_independent_system, z_stabilizer_witness)
 from expofield.cli import main as cli_main
-from expofield.efield import adjoin_transcendentals
 from expofield.errors import UnsupportedShape, WellDefFailure
 from expofield.exprlang import eliminate_inequations, flatten, parse
 from expofield.treeprops import point_assignment
 from expofield.variety import from_flat
-from gen import (planted_system, rand_extension, rand_pminus_system,
-                 rand_presentation, rand_variety, zspan_pair)
+from gen import (conflicting_system, planted_system, rand_extension,
+                 rand_pminus_system, rand_presentation, rand_variety,
+                 reused_transcendental_system, zspan_pair)
 
 S = FieldElem.from_symbol
-ONE = FieldElem.one()
 
 
 def report(num, ok, detail):
@@ -181,30 +180,12 @@ def test_criterion_5_n_amalgamation():
     adversarial_caught = 0
     for i in range(10):
         if i % 2 == 0:
-            # conflicting values for a shared fresh argument
-            nodes = dict(rand_pminus_system(rng, 3).nodes)
-            zval1, zval2 = rng.randint(2, 5), rng.randint(6, 9)
-            for a, which in ((frozenset({0, 1}), zval1),
-                             (frozenset({0, 2}), zval2)):
-                f = nodes[a]
-                f = adjoin_transcendentals(f, ["zz"])
-                nodes[a] = extend_graph(f, [(S("zz"), coerce(which))])
-            s = IndepSystem(n=3, nodes=nodes)
             try:
-                complete_system(s)
+                complete_system(conflicting_system(rng))
             except (WellDefFailure, UnsupportedShape):
                 adversarial_caught += 1
-        else:
-            # a sibling node reuses another node's fresh transcendental
-            reuse = presentation("FX", 1, ("tau", "gg"), ((ONE, S("tau")),))
-            base = presentation("F", 1, ("tau",), ((ONE, S("tau")),))
-            nodes = {frozenset(x): reuse for x in
-                     ({0}, {1}, {0, 1}, {0, 2}, {1, 2})}
-            nodes[frozenset()] = base
-            nodes[frozenset({2})] = base
-            s = IndepSystem(n=3, nodes=nodes)
-            if not verify_independent_system(s).ok:
-                adversarial_caught += 1
+        elif not verify_independent_system(reused_transcendental_system()).ok:
+            adversarial_caught += 1
     report(5, failures == 0 and adversarial_caught == 10,
            f"50 systems (n=3,4) completed and verified, {failures} failures; "
            f"{adversarial_caught}/10 adversarial inputs caught")

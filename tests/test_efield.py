@@ -10,7 +10,9 @@ from expofield import (FieldElem, ParametricVariety,
                        check_presentation, coerce, e_eval, eval_system,
                        extend_graph, hull, merge_graphs, minimal_ea_family,
                        presentation, solve)
-from expofield.efield import build_unchecked, graph_conflicts
+from expofield import efield
+from expofield.efield import (adjoin_transcendentals, build_unchecked,
+                              graph_conflicts)
 from expofield.errors import (ExponentialConflict, LinearDependence,
                               MissingExponential, WellDefFailure, ZeroValue)
 from expofield.exprlang import parse
@@ -63,6 +65,29 @@ class TestExtendGraph:
     def test_zero_value_rejected(self):
         with pytest.raises(ZeroValue):
             extend_graph(presentation("Q"), [(S("a"), FieldElem.zero())])
+
+
+class TestAdjoinTranscendentals:
+    def test_graph_is_not_validated_again(self, monkeypatch):
+        f = presentation("F", transcendentals=("a", "b"),
+                         egraph=((S("a"), S("b")), (S("b"), 2 * ONE)))
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return original(rows)
+
+        original = efield.integer_kernel_basis
+        monkeypatch.setattr(efield, "integer_kernel_basis", counted)
+        g = adjoin_transcendentals(f, ["c", "d"])
+        assert calls == []
+        assert (g.name, g.cyclotomic_order, g.transcendentals, g.egraph) == (
+            "F", 1, ("a", "b", "c", "d"), f.egraph)
+
+    def test_present_symbol_rejected(self):
+        f = presentation("F", transcendentals=("a",))
+        with pytest.raises(LinearDependence):
+            adjoin_transcendentals(f, ["b", "a"])
 
 
 class TestSolve:

@@ -12,6 +12,8 @@ from gen import rand_pminus_system
 
 import random
 
+SYSTEM = serialize.system_to_json(rand_pminus_system(random.Random(4), 3))
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -211,6 +213,27 @@ class TestCLI:
         ({"base_params": [], "locus_params": ["_p1", "_q1"], "X": ["_p1"],
           "Y": ["_q1"], "free_Y": [True], "cyclotomic_order": "3"},
          ["reduce", "-f"]),
+        ({"name": "F", "transcendentals": 5, "egraph": []},
+         ["efield-check", "-F"]),
+        ({"name": "F", "transcendentals": 5, "egraph": []},
+         ["roundtrip", "-f"]),
+        ({"name": "F", "transcendentals": "ab", "egraph": []},
+         ["efield-check", "-F"]),
+        ({"name": "F", "transcendentals": "ab", "egraph": []},
+         ["roundtrip", "-f"]),
+        ({"name": "F", "transcendentals": ["a", 1], "egraph": []},
+         ["hull", "-g", "a", "-F"]),
+        ({"name": "F", "transcendentals": ["a b"], "egraph": []},
+         ["efield-check", "-F"]),
+        ({"name": "F", "transcendentals": ["zeta"], "egraph": []},
+         ["roundtrip", "-f"]),
+        ({"name": "F", "transcendentals": ["a", "a"], "egraph": []},
+         ["efield-check", "-F"]),
+        ({"n": 2, "nodes": [1]}, ["amalg-n", "-S"]),
+        ({"n": "3", "nodes": {}}, ["amalg-n", "-S"]),
+        (SYSTEM | {"arrows": {}}, ["amalg-n", "-S"]),
+        (SYSTEM | {"arrows": [1]}, ["amalg-n", "-S"]),
+        (SYSTEM | {"arrows": [{"map": ["a"]}]}, ["amalg-n", "-S"]),
     ])
     def test_malformed_document_is_schema_error(self, capsys, tmp_path, doc,
                                                 argv):

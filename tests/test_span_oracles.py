@@ -2,7 +2,12 @@
 echelon form.  The oracles here answer the same questions one element at a
 time with ``rational_span_solve``: greedily keep each element outside the
 span of the ones kept before it, then solve for the coordinates of the rest.
-Outputs must agree by value and by printed text."""
+Outputs must agree by value and by printed text.
+
+indep and verify_independent_system share hulls, Jacobian rows and ranks
+across the checks made inside one field; their oracle builds three hulls and
+four Jacobian ranks from scratch for every pair, and must give the same
+verdicts and failures, in the same order."""
 
 import random
 from fractions import Fraction
@@ -10,12 +15,16 @@ from math import lcm
 
 import pytest
 
-from expofield import (FieldElem, coerce, eliminate_symbols, hull,
-                       merge_graphs, qlin_solve, reduce)
+from expofield import (FieldElem, acf_indep, coerce, eliminate_symbols,
+                       hull, indep, merge_graphs, qlin_solve, reduce,
+                       verify_independent_system)
+from expofield.amalg import subset_label
 from expofield.linalg import (coordinate_matrix, integer_kernel_basis,
                               integer_row_basis, kernel_basis,
                               rational_span_solve)
-from gen import rand_extension, rand_presentation, rand_variety, zspan_pair
+from gen import (conflicting_system, rand_extension, rand_pminus_system,
+                 rand_presentation, rand_variety, reused_transcendental_system,
+                 shared_sibling_system, zspan_pair)
 
 S = FieldElem.from_symbol
 SEEDS = range(30)
@@ -183,3 +192,90 @@ def test_reduce_matches_per_element_solves(seed):
     for got, want in zip(rr.A, A):
         same(got, want)
     same(rr.b, b)
+
+
+def indep_oracle(f, a, b, c):
+    return acf_indep(hull(f, a + c).generators, hull(f, b + c).generators,
+                     hull(f, c).generators, f.transcendentals)
+
+
+def verify_oracle(s):
+    """(ok, failures) from one independent check per pair a < b."""
+    failures = []
+    subsets = sorted(s.nodes, key=lambda x: (len(x), sorted(x)))
+    for b in subsets:
+        fb = s.nodes[b]
+        for a in subsets:
+            if not (a < b) or not a:
+                continue
+            gens_a = [fb.elem(t) for t in s.nodes[a].transcendentals]
+            c_syms = set()
+            for c in subsets:
+                if c < a:
+                    c_syms |= set(s.nodes[c].transcendentals)
+            d_syms = set()
+            for d in subsets:
+                if d <= b and not (a <= d):
+                    d_syms |= set(s.nodes[d].transcendentals)
+            if not d_syms:
+                continue
+            gens_c = [fb.elem(t) for t in sorted(c_syms)]
+            gens_d = [fb.elem(t) for t in sorted(d_syms)]
+            if not indep_oracle(fb, gens_a, gens_d, gens_c):
+                failures.append((subset_label(a), subset_label(b)))
+    return not failures, tuple(failures)
+
+
+def adversarial_systems():
+    rng = random.Random(505)
+    out = [reused_transcendental_system()]
+    out += [conflicting_system(rng) for _ in range(3)]
+    out += [shared_sibling_system(rng, n) for n in (3, 4) for _ in range(3)]
+    return out
+
+
+def verdict(s):
+    rep = verify_independent_system(s)
+    return rep.ok, rep.failures
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_verify_matches_per_pair_indep(seed, n):
+    s = rand_pminus_system(random.Random(seed), n)
+    assert verdict(s) == verify_oracle(s)
+
+
+@pytest.mark.parametrize("index", range(len(adversarial_systems())))
+def test_verify_matches_per_pair_indep_on_adversarial_systems(index):
+    s = adversarial_systems()[index]
+    assert verdict(s) == verify_oracle(s)
+
+
+def test_adversarial_systems_fail_at_several_pairs():
+    verdicts = [verify_oracle(s) for s in adversarial_systems()]
+    assert sum(not ok for ok, _ in verdicts) >= 7
+    assert max(len(failures) for _, failures in verdicts) >= 2
+
+
+def indep_triples(rng):
+    f = rand_presentation(rng, n_trans=rng.randint(2, 4),
+                          n_pairs=rng.randint(0, 3))
+    if rng.random() < 0.5:
+        f = rand_extension(rng, f, "E")
+    pool = [S(t) for t in f.transcendentals]
+    pool += [x for x in zspan_pair(rng, f) if not x.is_zero()]
+    pool += [x * y for x, y in zip(pool, pool[1:])]
+    for _ in range(6):
+        yield f, *([rng.choice(pool) for _ in range(rng.randint(0, 3))]
+                   for _ in range(3))
+
+
+def test_indep_matches_hull_and_acf_indep():
+    seen = set()
+    for seed in SEEDS:
+        for f, a, b, c in indep_triples(random.Random(seed)):
+            want = indep_oracle(f, a, b, c)
+            assert indep(f, a, b, c) == want
+            seen.add(want)
+    assert seen == {True, False}
