@@ -13,12 +13,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import serialize
 from .amalg import amalgamate2, complete_system, indep
 from .efield import check_presentation, hull, presentation, solve
-from .errors import DomainError, ExpoFieldError, SchemaError
+from .errors import DomainError, ExpoFieldError, SchemaError, UnsupportedShape
 from .exprlang import (eliminate_inequations, flatten, parse, parse_element)
 from .treeprops import (tp2_witness, type_family, verify_finite_witness,
                         z_stabilizer_witness)
@@ -56,11 +55,17 @@ def _load_presentation(args):
     return presentation("Q", cyclotomic_order=getattr(args, "order", 1) or 1)
 
 
-def _elems(text: str, order: int):
+def _elems(text: str, f):
+    """Comma-separated element texts over the transcendentals of ``f``."""
     text = text.strip()
     if not text:
         return []
-    return [parse_element(part.strip(), order) for part in text.split(",")]
+    elems = [parse_element(part.strip(), f.cyclotomic_order)
+             for part in text.split(",")]
+    extra = set().union(*(e.symbols() for e in elems)) - set(f.transcendentals)
+    if extra:
+        raise UnsupportedShape(f"undeclared symbols {sorted(extra)}")
+    return elems
 
 
 def cmd_normalize(args) -> int:
@@ -119,16 +124,13 @@ def cmd_efield_check(args) -> int:
 
 def cmd_hull(args) -> int:
     f = _load_presentation(args)
-    gens = _elems(args.generators, f.cyclotomic_order)
-    h = hull(f, gens)
+    h = hull(f, _elems(args.generators, f))
     return _emit(args, serialize.hull_to_json(h))
 
 
 def cmd_indep(args) -> int:
     f = _load_presentation(args)
-    order = f.cyclotomic_order
-    result = indep(f, _elems(args.A, order), _elems(args.B, order),
-                   _elems(args.C, order))
+    result = indep(f, _elems(args.A, f), _elems(args.B, f), _elems(args.C, f))
     return _emit(args, {"independent": result})
 
 
@@ -153,7 +155,11 @@ def cmd_amalg_n(args) -> int:
 
 
 def cmd_tp2(args) -> int:
-    sigma = tuple(int(x) for x in args.sigma.split(","))
+    try:
+        sigma = tuple(int(x) for x in args.sigma.split(","))
+    except ValueError:
+        raise SchemaError("--sigma", f"not comma-separated integers: "
+                                     f"{args.sigma!r}")
     w, rep = tp2_witness(args.n, args.J, sigma)
     payload = serialize.tp2_certificate(w, rep, sigma)
     _emit(args, payload)
@@ -174,8 +180,12 @@ def cmd_zwitness(args) -> int:
     else:
         order = args.order
         if order is None:
-            q = Fraction(args.c)
-            order = q.denominator
+            # the order comes from the denominator of a rational c
+            c = parse_element(args.c)
+            if not c.is_rational():
+                raise SchemaError("-c", f"{args.c!r} is not rational; give "
+                                        "-F or --order")
+            order = c.as_fraction().denominator
         f = presentation("Q", cyclotomic_order=order)
     c = parse_element(args.c, f.cyclotomic_order)
     d = parse_element(args.d, f.cyclotomic_order) if args.d else None
@@ -191,13 +201,22 @@ def cmd_zwitness(args) -> int:
 
 def cmd_type_family(args) -> int:
     f = _load_presentation(args)
-    doc = json.loads(args.assignments)
+    try:
+        doc = json.loads(args.assignments)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("/", f"invalid JSON in --assignments: {exc}")
     if not isinstance(doc, list):
         raise SchemaError("/", "assignments must be a JSON array of objects")
     assignments = []
     for i, entry in enumerate(doc):
-        assignments.append({int(k): parse_element(str(v), f.cyclotomic_order)
-                            for k, v in entry.items()})
+        asg = {}
+        for k, v in serialize._object(entry, f"/{i}").items():
+            try:
+                n = int(k)
+            except ValueError:
+                raise SchemaError(f"/{i}/{k}", "expected an integer exponent")
+            asg[n] = parse_element(str(v), f.cyclotomic_order)
+        assignments.append(asg)
     fam = type_family(f, assignments)
     payload = {
         "presentations": [serialize.presentation_to_json(p)

@@ -19,7 +19,7 @@ from .errors import (ExponentialConflict, LinearDependence, MissingExponential,
                      NotAdditivelyFree, WellDefFailure, ZeroValue)
 from . import exprlang
 from .exprlang import ETerm, Exp, fresh_name
-from .fieldelem import FieldElem, coerce
+from .fieldelem import FieldElem, coerce, int_combination, power_product
 from .linalg import (_rref, integer_kernel_basis, integer_row_basis,
                      kernel_basis, coordinate_matrix, rational_span_solve)
 from .variety import (ParametricVariety, ReductionResult, additive_freeness,
@@ -49,9 +49,6 @@ class EFieldPresentation:
 
     def fresh(self, prefix: str) -> str:
         return fresh_name(prefix, set(self.transcendentals))
-
-    def has_pair(self, arg: FieldElem) -> bool:
-        return any(a == arg for a, _ in self.egraph)
 
 
 def _graph_violations(egraph):
@@ -172,11 +169,8 @@ def e_eval(f: EFieldPresentation, a: FieldElem) -> EEvalResult:
     if coords is None:
         return EEvalResult(outside_span=True)
     if all(q.denominator == 1 for q in coords):
-        out = FieldElem.one(f.cyclotomic_order)
-        for q, (_, val) in zip(coords, f.egraph):
-            if q:
-                out = out * val ** int(q)
-        return EEvalResult(value=out)
+        return EEvalResult(value=power_product(f.vals, coords,
+                                               f.cyclotomic_order))
     roots = tuple((val, q.denominator)
                   for q, (_, val) in zip(coords, f.egraph)
                   if q.denominator != 1)
@@ -236,17 +230,12 @@ def merge_graphs(pairs, order: int):
     vals = [v for _, v in pairs]
     mat = coordinate_matrix(args)
     kernel = integer_kernel_basis(mat)
-    verdicts = []
     for vec in kernel:
-        prod = FieldElem.one(order)
-        for z, v in zip(vec, vals):
-            if z:
-                prod = prod * v ** z
-        ok = prod.is_one()
-        verdicts.append(ok)
-        if not ok:
+        prod = power_product(vals, vec, order)
+        if not prod.is_one():
             raise WellDefFailure(vec, prod)
-    check = WellDefCheck(tuple(tuple(v) for v in kernel), tuple(verdicts))
+    check = WellDefCheck(tuple(tuple(v) for v in kernel),
+                         (True,) * len(kernel))
     if not kernel:
         return tuple(pairs), check
     # rebuild on a Z-basis of the argument lattice
@@ -254,16 +243,8 @@ def merge_graphs(pairs, order: int):
     coords = [[m[r][i] for r in range(len(pivots))] for i in range(len(args))]
     den = lcm(*(x.denominator for q in coords for x in q))
     h, t = integer_row_basis([[int(x * den) for x in q] for q in coords])
-    out = []
-    for j in range(len(h)):
-        arg = FieldElem.zero(order)
-        val = FieldElem.one(order)
-        for i, z in enumerate(t[j]):
-            if z:
-                arg = arg + coerce(z, order) * args[i]
-                val = val * vals[i] ** z
-        out.append((arg, val))
-    return tuple(out), check
+    return tuple((int_combination(z, args, order),
+                  power_product(vals, z, order)) for z in t[:len(h)]), check
 
 
 # -- realizing exponential points (the constructive reduction) ----------------
@@ -361,23 +342,13 @@ def solve(f: EFieldPresentation, v: ParametricVariety,
         current = extend_graph(current, new_pairs)
 
     # resolve the base offsets b_i, preferring constrained variety values
-    prefix_cache: dict = {}
-
-    def _prefix(i: int) -> FieldElem:
-        if i not in prefix_cache:
-            acc = FieldElem.one(order)
-            for p in range(len(rr.index_map)):
-                na = rr.A[i][p] * rr.N
-                acc = acc * ec_values[p] ** int(na)
-            prefix_cache[i] = acc
-        return prefix_cache[i]
-
     def _resolve_b(i: int, b: FieldElem) -> FieldElem:
         nonlocal current
         ev = e_eval(current, b)
         required = None
         if not v.free_Y[i]:
-            required = v.Y[i].subs(param_values) / _prefix(i)
+            required = v.Y[i].subs(param_values) / power_product(
+                ec_values, [q * rr.N for q in rr.A[i]], order)
         if ev.is_value:
             if required is not None and ev.value != required:
                 raise ExponentialConflict(
@@ -462,20 +433,11 @@ def hull(f: EFieldPresentation, elems) -> HullPresentation:
         proj = [v for v in proj if any(v)]
         if not proj:
             break
-        ortho = kernel_basis(proj)
-        if ortho:
-            lattice = integer_kernel_basis(ortho)
-        else:
-            # projections span all of Q^len(args)
-            lattice = [[1 if i == j else 0 for j in range(len(args))]
-                       for i in range(len(args))]
-        cands = []
-        for z in lattice:
-            val = one
-            for zi, v in zip(z, vals):
-                if zi:
-                    val = val * v ** zi
-            cands.append(val)
+        # no orthogonal rows: the projections span Q^len(args), and the
+        # kernel of one zero row is the unit vectors
+        ortho = kernel_basis(proj) or [[0] * len(args)]
+        cands = [power_product(vals, z, order)
+                 for z in integer_kernel_basis(ortho)]
         _, pivots = _rref(coordinate_matrix(gens + [one] + cands))
         new = [cands[c - len(gens) - 1] for c in pivots if c > len(gens)]
         if not new:
@@ -524,17 +486,11 @@ def check_presentation(f: EFieldPresentation, spot_checks: int = 10,
     checks = 0
     if not violations and f.egraph:
         rng = random.Random(seed)
-        k = len(f.egraph)
+        order = f.cyclotomic_order
         for _ in range(spot_checks):
-            z = [rng.randint(-3, 3) for _ in range(k)]
-            a = FieldElem.zero(f.cyclotomic_order)
-            expected = FieldElem.one(f.cyclotomic_order)
-            for zi, (arg, val) in zip(z, f.egraph):
-                if zi:
-                    a = a + coerce(zi, f.cyclotomic_order) * arg
-                    expected = expected * val ** zi
-            ev = e_eval(f, a)
-            if not ev.is_value or ev.value != expected:
+            z = [rng.randint(-3, 3) for _ in range(len(f.egraph))]
+            ev = e_eval(f, int_combination(z, f.args, order))
+            if not ev.is_value or ev.value != power_product(f.vals, z, order):
                 violations.append({"kind": "homomorphism_failure",
                                    "coefficients": z})
             checks += 1

@@ -22,6 +22,7 @@ form of field elements used in JSON payloads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -99,62 +100,30 @@ class ESystem:
 
 # -- lexer -------------------------------------------------------------------
 
-_PUNCT = {"&", "(", ")", "+", "-", "*", "^", "="}
+# ASCII only: a non-ASCII digit or letter is not a token
+_TOKEN = re.compile(r"""(?P<NEWLINE>\n) | (?P<SPACE>[ \t\r]+)
+    | (?P<RAT>[0-9]+/[0-9]+) | (?P<INT>[0-9]+)
+    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*) | (?P<NEQ>!=) | (?P<PUNCT>[&()+*^=-])
+    """, re.VERBOSE)
 
 
 def _tokenize(text: str):
+    """(kind, text, line, col) tokens ending in EOF; a punctuation token's
+    kind is its character."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(("NEWLINE", "\n", line, col))
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                tokens.append(("RAT", text[i:k], line, col))
-                col += k - i
-                i = k
-            else:
-                tokens.append(("INT", text[i:j], line, col))
-                col += j - i
-                i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == "!" and i + 1 < n and text[i + 1] == "=":
-            tokens.append(("NEQ", "!=", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append((ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ExprSyntaxError(line, col, f"a token (got {ch!r})")
-    tokens.append(("EOF", "", line, col))
+    line, line_start, i = 1, 0, 0
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise ExprSyntaxError(line, i - line_start + 1,
+                                  f"a token (got {text[i]!r})")
+        kind = m.group() if m.lastgroup == "PUNCT" else m.lastgroup
+        if kind != "SPACE":
+            tokens.append((kind, m.group(), line, i - line_start + 1))
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        i = m.end()
+    tokens.append(("EOF", "", line, i - line_start + 1))
     return tokens
 
 
@@ -507,10 +476,6 @@ def print_flat(fs: FlatSystem) -> str:
 
 
 # -- canonical element text ------------------------------------------------------
-
-
-def format_element(e: FieldElem) -> str:
-    return str(e)
 
 
 def term_to_element(t: ETerm, order: int = 1) -> FieldElem:

@@ -5,6 +5,12 @@ denominator is primitive (content 1) with positive leading coefficient, and
 cheap cancellations (common monomials, exact divisibility either way) are
 applied.  Equality is decided by cross-multiplication, so full gcd reduction
 is never required.
+
+The exponential homomorphism E(sum z_i a_i) = prod E(a_i)^z_i is written with
+two folds: ``int_combination`` for the sum and ``power_product`` for the
+product.  Both skip zero entries and start from the first nonzero term or
+factor rather than from a fresh 0 or 1; normalization is idempotent, so the
+result prints the same either way and one multiplication is saved.
 """
 
 from __future__ import annotations
@@ -209,6 +215,27 @@ def coerce(value, order: int = 1) -> FieldElem:
     if isinstance(value, MPoly):
         return FieldElem(value)
     return FieldElem(MPoly.const(value, order))
+
+
+def int_combination(coeffs, elems, order: int = 1) -> FieldElem:
+    """sum c_i * e_i over the nonzero (rational) coefficients c_i."""
+    out = None
+    for c, e in zip(coeffs, elems):
+        if c:
+            term = coerce(c, order) * e
+            out = term if out is None else out + term
+    return FieldElem.zero(order) if out is None else out
+
+
+def power_product(bases, exps, order: int = 1) -> FieldElem:
+    """prod b_i ** z_i over the nonzero integer exponents z_i (a Fraction
+    with denominator 1 counts as an integer)."""
+    out = None
+    for b, z in zip(bases, exps):
+        if z:
+            factor = coerce(b, order) ** int(z)
+            out = factor if out is None else out * factor
+    return FieldElem.one(order) if out is None else out
 
 
 def cyclotomic_root(order: int, power: int = 1) -> FieldElem:

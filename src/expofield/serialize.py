@@ -7,33 +7,19 @@ separators, so identical inputs produce byte-identical documents.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .amalg import CompletionResult, IndepSystem, subset_label
 from .efield import EFieldPresentation, HullPresentation, WellDefCheck, presentation
 from .errors import ExpoFieldError, SchemaError
 from .exprlang import FlatSystem, parse_element, parse, print_system
 from .fieldelem import FieldElem
-from .mpoly import ZETA, is_valid_symbol
+from .mpoly import ZETA, _frac_str, is_valid_symbol
 from .treeprops import SOP1Candidate, TP2Witness, VerifyReport
 from .variety import FreenessCertificate, ParametricVariety, ReductionResult
 
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _parse_frac(text, path: str) -> Fraction:
-    try:
-        if isinstance(text, int):
-            return Fraction(text)
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(path, f"not a rational: {text!r} ({exc})")
 
 
 def _elem(text, order: int, path: str) -> FieldElem:
@@ -81,8 +67,8 @@ def cyclotomic_order_of(doc: dict, path: str = "") -> int:
 
 
 def symbols_of(value, path: str) -> tuple:
-    """A list of transcendental names: a JSON array of distinct symbol
-    strings, none of them the reserved ``E`` or ``zeta``."""
+    """A list of symbol names (transcendentals or parameters): a JSON array
+    of distinct symbol strings, none of them the reserved ``E`` or ``zeta``."""
     if not isinstance(value, list):
         raise SchemaError(path, f"expected an array of symbols, got {value!r}")
     for i, name in enumerate(value):
@@ -139,8 +125,9 @@ def variety_to_json(v: ParametricVariety) -> dict:
 
 def variety_from_json(doc: dict, path: str = "") -> ParametricVariety:
     order = cyclotomic_order_of(doc, path)
-    base = tuple(_require(doc, "base_params", path))
-    locus = tuple(_require(doc, "locus_params", path))
+    base = symbols_of(_require(doc, "base_params", path), f"{path}/base_params")
+    locus = symbols_of(_require(doc, "locus_params", path),
+                       f"{path}/locus_params")
     xs = tuple(_elem(x, order, f"{path}/X/{i}")
                for i, x in enumerate(_require(doc, "X", path)))
     ys = tuple(_elem(y, order, f"{path}/Y/{i}")
@@ -306,10 +293,13 @@ def tp2_certificate(w: TP2Witness, rep: VerifyReport, sigma) -> dict:
 
 def sop1_from_json(doc: dict, path: str = "") -> SOP1Candidate:
     depth = _require(doc, "depth", path)
+    if not isinstance(depth, int):
+        raise SchemaError(f"{path}/depth", f"expected an integer, got {depth!r}")
     base = presentation_from_json(_require(doc, "base", path), f"{path}/base")
     order = base.cyclotomic_order
     tree = {}
-    for node, pair in _require(doc, "tree", path).items():
+    for node, pair in _object(_require(doc, "tree", path),
+                              f"{path}/tree").items():
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"{path}/tree/{node}", "expected [y, z]")
         tree[node] = (_elem(pair[0], order, f"{path}/tree/{node}/0"),

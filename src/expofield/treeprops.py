@@ -254,20 +254,12 @@ def _verify_tp2(w: TP2Witness, branches) -> VerifyReport:
                     continue
                 ok = _psi_holds(w.psi, w.base, w.param(i, j), w.param(i, k))
                 cond_iii.append(((i, j, k), ok))
-    cond_ii = "structural" if _is_builtin_pair(w.phi, w.psi) else "unverified"
-    cond_i = []
-    extension = None
+    labelled = []
     for sigma in branches:
         sigma = tuple(sigma)
-        params = [w.param(i, sigma[i - 1]) for i in range(1, w.n + 1)]
-        result = check_branch(w.base, params)
-        cond_i.append(BranchResult(sigma, result.consistent, result.detail,
-                                   result.solution))
-        if result.solution is not None and extension is None:
-            extension = result.solution.presentation
-    return VerifyReport(condition_i=tuple(cond_i), condition_ii=cond_ii,
-                        condition_iii=tuple(cond_iii),
-                        realizing_extension=extension)
+        labelled.append((sigma, [w.param(i, sigma[i - 1])
+                                 for i in range(1, w.n + 1)]))
+    return _report(w, labelled, cond_iii)
 
 
 def _verify_sop1(cand: SOP1Candidate, branches) -> VerifyReport:
@@ -282,23 +274,32 @@ def _verify_sop1(cand: SOP1Candidate, branches) -> VerifyReport:
                 ok = _psi_holds(cand.psi, cand.base, cand.tree[left],
                                 cand.tree[nu])
                 cond_iii.append(((left, nu), ok))
-    cond_ii = "structural" if _is_builtin_pair(cand.phi, cand.psi) else "unverified"
-    cond_i = []
-    extension = None
     if branches == "all":
         branches = ["".join(bits) for bits in product("01", repeat=cand.depth)]
+    labelled = []
     for sigma in branches:
         sigma = "".join(str(x) for x in sigma)
-        params = [cand.tree[sigma[:k]] for k in range(min(len(sigma), cand.depth))]
+        labelled.append(((sigma,), [cand.tree[sigma[:k]] for k in
+                                    range(min(len(sigma), cand.depth))]))
+    return _report(cand, labelled, cond_iii)
+
+
+def _report(cand, labelled, cond_iii) -> VerifyReport:
+    """The report of a TP2 witness or SOP1 candidate: condition (i) runs
+    ``check_branch`` on each (label, params) branch (no params: vacuously
+    consistent), and the first realized branch gives the extension."""
+    cond_i = []
+    for label, params in labelled:
         if not params:
-            cond_i.append(BranchResult((sigma,), True, "vacuous"))
-            continue
-        result = check_branch(cand.base, params)
-        cond_i.append(BranchResult((sigma,), result.consistent, result.detail,
-                                   result.solution))
-        if result.solution is not None and extension is None:
-            extension = result.solution.presentation
-    return VerifyReport(condition_i=tuple(cond_i), condition_ii=cond_ii,
+            cond_i.append(BranchResult(label, True, "vacuous"))
+        else:
+            cond_i.append(replace(check_branch(cand.base, params),
+                                  branch=label))
+    extension = next((r.solution.presentation for r in cond_i
+                      if r.solution is not None), None)
+    pair = _is_builtin_pair(cand.phi, cand.psi)
+    return VerifyReport(condition_i=tuple(cond_i),
+                        condition_ii="structural" if pair else "unverified",
                         condition_iii=tuple(cond_iii),
                         realizing_extension=extension)
 

@@ -11,12 +11,12 @@ decision is a rational linear-algebra problem, exact and complete here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .errors import Inconsistent, UnsupportedShape, MissingExponential
 from .exprlang import FlatSystem, fresh_name
-from .fieldelem import FieldElem, coerce, eliminate_symbols
+from .fieldelem import (FieldElem, coerce, eliminate_symbols, int_combination,
+                        power_product)
 from .linalg import _rref, coordinate_matrix, integer_kernel_basis
 from .mpoly import MPoly, ZETA
 
@@ -114,14 +114,14 @@ def additive_freeness(v: ParametricVariety) -> FreenessCertificate:
     re-verify by the identity sum(m_i X_i) - a == 0.
     """
     rows = _derivative_rows(list(v.X), v.locus_params)
-    kernel = integer_kernel_basis(rows) if rows else integer_kernel_basis(
-        [[Fraction(0)] * v.n])
-    if not kernel:
-        return FreenessCertificate("free")
-    m = kernel[0]
-    total = FieldElem.zero(v.cyclotomic_order)
-    for mi, x in zip(m, v.X):
-        total = total + coerce(mi, v.cyclotomic_order) * x
+    kernel = integer_kernel_basis(rows or [[0] * v.n])
+    return _not_free(v, kernel[0]) if kernel else FreenessCertificate("free")
+
+
+def _not_free(v: ParametricVariety, m) -> FreenessCertificate:
+    """The certificate of the integer relation m: the base value a of
+    sum(m_i X_i), with sum(m_i X_i) - a == 0 checked."""
+    total = int_combination(m, v.X, v.cyclotomic_order)
     a = eliminate_symbols(total, v.locus_params)
     assert (total - a).is_zero(), "certificate must re-verify"
     return FreenessCertificate("not_free", relation=tuple(m), value=a)
@@ -148,12 +148,7 @@ def freeness_oracle(v: ParametricVariety, bound: int) -> FreenessCertificate:
 
     while True:
         if any(vec) and is_relation(vec):
-            m = list(vec)
-            total = FieldElem.zero(v.cyclotomic_order)
-            for mi, x in zip(m, v.X):
-                total = total + coerce(mi, v.cyclotomic_order) * x
-            a = eliminate_symbols(total, v.locus_params)
-            return FreenessCertificate("not_free", relation=tuple(m), value=a)
+            return _not_free(v, vec)
         i = n - 1
         while i >= 0 and vec[i] == bound:
             vec[i] = -bound
@@ -179,15 +174,14 @@ def reduce(v: ParametricVariety) -> ReductionResult:
     m, selected = _rref(_derivative_rows(list(v.X), v.locus_params))
     k = len(selected)
     A = [tuple(m[r][i] for r in range(k)) for i in range(v.n)]
+    x_selected = [v.X[j] for j in selected]
     b_vals = []
     for i in range(v.n):
         if i in selected:
             b_vals.append(FieldElem.zero(order))
             continue
-        combo = FieldElem.zero(order)
-        for q, j in zip(A[i], selected):
-            if j < i:
-                combo = combo + coerce(q, order) * v.X[j]
+        # A[i] is zero at the pivots right of column i
+        combo = int_combination(A[i], x_selected, order)
         b_vals.append(eliminate_symbols(v.X[i] - combo, v.locus_params))
     N = lcm(*(q.denominator for row in A for q in row))
 
@@ -244,13 +238,10 @@ def pullback(rr: ReductionResult, c_values, ec_values, resolve_b=None):
     d = []
     ed = []
     for i in range(rr.variety.n):
-        di = rr.b[i]
-        edi = FieldElem.one(order)
-        for p in range(k):
-            na = rr.A[i][p] * rr.N
-            assert na.denominator == 1
-            di = di + coerce(rr.A[i][p] * rr.N, order) * coerce(c_values[p], order)
-            edi = edi * (coerce(ec_values[p], order) ** int(na))
+        na = [q * rr.N for q in rr.A[i]]
+        assert all(q.denominator == 1 for q in na)
+        di = int_combination([1] + na, [rr.b[i]] + list(c_values), order)
+        edi = power_product(ec_values, na, order)
         if not rr.b[i].is_zero():
             if resolve_b is None:
                 raise MissingExponential(

@@ -26,6 +26,21 @@ def test_parse_error_position():
     assert exc.value.col == 4 and exc.value.line == 1
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("x = \u00b2", 1, 5),  # superscript two
+    ("x = \u0661", 1, 5),  # Arabic-Indic digit one
+    ("x = 1\uff12", 1, 6),  # fullwidth digit two
+    ("\u00e9 = 1", 1, 1),  # e with acute accent
+    ("x1\u00e9 = 2", 1, 3),
+    ("x = 1\n y \u03b1 2", 2, 4),  # Greek alpha
+    ("x = 1\n y $ 2", 2, 4),
+])
+def test_non_ascii_is_not_a_token(text, line, col):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 def test_reserved_e():
     with pytest.raises(ExprSyntaxError):
         parse("E + 1", kind="term")

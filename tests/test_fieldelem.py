@@ -1,10 +1,13 @@
 """Field elements: canonical form, field axioms, formal differentiation."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from expofield.fieldelem import (FieldElem, coerce, cyclotomic_root,
-                                 eliminate_symbols)
+                                 eliminate_symbols, int_combination,
+                                 power_product)
 from expofield.errors import UnknownVariable
 
 S = FieldElem.from_symbol
@@ -114,3 +117,47 @@ def test_leibniz_rule(f, g):
 def test_canonical_text_roundtrip(e):
     from expofield.exprlang import parse_element
     assert parse_element(str(e)) == e
+
+
+@st.composite
+def normal_forms(draw):
+    """Quotients of sums of terms c * t1^i * t2^j * t3^k * zeta^l over
+    Q(zeta_m), exponents in -2..2."""
+    m = draw(st.sampled_from([1, 3, 4, 6]))
+    atoms = [S(n, m) for n in ("t1", "t2", "t3")] + [cyclotomic_root(m)]
+
+    def poly():
+        out = coerce(draw(scalars), m)
+        for _ in range(draw(st.integers(0, 3))):
+            term = coerce(draw(scalars), m)
+            for a in atoms:
+                term = term * a ** draw(st.integers(-2, 2))
+            out = out + term
+        return out
+
+    num, den = poly(), poly()
+    return num / den if den else num
+
+
+@settings(max_examples=200, deadline=None)
+@given(normal_forms())
+def test_normalization_is_idempotent(e):
+    """int_combination and power_product start from their first term, not
+    from 0 or 1; that prints the same because a normal form renormalizes to
+    itself."""
+    one, zero = FieldElem.one(e.order), FieldElem.zero(e.order)
+    text = str(e)
+    assert str(FieldElem(e.num, e.den)) == text
+    assert str(one * e) == text == str(e * one)
+    assert str(e + zero) == text == str(zero + e)
+
+
+def test_folds_skip_zero_entries():
+    t1, t2 = S("t1"), S("t2")
+    assert power_product([t1, t2, t1], [2, Fraction(-1), 0]) == t1 ** 2 / t2
+    assert power_product([t1, t2], [0, 0]).is_one()
+    assert power_product([], [], 3) == FieldElem.one(3)
+    assert (int_combination([0, Fraction(1, 2), -3], [t2, t1, t2])
+            == t1 / 2 - 3 * t2)
+    assert int_combination([0], [t1]).is_zero()
+    assert int_combination([1], [2]) == 2

@@ -13,6 +13,10 @@ from gen import rand_pminus_system
 import random
 
 SYSTEM = serialize.system_to_json(rand_pminus_system(random.Random(4), 3))
+VARIETY = {"base_params": [], "locus_params": ["_p1", "_q1"], "X": ["_p1"],
+           "Y": ["_q1"], "free_Y": [True]}
+SOP1 = {"witness_kind": "sop1", "depth": 1, "tree": {"": ["t", "1"]},
+        "base": {"name": "A", "transcendentals": ["t"], "egraph": []}}
 
 
 def run_cli(capsys, *argv):
@@ -234,6 +238,11 @@ class TestCLI:
         (SYSTEM | {"arrows": {}}, ["amalg-n", "-S"]),
         (SYSTEM | {"arrows": [1]}, ["amalg-n", "-S"]),
         (SYSTEM | {"arrows": [{"map": ["a"]}]}, ["amalg-n", "-S"]),
+        (VARIETY | {"base_params": 5}, ["reduce", "-f"]),
+        (VARIETY | {"locus_params": None}, ["free-check", "-f"]),
+        (VARIETY | {"base_params": "t"}, ["solve", "-f"]),
+        (SOP1 | {"tree": [["t", "1"]]}, ["sop1-verify", "-f"]),
+        (SOP1 | {"depth": "1"}, ["sop1-verify", "-f"]),
     ])
     def test_malformed_document_is_schema_error(self, capsys, tmp_path, doc,
                                                 argv):
@@ -241,6 +250,33 @@ class TestCLI:
         path.write_text(json.dumps(doc))
         assert main(argv + [str(path)]) == 1
         assert capsys.readouterr().err.startswith("schema error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["type-family", "--assignments", "[1]"],
+        ["type-family", "--assignments", '[{"a": "2"}]'],
+        ["type-family", "--assignments", "[{"],
+        ["tp2", "-n", "2", "-J", "3", "--sigma", "a,b"],
+        ["zwitness", "-c", "t"],
+        ["zwitness", "-c", "1/0"],
+    ])
+    def test_malformed_argument_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(("schema error:", "error:"))
+
+    @pytest.mark.parametrize("argv", [
+        ["hull", "-g", "b"],
+        ["hull", "-g", "a, a + b"],
+        ["indep", "-A", "b", "-B", "b"],
+        ["indep", "-A", "a", "-B", "a", "-C", "(1)/(b)"],
+    ])
+    def test_foreign_symbol_is_domain_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"name": "F", "transcendentals": ["a"],
+                                    "egraph": []}))
+        assert main(argv + ["-F", str(path)]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"] == "UnsupportedShape"
+        assert "'b'" in doc["detail"]
 
     def test_determinism_two_runs(self, capsys, tmp_path):
         v = tmp_path / "v.json"
