@@ -158,8 +158,8 @@ def cmd_tp2(args) -> int:
     try:
         sigma = tuple(int(x) for x in args.sigma.split(","))
     except ValueError:
-        raise SchemaError("--sigma", f"not comma-separated integers: "
-                                     f"{args.sigma!r}")
+        raise SchemaError("--sigma",
+                          f"not comma-separated integers: {args.sigma!r}")
     w, rep = tp2_witness(args.n, args.J, sigma)
     payload = serialize.tp2_certificate(w, rep, sigma)
     _emit(args, payload)
