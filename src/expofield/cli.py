@@ -3,8 +3,8 @@
 Every subcommand reads JSON documents (and/or system text), runs one
 pipeline stage, and writes one canonical JSON result.  Exit codes: 0 on
 success, 2 on domain rejections (the payload carries the certificate),
-1 on usage, IO, or schema errors.  EXPOFIELD_SEED fixes the seed of the
-spot-check sampler used by efield-check and roundtrip.
+1 on usage, IO, or schema errors.  EXPOFIELD_SEED, an integer, fixes the
+seed of efield-check's spot-check sampler; roundtrip always uses seed 0.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import sys
 
 from . import serialize
 from .amalg import amalgamate2, complete_system, indep
-from .efield import check_presentation, hull, presentation, solve
+from .efield import (build_unchecked, check_presentation, hull, presentation,
+                     solve)
 from .errors import DomainError, ExpoFieldError, SchemaError, UnsupportedShape
 from .exprlang import (eliminate_inequations, flatten, parse, parse_element)
 from .treeprops import (tp2_witness, type_family, verify_finite_witness,
@@ -111,15 +112,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_efield_check(args) -> int:
-    doc = _load_json(args.presentation)
-    order = serialize.cyclotomic_order_of(doc)
-    from .efield import build_unchecked
-    pairs = tuple(serialize._egraph_pairs(doc, order))
-    trans = serialize.symbols_of(doc.get("transcendentals", []),
-                                 "/transcendentals")
-    f = build_unchecked(doc.get("name", "F"), order, trans, pairs)
-    seed = int(os.environ.get("EXPOFIELD_SEED", "0"))
-    return _emit(args, check_presentation(f, seed=seed))
+    fields = serialize.presentation_fields(_load_json(args.presentation))
+    seed = os.environ.get("EXPOFIELD_SEED", "0")
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise SchemaError("EXPOFIELD_SEED", f"expected an integer, got {seed!r}")
+    return _emit(args, check_presentation(build_unchecked(*fields), seed=seed))
 
 
 def cmd_hull(args) -> int:
@@ -201,22 +200,8 @@ def cmd_zwitness(args) -> int:
 
 def cmd_type_family(args) -> int:
     f = _load_presentation(args)
-    try:
-        doc = json.loads(args.assignments)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("/", f"invalid JSON in --assignments: {exc}")
-    if not isinstance(doc, list):
-        raise SchemaError("/", "assignments must be a JSON array of objects")
-    assignments = []
-    for i, entry in enumerate(doc):
-        asg = {}
-        for k, v in serialize._object(entry, f"/{i}").items():
-            try:
-                n = int(k)
-            except ValueError:
-                raise SchemaError(f"/{i}/{k}", "expected an integer exponent")
-            asg[n] = parse_element(str(v), f.cyclotomic_order)
-        assignments.append(asg)
+    assignments = serialize.assignments_from_json(args.assignments,
+                                                  f.cyclotomic_order)
     fam = type_family(f, assignments)
     payload = {
         "presentations": [serialize.presentation_to_json(p)

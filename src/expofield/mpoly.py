@@ -221,9 +221,6 @@ class MPoly:
                     deg = e
         return deg
 
-    def total_degree(self) -> int:
-        return max((_mono_total_degree(m) for m in self.terms), default=0)
-
     def sorted_terms(self) -> list:
         """Terms in descending graded-lex order (deterministic)."""
         syms = sorted(self.symbols())
@@ -512,7 +509,6 @@ def _constant_inverse(const: MPoly):
     mod = [Fraction(c) for c in cyclotomic_polynomial(m)]
     r0, r1 = mod, a
     s0, s1 = [Fraction(0)], [Fraction(1)]
-    t0, t1 = [Fraction(1)], [Fraction(0)]
 
     def _deg(p):
         for i in range(len(p) - 1, -1, -1):

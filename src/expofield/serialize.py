@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import json
 
-from .amalg import CompletionResult, IndepSystem, subset_label
-from .efield import EFieldPresentation, HullPresentation, WellDefCheck, presentation
+from .amalg import (CompletionResult, IndepSystem, subset_label,
+                    verify_independent_system)
+from .efield import (EFieldPresentation, HullPresentation, WellDefCheck,
+                     check_presentation, presentation)
 from .errors import ExpoFieldError, SchemaError
 from .exprlang import FlatSystem, parse_element, parse, print_system
 from .fieldelem import FieldElem
 from .mpoly import ZETA, _frac_str, is_valid_symbol
-from .treeprops import SOP1Candidate, TP2Witness, VerifyReport
+from .treeprops import (PHI_TEXT, PSI_TEXT, SOP1Candidate, TP2Witness,
+                        VerifyReport)
 from .variety import FreenessCertificate, ParametricVariety, ReductionResult
 
 
@@ -22,9 +25,38 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _elem(text, order: int, path: str) -> FieldElem:
-    if not isinstance(text, str):
-        raise SchemaError(path, f"expected an element string, got {text!r}")
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", bool: "a boolean"}
+_REQUIRED = object()
+
+
+def _typed(value, kind, path: str):
+    """``value`` (at ``path``), checked to have the JSON type ``kind``:
+    ``[kind]`` asks for an array of values of that type, and ``{key: kind}``
+    for an object with those fields.  A JSON ``true`` is not an integer."""
+    if isinstance(kind, list):
+        return [_typed(v, kind[0], f"{path}/{i}")
+                for i, v in enumerate(_typed(value, list, path))]
+    if isinstance(kind, dict):
+        return {key: _field(value, key, path, k) for key, k in kind.items()}
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise SchemaError(path or "/",
+                          f"expected {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _field(doc, key: str, path: str, kind, default=_REQUIRED):
+    """The field ``key`` of the object ``doc`` at ``path``, checked to have
+    the JSON type ``kind`` (see ``_typed``); ``default`` when it is absent,
+    and an error when it is absent with no default."""
+    if key not in _typed(doc, dict, path):
+        if default is _REQUIRED:
+            raise SchemaError(f"{path}/{key}", "missing")
+        return default
+    return _typed(doc[key], kind, f"{path}/{key}")
+
+
+def _elem(text: str, order: int, path: str) -> FieldElem:
     try:
         return parse_element(text, order)
     except ExpoFieldError as exc:
@@ -33,16 +65,19 @@ def _elem(text, order: int, path: str) -> FieldElem:
         raise SchemaError(path, f"element {text!r} has zero denominator")
 
 
-def _object(doc, path: str) -> dict:
-    if not isinstance(doc, dict):
-        raise SchemaError(path or "/", "expected an object")
-    return doc
+def _built(make, path: str, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a library error it raises reported as
+    a schema error at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ExpoFieldError as exc:
+        raise SchemaError(path or "/", str(exc))
 
 
-def _require(doc, key: str, path: str):
-    if key not in _object(doc, path):
-        raise SchemaError(f"{path}/{key}", "missing")
-    return doc[key]
+def _elems(doc, key: str, path: str, order: int) -> tuple:
+    """The array of element strings ``doc[key]``, parsed."""
+    return tuple(_elem(text, order, f"{path}/{key}/{i}")
+                 for i, text in enumerate(_field(doc, key, path, [str])))
 
 
 # -- presentations --------------------------------------------------------------
@@ -57,56 +92,48 @@ def presentation_to_json(f: EFieldPresentation) -> dict:
     }
 
 
-def cyclotomic_order_of(doc: dict, path: str = "") -> int:
-    """The document's cyclotomic order (default 1), an int >= 1; the
-    document must be an object."""
-    order = _object(doc, path).get("cyclotomic_order", 1)
-    if not isinstance(order, int) or order < 1:
+def _order(doc, path: str) -> int:
+    """The document's cyclotomic order (default 1), an integer >= 1."""
+    order = _field(doc, "cyclotomic_order", path, int, 1)
+    if order < 1:
         raise SchemaError(f"{path}/cyclotomic_order", f"bad order {order!r}")
     return order
 
 
-def symbols_of(value, path: str) -> tuple:
-    """A list of symbol names (transcendentals or parameters): a JSON array
-    of distinct symbol strings, none of them the reserved ``E`` or ``zeta``."""
-    if not isinstance(value, list):
-        raise SchemaError(path, f"expected an array of symbols, got {value!r}")
-    for i, name in enumerate(value):
-        if (not isinstance(name, str) or not is_valid_symbol(name)
-                or name in (ZETA, "E")):
-            raise SchemaError(f"{path}/{i}", f"not a symbol: {name!r}")
-        if name in value[:i]:
-            raise SchemaError(f"{path}/{i}", f"repeated symbol {name!r}")
-    return tuple(value)
+def _symbols(doc, key: str, path: str) -> tuple:
+    """A list of symbol names (transcendentals or parameters): an array of
+    distinct symbol strings, none of them the reserved ``E`` or ``zeta``."""
+    names = _field(doc, key, path, [str])
+    for i, name in enumerate(names):
+        if not is_valid_symbol(name) or name in (ZETA, "E"):
+            raise SchemaError(f"{path}/{key}/{i}", f"not a symbol: {name!r}")
+        if name in names[:i]:
+            raise SchemaError(f"{path}/{key}/{i}", f"repeated symbol {name!r}")
+    return tuple(names)
 
 
-def _egraph_pairs(doc: dict, order: int, path: str = ""):
-    """Yield the (arg, val) elements of the document's graph entries."""
-    entries = doc.get("egraph", [])
-    if not isinstance(entries, list):
-        raise SchemaError(f"{path}/egraph", "expected an array")
-    for i, entry in enumerate(entries):
+def presentation_fields(doc, path: str = "") -> tuple:
+    """A presentation document's name, cyclotomic order, transcendentals and
+    (arg, val) graph pairs, each of the right type but not yet checked to
+    present a field: ``efield-check`` reports what is wrong with them."""
+    order = _order(doc, path)
+    pairs = []
+    for i, entry in enumerate(_field(doc, "egraph", path, list, [])):
         at = f"{path}/egraph/{i}"
-        yield (_elem(_require(entry, "arg", at), order, f"{at}/arg"),
-               _elem(_require(entry, "val", at), order, f"{at}/val"))
+        pairs.append((_elem(_field(entry, "arg", at, str), order, f"{at}/arg"),
+                      _elem(_field(entry, "val", at, str), order, f"{at}/val")))
+    return (_field(doc, "name", path, str), order,
+            _symbols(doc, "transcendentals", path), tuple(pairs))
 
 
 def presentation_from_json(doc: dict, path: str = "") -> EFieldPresentation:
-    name = _require(doc, "name", path)
-    order = cyclotomic_order_of(doc, path)
-    trans = symbols_of(_require(doc, "transcendentals", path),
-                       f"{path}/transcendentals")
-    pairs = []
-    for i, (arg, val) in enumerate(_egraph_pairs(doc, order, path)):
+    name, order, trans, pairs = presentation_fields(doc, path)
+    for i, (arg, val) in enumerate(pairs):
         if val.is_zero():
             raise SchemaError(f"{path}/egraph/{i}/val", "graph value is zero")
         if arg.is_zero():
             raise SchemaError(f"{path}/egraph/{i}/arg", "graph argument is zero")
-        pairs.append((arg, val))
-    try:
-        return presentation(name, order, trans, tuple(pairs))
-    except ExpoFieldError as exc:
-        raise SchemaError(f"{path}/egraph", str(exc))
+    return _built(presentation, f"{path}/egraph", name, order, trans, pairs)
 
 
 # -- varieties --------------------------------------------------------------------
@@ -124,21 +151,15 @@ def variety_to_json(v: ParametricVariety) -> dict:
 
 
 def variety_from_json(doc: dict, path: str = "") -> ParametricVariety:
-    order = cyclotomic_order_of(doc, path)
-    base = symbols_of(_require(doc, "base_params", path), f"{path}/base_params")
-    locus = symbols_of(_require(doc, "locus_params", path),
-                       f"{path}/locus_params")
-    xs = tuple(_elem(x, order, f"{path}/X/{i}")
-               for i, x in enumerate(_require(doc, "X", path)))
-    ys = tuple(_elem(y, order, f"{path}/Y/{i}")
-               for i, y in enumerate(_require(doc, "Y", path)))
-    flags = tuple(bool(b) for b in _require(doc, "free_Y", path))
-    try:
-        return ParametricVariety(base_params=base, locus_params=locus,
-                                 X=xs, Y=ys, free_Y=flags,
-                                 cyclotomic_order=order)
-    except ExpoFieldError as exc:
-        raise SchemaError(path or "/", str(exc))
+    order = _order(doc, path)
+    base = _symbols(doc, "base_params", path)
+    locus = _symbols(doc, "locus_params", path)
+    xs = _elems(doc, "X", path, order)
+    ys = _elems(doc, "Y", path, order)
+    flags = tuple(_field(doc, "free_Y", path, [bool]))
+    return _built(ParametricVariety, path, base_params=base,
+                  locus_params=locus, X=xs, Y=ys, free_Y=flags,
+                  cyclotomic_order=order)
 
 
 # -- systems ---------------------------------------------------------------------
@@ -175,28 +196,18 @@ def system_to_json(s: IndepSystem) -> dict:
 
 
 def system_from_json(doc: dict, path: str = "") -> IndepSystem:
-    n = _require(doc, "n", path)
-    if not isinstance(n, int):
-        raise SchemaError(f"{path}/n", f"expected an integer, got {n!r}")
+    n = _field(doc, "n", path, int)
     nodes = {}
-    for label, nd in _object(_require(doc, "nodes", path),
-                             f"{path}/nodes").items():
+    for label, nd in _field(doc, "nodes", path, dict).items():
         subset = _label_to_subset(label, f"{path}/nodes/{label}")
         nodes[subset] = presentation_from_json(nd, f"{path}/nodes/{label}")
-    arrows = doc.get("arrows", [])
-    if not isinstance(arrows, list):
-        raise SchemaError(f"{path}/arrows", "expected an array")
-    for i, arrow in enumerate(arrows):
+    for i, arrow in enumerate(_field(doc, "arrows", path, list, [])):
         at = f"{path}/arrows/{i}"
-        mapping = _object(_object(arrow, at).get("map", {}), f"{at}/map")
-        for k, v in mapping.items():
+        for k, v in _field(arrow, "map", at, dict, {}).items():
             if k != v:
                 raise SchemaError(f"{at}/map",
                                   "only identity inclusion maps are supported")
-    try:
-        return IndepSystem(n=n, nodes=nodes)
-    except ExpoFieldError as exc:
-        raise SchemaError(path or "/", str(exc))
+    return _built(IndepSystem, path, n=n, nodes=nodes)
 
 
 # -- results ----------------------------------------------------------------------
@@ -292,25 +303,18 @@ def tp2_certificate(w: TP2Witness, rep: VerifyReport, sigma) -> dict:
 
 
 def sop1_from_json(doc: dict, path: str = "") -> SOP1Candidate:
-    depth = _require(doc, "depth", path)
-    if not isinstance(depth, int):
-        raise SchemaError(f"{path}/depth", f"expected an integer, got {depth!r}")
-    base = presentation_from_json(_require(doc, "base", path), f"{path}/base")
-    order = base.cyclotomic_order
+    depth = _field(doc, "depth", path, int)
+    base = presentation_from_json(_field(doc, "base", path, dict), f"{path}/base")
+    nodes = _field(doc, "tree", path, dict)
     tree = {}
-    for node, pair in _object(_require(doc, "tree", path),
-                              f"{path}/tree").items():
-        if not isinstance(pair, list) or len(pair) != 2:
+    for node in nodes:
+        tree[node] = _elems(nodes, node, f"{path}/tree", base.cyclotomic_order)
+        if len(tree[node]) != 2:
             raise SchemaError(f"{path}/tree/{node}", "expected [y, z]")
-        tree[node] = (_elem(pair[0], order, f"{path}/tree/{node}/0"),
-                      _elem(pair[1], order, f"{path}/tree/{node}/1"))
-    phi = parse(doc.get("phi", "E(y*x) = z"))
-    psi = parse(doc.get("psi", "y1 = y2 & z1 != z2"))
-    try:
-        return SOP1Candidate(depth=depth, tree=tree, base=base,
-                             phi=phi, psi=psi)
-    except ExpoFieldError as exc:
-        raise SchemaError(path or "/", str(exc))
+    phi = parse(_field(doc, "phi", path, str, PHI_TEXT))
+    psi = parse(_field(doc, "psi", path, str, PSI_TEXT))
+    return _built(SOP1Candidate, path, depth=depth, tree=tree, base=base,
+                  phi=phi, psi=psi)
 
 
 def sop1_to_json(cand: SOP1Candidate) -> dict:
@@ -325,14 +329,32 @@ def sop1_to_json(cand: SOP1Candidate) -> dict:
     }
 
 
+def assignments_from_json(text: str, order: int) -> list:
+    """The ``type-family`` assignments: a JSON array of objects, each
+    mapping plain decimal exponents to element strings."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("/", f"invalid JSON in --assignments: {exc}")
+    assignments = []
+    for i, entry in enumerate(_typed(doc, [dict], "")):
+        asg = {}
+        for key in entry:
+            if not key.isdecimal() or key != str(int(key)):
+                raise SchemaError(f"/{i}/{key}", "expected a decimal exponent")
+            asg[int(key)] = _elem(_field(entry, key, f"/{i}", str), order,
+                                  f"/{i}/{key}")
+        assignments.append(asg)
+    return assignments
+
+
 # -- roundtrip -------------------------------------------------------------------
 
 
 def detect_schema(doc) -> str:
-    if not isinstance(doc, dict):
-        raise SchemaError("/", "top-level JSON must be an object")
-    if "witness_kind" in doc:
-        return doc["witness_kind"]
+    kind = _field(doc, "witness_kind", "", str, None)
+    if kind is not None:
+        return kind
     if "egraph" in doc:
         return "presentation"
     if "X" in doc:
@@ -344,41 +366,34 @@ def detect_schema(doc) -> str:
     raise SchemaError("/", "unrecognized document shape")
 
 
-def roundtrip(doc) -> dict:
-    """Deserialize, re-serialize, byte-compare, and run the relevant checks."""
-    from .amalg import verify_independent_system
-    from .efield import check_presentation
+def _system_checks(s: IndepSystem) -> dict:
+    rep = verify_independent_system(s)
+    return {"independent": rep.ok, "failures": [list(f) for f in rep.failures]}
 
+
+def roundtrip(doc) -> dict:
+    """Deserialize, re-serialize, byte-compare, and run the checks of the
+    document's schema; a result schema (tp2, flat) counts as identical."""
+    # kind -> (reader, writer, checks of the loaded object); built per call
+    # to call the functions this module binds now (a profiler may wrap them)
+    schemas = {
+        "presentation": (presentation_from_json, presentation_to_json,
+                         lambda f: {"check": check_presentation(f)}),
+        "variety": (variety_from_json, variety_to_json, None),
+        "system": (system_from_json, system_to_json, _system_checks),
+        "sop1": (sop1_from_json, sop1_to_json, None),
+        "tp2": (lambda d: _typed(d, {"n": int, "J": int, "sigma": [int],
+                                     "freeness": str}, ""), None, None),
+        "flat": (lambda d: _typed(d, {"xvars": [str], "yvars": [str],
+                                      "polys": [str], "aux_count": int}, ""),
+                 None, None),
+    }
     kind = detect_schema(doc)
-    report = {"schema": kind}
-    if kind == "presentation":
-        obj = presentation_from_json(doc)
-        again = presentation_to_json(obj)
-        report["identical"] = canonical_dumps(again) == canonical_dumps(doc)
-        report["check"] = check_presentation(obj)
-    elif kind == "variety":
-        obj = variety_from_json(doc)
-        again = variety_to_json(obj)
-        report["identical"] = canonical_dumps(again) == canonical_dumps(doc)
-    elif kind == "system":
-        obj = system_from_json(doc)
-        again = system_to_json(obj)
-        report["identical"] = canonical_dumps(again) == canonical_dumps(doc)
-        rep = verify_independent_system(obj)
-        report["independent"] = rep.ok
-        report["failures"] = [list(f) for f in rep.failures]
-    elif kind == "sop1":
-        obj = sop1_from_json(doc)
-        again = sop1_to_json(obj)
-        report["identical"] = canonical_dumps(again) == canonical_dumps(doc)
-    elif kind == "tp2":
-        for key in ("n", "J", "sigma", "freeness"):
-            _require(doc, key, "")
-        report["identical"] = True
-    elif kind == "flat":
-        for key in ("xvars", "yvars", "polys", "aux_count"):
-            _require(doc, key, "")
-        report["identical"] = True
-    else:
+    if kind not in schemas:
         raise SchemaError("/witness_kind", f"unknown kind {kind!r}")
-    return report
+    read, write, checks = schemas[kind]
+    obj = read(doc)
+    identical = write is None or (canonical_dumps(write(obj))
+                                  == canonical_dumps(doc))
+    return {"schema": kind, "identical": identical,
+            **(checks(obj) if checks else {})}

@@ -51,6 +51,8 @@ class SOP1Candidate:
     psi: ESystem
 
     def __post_init__(self):
+        if self.depth < 0:
+            raise UnsupportedShape(f"negative tree depth {self.depth}")
         for level in range(self.depth):
             for bits in product("01", repeat=level):
                 node = "".join(bits)

@@ -205,6 +205,15 @@ class TestCLI:
         assert code == 1
         assert "/cyclotomic_order" in capsys.readouterr().err
 
+    def test_efield_check_rejects_bad_seed(self, capsys, tmp_path,
+                                           monkeypatch):
+        monkeypatch.setenv("EXPOFIELD_SEED", "x")
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"name": "F", "transcendentals": [],
+                                    "egraph": []}))
+        assert main(["efield-check", "-F", str(path)]) == 1
+        assert "EXPOFIELD_SEED" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc, argv", [
         ([1, 2], ["efield-check", "-F"]),
         ([1, 2], ["free-check", "-f"]),
@@ -243,6 +252,9 @@ class TestCLI:
         (VARIETY | {"base_params": "t"}, ["solve", "-f"]),
         (SOP1 | {"tree": [["t", "1"]]}, ["sop1-verify", "-f"]),
         (SOP1 | {"depth": "1"}, ["sop1-verify", "-f"]),
+        ({"cyclotomic_order": 1, "transcendentals": [], "egraph": []},
+         ["efield-check", "-F"]),
+        (SOP1 | {"depth": -1}, ["sop1-verify", "-f"]),
     ])
     def test_malformed_document_is_schema_error(self, capsys, tmp_path, doc,
                                                 argv):
@@ -258,6 +270,11 @@ class TestCLI:
         ["tp2", "-n", "2", "-J", "3", "--sigma", "a,b"],
         ["zwitness", "-c", "t"],
         ["zwitness", "-c", "1/0"],
+        ["type-family", "--assignments", '[{"1": null}]'],
+        ["type-family", "--assignments", '[{"1_0": "2"}]'],
+        ["type-family", "--assignments", '[{" 10 ": "2"}]'],
+        ["type-family", "--assignments", '[{"1": "2", "01": "3"}]'],
+        ["type-family", "--assignments", '[{"\u00b2": "2"}]'],
     ])
     def test_malformed_argument_exits_1(self, capsys, argv):
         assert main(argv) == 1
