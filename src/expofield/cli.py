@@ -167,8 +167,13 @@ def cmd_tp2(args) -> int:
 
 def cmd_sop1_verify(args) -> int:
     cand = serialize.sop1_from_json(_load_json(args.file))
-    branches = "all" if args.branches == "all" else [
-        b.strip() for b in args.branches.split(",") if b.strip()]
+    branches = args.branches
+    if branches != "all":
+        branches = [b.strip() for b in branches.split(",") if b.strip()]
+        for b in branches:
+            if len(b) != cand.depth or b.strip("01"):
+                raise SchemaError("--branches", "not a 0/1 string of length "
+                                  f"{cand.depth}: {b!r}")
     rep = verify_finite_witness(cand, branches=branches)
     return _emit(args, serialize.verify_report_to_json(rep))
 

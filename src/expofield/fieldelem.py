@@ -6,6 +6,11 @@ cheap cancellations (common monomials, exact divisibility either way) are
 applied.  Equality is decided by cross-multiplication, so full gcd reduction
 is never required.
 
+Unit-denominator rule: over the denominator 1, given or left out, the
+numerator is taken as it is, since an MPoly is always reduced modulo the
+cyclotomic polynomial and nothing cancels against 1.  Likewise ``x ** n``
+starts its square-and-multiply from ``x``, not from 1.
+
 The exponential homomorphism E(sum z_i a_i) = prod E(a_i)^z_i is written with
 two folds: ``int_combination`` for the sum and ``power_product`` for the
 product.  Both skip zero entries and start from the first nonzero term or
@@ -18,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UnknownVariable
-from .mpoly import MPoly, ZETA, _join_order, is_valid_symbol
+from .mpoly import MPoly, ZETA, _ONE_TERMS, _join_order, is_valid_symbol
 
 
 class FieldElem:
@@ -34,6 +39,11 @@ class FieldElem:
             num = MPoly(num.terms, order, _reduce=False)
         if den.order != order:
             den = MPoly(den.terms, order, _reduce=False)
+        if den.terms == _ONE_TERMS:
+            # an MPoly is always reduced, and nothing cancels against 1
+            self.num = num
+            self.den = den
+            return
         if num.is_zero():
             self.num = MPoly.zero(order)
             self.den = MPoly.const(1, order)
@@ -158,14 +168,13 @@ class FieldElem:
     def __pow__(self, n: int) -> "FieldElem":
         if n < 0:
             return FieldElem.one(self.order).__truediv__(self) ** (-n)
-        out = FieldElem.one(self.order)
-        base = self
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            base = base * base if n else base
+        return FieldElem.one(self.order) if out is None else out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElem):
@@ -201,7 +210,7 @@ class FieldElem:
         return num / den
 
     def __str__(self) -> str:
-        if self.den == MPoly.const(1, self.order):
+        if self.den.terms == _ONE_TERMS:
             return str(self.num)
         return f"({self.num})/({self.den})"
 

@@ -4,18 +4,22 @@ bases, and rank over the rational-function field.
 Matrices are plain lists of lists.  ``_rref`` is Gauss-Jordan over any field
 whose elements support ``bool``, ``+``, ``-``, ``*`` and ``/``; the rational
 routines feed it Fraction entries.  The function-field rank is one exact
-forward elimination by division over FieldElem entries; a certified lower
-bound from the rank at a random point mod p (ROADMAP direction 5a) would sit
-in front of it, not beside it.
+forward elimination by division over FieldElem entries.
+
+Gauss-Jordan does no arithmetic by zero or one: a row update touches only
+the columns where the pivot row is nonzero, and a pivot row that is 1 at its
+pivot is not scaled.  The reduced form is unique, so this changes the cost,
+not the rows or pivots; the dense loop lives on as a test oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 from .errors import DimensionMismatch
-from .mpoly import MPoly, _grlex_key
+from .mpoly import _grlex_key, _join_order
 
 
 def _check_rect(rows) -> int:
@@ -26,6 +30,10 @@ def _check_rect(rows) -> int:
         if len(r) != width:
             raise DimensionMismatch("ragged matrix")
     return width
+
+
+def _fraction(x) -> Fraction:
+    return x if x.__class__ is Fraction else Fraction(x)
 
 
 def _rref(rows):
@@ -48,12 +56,19 @@ def _rref(rows):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        row = m[r]
+        # entries left of c are zero in every row from r on
+        nz = [j for j in range(c, ncols) if row[j]]
+        if row[c] != 1:
+            inv = 1 / row[c]
+            for j in nz:
+                row[j] = row[j] * inv
         for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                other = m[i]
+                for j in nz:
+                    other[j] = other[j] - f * row[j]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -66,7 +81,7 @@ def qlin_solve(rows, target):
     ncols = _check_rect(rows)
     if len(target) != len(rows):
         raise DimensionMismatch("target length does not match row count")
-    aug = [[Fraction(x) for x in row] + [Fraction(t)]
+    aug = [[_fraction(x) for x in row] + [_fraction(t)]
            for row, t in zip(rows, target)]
     m, pivots = _rref(aug)
     if ncols in pivots:
@@ -80,7 +95,7 @@ def qlin_solve(rows, target):
 def kernel_basis(rows):
     """Basis of the rational null space {x : rows * x = 0}."""
     ncols = _check_rect(rows)
-    m, pivots = _rref([[Fraction(x) for x in row] for row in rows])
+    m, pivots = _rref([[_fraction(x) for x in row] for row in rows])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -180,21 +195,18 @@ def coordinate_matrix(elems):
     """
     if not elems:
         return []
-    order = 1
-    for e in elems:
-        if e.order != 1:
-            order = e.order
+    reduce(_join_order, (e.order for e in elems))  # mixed orders raise
     dens = []
     for e in elems:
         if not any(d == e.den for d in dens):
             dens.append(e.den)
     cleared = []
     for e in elems:
-        extra = MPoly.const(1, order)
+        p = e.num
         for d in dens:
             if d != e.den:
-                extra = extra * d
-        cleared.append(e.num * extra)
+                p = p * d
+        cleared.append(p)
     support = []
     seen = set()
     for p in cleared:
@@ -204,10 +216,8 @@ def coordinate_matrix(elems):
                 support.append(mono)
     syms = sorted({s for mono in support for s, _ in mono})
     support.sort(key=lambda m: _grlex_key(m, syms))
-    rows = []
-    for mono in support:
-        rows.append([p.terms.get(mono, Fraction(0)) for p in cleared])
-    return rows
+    zero = Fraction(0)
+    return [[p.terms.get(mono, zero) for p in cleared] for mono in support]
 
 
 def rational_span_solve(basis_elems, target):
@@ -230,7 +240,9 @@ def ff_rank(matrix) -> int:
     the time of fraction-free Bareiss elimination on denominator-cleared
     rows, which also needed a second path for entries carrying zeta.  Full
     Gauss-Jordan (``_rref``) took 1.6x Bareiss there, so rows above each
-    pivot are left alone.
+    pivot are left alone.  Updating only the pivot row's nonzero columns, as
+    ``_rref`` does, was no faster on those Jacobians: few rows below a pivot
+    need updating, and finding the nonzero columns costs what it saves.
     """
     if not matrix:
         return 0

@@ -23,6 +23,7 @@ _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by symbol
 
 _ONE_MONO: Monomial = ()
+_ONE_TERMS = {_ONE_MONO: Fraction(1)}  # the terms of the constant 1
 
 
 def is_valid_symbol(name: str) -> bool:
@@ -298,6 +299,9 @@ class MPoly:
         order = _join_order(self.order, other.order)
         if not self.terms or not other.terms:
             return MPoly.zero(order)
+        for a, b in ((self, other), (other, self)):
+            if b.terms == _ONE_TERMS:  # a times 1: a is reduced already
+                return a if a.order == order else MPoly(a.terms, order, _reduce=False)
         out: dict = {}
         small, big = (self.terms, other.terms)
         if len(small) > len(big):

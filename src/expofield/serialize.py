@@ -178,6 +178,15 @@ def _label_to_subset(label: str, path: str) -> frozenset:
         raise SchemaError(path, f"bad subset label {label!r}")
 
 
+def _node_of(arrow, key: str, path: str, nodes) -> frozenset:
+    """The subset that ``arrow[key]`` labels, which must be a node."""
+    label = _field(arrow, key, path, str)
+    subset = _label_to_subset(label, f"{path}/{key}")
+    if subset not in nodes:
+        raise SchemaError(f"{path}/{key}", f"no node {label!r}")
+    return subset
+
+
 def system_to_json(s: IndepSystem) -> dict:
     nodes = {}
     arrows = []
@@ -203,6 +212,10 @@ def system_from_json(doc: dict, path: str = "") -> IndepSystem:
         nodes[subset] = presentation_from_json(nd, f"{path}/nodes/{label}")
     for i, arrow in enumerate(_field(doc, "arrows", path, list, [])):
         at = f"{path}/arrows/{i}"
+        low, high = (_node_of(arrow, key, at, nodes) for key in ("from", "to"))
+        if not low < high:
+            raise SchemaError(at, f"from {subset_label(low)} is not a proper "
+                              f"subset of to {subset_label(high)}")
         for k, v in _field(arrow, "map", at, dict, {}).items():
             if k != v:
                 raise SchemaError(f"{at}/map",

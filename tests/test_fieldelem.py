@@ -9,6 +9,7 @@ from expofield.fieldelem import (FieldElem, coerce, cyclotomic_root,
                                  eliminate_symbols, int_combination,
                                  power_product)
 from expofield.errors import UnknownVariable
+from expofield.mpoly import MPoly
 
 S = FieldElem.from_symbol
 
@@ -141,15 +142,25 @@ def normal_forms(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(normal_forms())
+@example((S("t1", 3) + cyclotomic_root(3, 2)) / (S("t2", 3) - 2))
+@example(cyclotomic_root(4) * S("t1", 4) ** 2 - S("t3", 4) / 3)
+@example((cyclotomic_root(6, 5) + S("t2", 6)) ** 2 / S("t1", 6))
 def test_normalization_is_idempotent(e):
     """int_combination and power_product start from their first term, not
-    from 0 or 1; that prints the same because a normal form renormalizes to
-    itself."""
+    from 0 or 1, and so does ``**``; that prints the same because a normal
+    form renormalizes to itself.  An MPoly is always reduced, so a
+    numerator over the denominator 1 is taken as it is, and prints as it
+    does after a division by 2 that reduces it again."""
     one, zero = FieldElem.one(e.order), FieldElem.zero(e.order)
     text = str(e)
     assert str(FieldElem(e.num, e.den)) == text
     assert str(one * e) == text == str(e * one)
     assert str(e + zero) == text == str(zero + e)
+    assert str(e ** 1) == text
+    for p in (e.num, e.den):
+        assert str(FieldElem(p)) == str(FieldElem(p, MPoly.const(1, e.order)))
+        assert str(FieldElem(p)) == str(FieldElem(p.scale(2),
+                                                  MPoly.const(2, e.order)))
 
 
 def test_folds_skip_zero_entries():

@@ -69,11 +69,10 @@ COMMANDS = {
     "assignments": [["type-family", "--assignments={doc}"]],
 }
 
-# result schemas are only partly read back, and arrows' from/to and a
-# candidate's witness_kind are not read by every command: a wrong type there
-# need not be an error
+# result schemas are only partly read back, and a candidate's witness_kind
+# is not read by every command: a wrong type there need not be an error
 LOOSE_SCHEMAS = {"tp2", "flat"}
-LOOSE_KEYS = {"from", "to", "witness_kind"}
+LOOSE_KEYS = {"witness_kind"}
 
 DELETE = "<delete>"
 
@@ -157,6 +156,8 @@ def workdir(tmp_path_factory):
 @example(mutation=("presentation", 0, ("name",), [1]))
 @example(mutation=("presentation", 0, ("cyclotomic_order",), True))
 @example(mutation=("variety", 0, ("free_Y",), "x"))
+@example(mutation=("system", 0, ("arrows", 0, "from"), 5))
+@example(mutation=("system", 0, ("arrows", 0, "to"), None))
 def test_mutated_document_exits_cleanly(workdir, mutation):
     schema, index, path, value = mutation
     text = json.dumps(mutate(DOCS[schema][index], path, value))

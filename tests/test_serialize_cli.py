@@ -17,6 +17,8 @@ VARIETY = {"base_params": [], "locus_params": ["_p1", "_q1"], "X": ["_p1"],
            "Y": ["_q1"], "free_Y": [True]}
 SOP1 = {"witness_kind": "sop1", "depth": 1, "tree": {"": ["t", "1"]},
         "base": {"name": "A", "transcendentals": ["t"], "egraph": []}}
+SOP1_DEPTH_2 = SOP1 | {"depth": 2, "tree": {"": ["t", "1"], "0": ["t", "2"],
+                                            "1": ["t", "3"]}}
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +257,15 @@ class TestCLI:
         ({"cyclotomic_order": 1, "transcendentals": [], "egraph": []},
          ["efield-check", "-F"]),
         (SOP1 | {"depth": -1}, ["sop1-verify", "-f"]),
+        (SYSTEM | {"arrows": [{"from": 5, "to": None, "map": {}}]},
+         ["amalg-n", "-S"]),
+        (SYSTEM | {"arrows": [{"from": "{0}", "map": {}}]}, ["roundtrip", "-f"]),
+        (SYSTEM | {"arrows": [{"from": "{}", "to": "{5}"}]}, ["amalg-n", "-S"]),
+        (SYSTEM | {"arrows": [{"from": "{0}", "to": "{0}"}]}, ["amalg-n", "-S"]),
+        (SYSTEM | {"arrows": [{"from": "{0}", "to": "{1,2}"}]},
+         ["roundtrip", "-f"]),
+        (SYSTEM | {"arrows": [{"from": "{0,1}", "to": "{1}"}]},
+         ["amalg-n", "-S"]),
     ])
     def test_malformed_document_is_schema_error(self, capsys, tmp_path, doc,
                                                 argv):
@@ -275,10 +286,30 @@ class TestCLI:
         ["type-family", "--assignments", '[{" 10 ": "2"}]'],
         ["type-family", "--assignments", '[{"1": "2", "01": "3"}]'],
         ["type-family", "--assignments", '[{"\u00b2": "2"}]'],
+        ["sop1-verify", "-f", "{sop1}", "--branches", "22"],
+        ["sop1-verify", "-f", "{sop1}", "--branches", "ab"],
+        ["sop1-verify", "-f", "{sop1}", "--branches", "000"],
+        ["sop1-verify", "-f", "{sop1}", "--branches", "01,1"],
     ])
-    def test_malformed_argument_exits_1(self, capsys, argv):
+    def test_malformed_argument_exits_1(self, capsys, tmp_path, argv):
+        """``{sop1}`` stands for a depth-2 SOP1 candidate file."""
+        path = tmp_path / "sop1.json"
+        path.write_text(json.dumps(SOP1_DEPTH_2))
+        argv = [str(path) if arg == "{sop1}" else arg for arg in argv]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(("schema error:", "error:"))
+        err = capsys.readouterr().err
+        assert err.startswith(("schema error:", "error:"))
+        if "--branches" in argv:
+            assert err.startswith("schema error: --branches:")
+
+    def test_sop1_branches_of_the_depth_are_checked(self, capsys, tmp_path):
+        path = tmp_path / "sop1.json"
+        path.write_text(json.dumps(SOP1_DEPTH_2))
+        code, out = run_cli(capsys, "sop1-verify", "-f", str(path),
+                            "--branches", "01, 10")
+        assert code == 0
+        assert [r["branch"] for r in json.loads(out)["condition_i"]] == \
+            [["01"], ["10"]]
 
     @pytest.mark.parametrize("argv", [
         ["hull", "-g", "b"],

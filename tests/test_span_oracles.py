@@ -7,21 +7,27 @@ Outputs must agree by value and by printed text.
 indep and verify_independent_system share hulls, Jacobian rows and ranks
 across the checks made inside one field; their oracle builds three hulls and
 four Jacobian ranks from scratch for every pair, and must give the same
-verdicts and failures, in the same order."""
+verdicts and failures, in the same order.
+
+``_rref`` skips the arithmetic by zero and one; its oracle is the dense
+Gauss-Jordan loop that scales every pivot row and updates every entry, and
+``ff_rank`` must find the oracle's number of pivots."""
 
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from expofield import (FieldElem, acf_indep, coerce, eliminate_symbols,
                        hull, indep, merge_graphs, qlin_solve, reduce,
                        verify_independent_system)
 from expofield.amalg import subset_label
-from expofield.linalg import (coordinate_matrix, integer_kernel_basis,
-                              integer_row_basis, kernel_basis,
-                              rational_span_solve)
+from expofield.fieldelem import cyclotomic_root
+from expofield.linalg import (_rref, coordinate_matrix, ff_rank,
+                              integer_kernel_basis, integer_row_basis,
+                              kernel_basis, rational_span_solve)
 from gen import (conflicting_system, rand_extension, rand_pminus_system,
                  rand_presentation, rand_variety, reused_transcendental_system,
                  shared_sibling_system, zspan_pair)
@@ -279,3 +285,79 @@ def test_indep_matches_hull_and_acf_indep():
             assert indep(f, a, b, c) == want
             seen.add(want)
     assert seen == {True, False}
+
+
+def dense_rref(rows):
+    """Gauss-Jordan that scales every pivot row, also by 1, and updates
+    every entry of every other row, also by ``f * 0``."""
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def matrices(entries, height, width):
+    """Matrices of up to height x width entries."""
+    return st.integers(0, height).flatmap(lambda h: st.integers(
+        1, width).flatmap(lambda w: st.lists(
+            st.lists(entries, min_size=w, max_size=w), min_size=h,
+            max_size=h)))
+
+
+# about half of the entries are zero, as in coordinate matrices
+FRACTIONS = st.one_of(
+    st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(1)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def field_entries(draw):
+    """0, 1 and small quotients in t1, t2 and zeta_3, the kind of entry
+    ``from_flat`` eliminates on."""
+    kind = draw(st.integers(0, 3))
+    if kind < 2:
+        return FieldElem.from_int(kind, 3)
+    atoms = [S("t1", 3), S("t2", 3), cyclotomic_root(3)]
+    num = coerce(draw(st.integers(-2, 2)), 3) + draw(st.sampled_from(atoms))
+    return num / draw(st.sampled_from(atoms + [coerce(2, 3)]))
+
+
+def same_rref(rows):
+    got, got_pivots = _rref(rows)
+    want, want_pivots = dense_rref(rows)
+    assert got_pivots == want_pivots
+    assert ff_rank(rows) == len(want_pivots)
+    assert got == want
+    assert [[str(x) for x in row] for row in got] == \
+        [[str(x) for x in row] for row in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(FRACTIONS, 7, 9))
+@example([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(0)]])
+@example([[Fraction(0), Fraction(2), Fraction(0)],
+          [Fraction(3), Fraction(1), Fraction(1, 2)]])
+def test_sparse_rref_matches_dense_on_fractions(rows):
+    same_rref(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(field_entries(), 4, 5))
+def test_sparse_rref_matches_dense_on_field_elements(rows):
+    same_rref(rows)
