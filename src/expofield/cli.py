@@ -10,6 +10,7 @@ seed of efield-check's spot-check sampler; roundtrip always uses seed 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -170,11 +171,10 @@ def cmd_sop1_verify(args) -> int:
     branches = args.branches
     if branches != "all":
         branches = [b.strip() for b in branches.split(",") if b.strip()]
-        for b in branches:
-            if len(b) != cand.depth or b.strip("01"):
-                raise SchemaError("--branches", "not a 0/1 string of length "
-                                  f"{cand.depth}: {b!r}")
-    rep = verify_finite_witness(cand, branches=branches)
+    try:
+        rep = verify_finite_witness(cand, branches=branches)
+    except SchemaError as exc:
+        raise SchemaError("--branches", exc.detail) from None
     return _emit(args, serialize.verify_report_to_json(rep))
 
 
@@ -224,7 +224,10 @@ def cmd_roundtrip(args) -> int:
     return _emit(args, report)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each subparser binds its
+    ``cmd_*`` function when it is built."""
     p = argparse.ArgumentParser(
         prog="expofield",
         description="Exact computation with existentially closed exponential fields")

@@ -6,6 +6,13 @@ set, so E is defined exactly on the Z-span of the arguments.  Realizing
 exponential points on additively free varieties only ever adjoins fresh
 transcendentals (injectivity of divisible groups lets every choice be free),
 so the regime is closed under all constructions here.
+
+A presentation's linear structure is computed once: its ``arg_basis`` is a
+semi-echelon basis of the arguments (``linalg.SpanBasis``), built on the
+first ``e_eval`` and kept with the presentation, which is immutable.
+``e_eval`` reduces only its target against it.  ``hull`` builds one basis
+of span(generators, 1) per call and reduces the arguments and the candidate
+values against it.  No result is cached between calls.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import (ExponentialConflict, LinearDependence, MissingExponential,
@@ -20,8 +28,10 @@ from .errors import (ExponentialConflict, LinearDependence, MissingExponential,
 from . import exprlang
 from .exprlang import ETerm, Exp, fresh_name
 from .fieldelem import FieldElem, coerce, int_combination, power_product
-from .linalg import (_rref, integer_kernel_basis, integer_row_basis,
-                     kernel_basis, coordinate_matrix, rational_span_solve)
+from .linalg import (SpanBasis, _rref, coordinate_matrix, denominators,
+                     integer_kernel_basis, integer_row_basis, kernel_basis,
+                     rational_span_solve)
+from .mpoly import ZETA
 from .variety import (ParametricVariety, ReductionResult, additive_freeness,
                       pullback, reduce as variety_reduce)
 
@@ -49,6 +59,14 @@ class EFieldPresentation:
 
     def fresh(self, prefix: str) -> str:
         return fresh_name(prefix, set(self.transcendentals))
+
+    @cached_property
+    def arg_basis(self) -> SpanBasis:
+        """Semi-echelon basis of the arguments over their common
+        denominator, each row with its coordinates in the arguments.  Built
+        on the first ``e_eval``; a presentation is immutable, and every
+        constructor returns a new one, so it is never stale."""
+        return SpanBasis.spanning(self.args, track=True)
 
 
 def _graph_violations(egraph):
@@ -159,13 +177,29 @@ def e_eval(f: EFieldPresentation, a: FieldElem) -> EEvalResult:
     Integer coordinates in the argument span give the product of value
     powers; fractional coordinates report the roots that would be needed;
     arguments outside the Q-span report a fresh value marker.
+
+    The coordinates come from reducing ``a`` against ``f.arg_basis``.  Every
+    element of the span times D is a polynomial, so ``a`` is cleared by
+    multiplication when its denominator is one of the arguments', and
+    otherwise by exact division, whose failure shows ``a`` outside the span.
+    ``exact_divide`` declines divisors that carry zeta; only then is ``a``
+    solved for from scratch.
     """
     a = coerce(a, f.cyclotomic_order)
     if a.is_zero():
         return EEvalResult(value=FieldElem.one(f.cyclotomic_order))
     if not f.egraph:
         return EEvalResult(outside_span=True)
-    coords = rational_span_solve([arg for arg, _ in f.egraph], a)
+    basis = f.arg_basis
+    vec = basis.clear(a)
+    if vec is None:
+        q = (a.num * basis.denominator).exact_divide(a.den)
+        if q is not None:
+            vec = q.terms
+        elif ZETA not in a.den.symbols():
+            return EEvalResult(outside_span=True)
+    coords = (basis.coordinates(vec) if vec is not None
+              else rational_span_solve(f.args, a))
     if coords is None:
         return EEvalResult(outside_span=True)
     if all(q.denominator == 1 for q in coords):
@@ -410,10 +444,16 @@ def hull(f: EFieldPresentation, elems) -> HullPresentation:
     A combination sum(z_i arg_i) with integer z lands in the Q-span of the
     generators (and 1) exactly when the corresponding value product belongs
     to the hull; the detectable such z form a saturated lattice, recomputed
-    until the span stops growing.  Each round, the value products of the
-    lattice vectors whose coordinate columns are pivots of one echelon form
-    of [generators, 1, products] join the generators: those are the
-    products outside the span of everything before them.
+    until the span stops growing.
+
+    Each round reduces the arguments against one semi-echelon basis of
+    span(generators, 1): the rational z above are the kernel of their
+    residues.  The lattice is read off ``ortho``, the kernel basis of that
+    kernel, which depends only on the subspace.  The value products of its
+    basis vectors are then offered to the same basis in order, and those
+    with a nonzero residue, the ones outside the span of everything before
+    them, join the generators.  A product with a denominator the basis
+    lacks makes it rebuild over the larger common denominator first.
     """
     order = f.cyclotomic_order
     gens = []
@@ -426,20 +466,27 @@ def hull(f: EFieldPresentation, elems) -> HullPresentation:
     if not args:
         return HullPresentation(tuple(gens), True)
     one = FieldElem.one(order)
+    span = SpanBasis.spanning(gens + [one], denominators(args + gens + [one]))
+    zero = Fraction(0)
     for _ in range(len(args) + 1):
-        combined = args + gens + [one]
-        rel = kernel_basis(coordinate_matrix(combined))
-        proj = [vec[:len(args)] for vec in rel]
-        proj = [v for v in proj if any(v)]
-        if not proj:
+        residues = [span.reduce(span.clear(a))[0] for a in args]
+        monos = dict.fromkeys(m for r in residues for m in r)
+        # with every residue zero, and with no orthogonal rows, every
+        # argument lies in the span: the kernel of one zero row is the
+        # unit vectors
+        rel = kernel_basis([[r.get(m, zero) for r in residues]
+                            for m in monos] or [[zero] * len(args)])
+        if not rel:
             break
-        # no orthogonal rows: the projections span Q^len(args), and the
-        # kernel of one zero row is the unit vectors
-        ortho = kernel_basis(proj) or [[0] * len(args)]
+        ortho = kernel_basis(rel) or [[0] * len(args)]
         cands = [power_product(vals, z, order)
                  for z in integer_kernel_basis(ortho)]
-        _, pivots = _rref(coordinate_matrix(gens + [one] + cands))
-        new = [cands[c - len(gens) - 1] for c in pivots if c > len(gens)]
+        lacking = [c for c in cands
+                   if not any(d == c.den for d in span.dens)]
+        if lacking:
+            span = SpanBasis.spanning(gens + [one],
+                                      span.dens + denominators(lacking))
+        new = [c for c in cands if span.add(span.clear(c))]
         if not new:
             break
         gens += new

@@ -10,16 +10,24 @@ Gauss-Jordan does no arithmetic by zero or one: a row update touches only
 the columns where the pivot row is nonzero, and a pivot row that is 1 at its
 pivot is not scaled.  The reduced form is unique, so this changes the cost,
 not the rows or pivots; the dense loop lives on as a test oracle.
+
+Field elements enter linear algebra over one common denominator D, the
+product of their distinct denominators: ``coordinate_matrix`` lays the
+cleared numerators out as a dense matrix, and ``SpanBasis`` keeps their
+span as a sparse semi-echelon basis (rows of monomial -> Fraction dicts,
+each 1 at a pivot that no later row has) and reduces one vector at a time
+against it.  ``efield.hull`` builds one per call; every presentation builds
+one of its graph arguments on its first ``e_eval`` and keeps it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import lcm
 
 from .errors import DimensionMismatch
-from .mpoly import _grlex_key, _join_order
+from .mpoly import MPoly, _grlex_key, _join_order
 
 
 def _check_rect(rows) -> int:
@@ -116,12 +124,12 @@ def integer_kernel_basis(rows):
     ncols = _check_rect(rows)
     if ncols == 0:
         return []
-    # clear denominators row by row
+    # clear denominators row by row, in integers
     m = []
     for row in rows:
-        fr = [Fraction(x) for x in row]
+        fr = [_fraction(x) for x in row]
         den = lcm(*(x.denominator for x in fr))
-        m.append([int(x * den) for x in fr])
+        m.append([x.numerator * (den // x.denominator) for x in fr])
     u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     pivot_cols: set[int] = set()
 
@@ -185,6 +193,28 @@ def integer_row_basis(rows):
 # -- Q-linear structure of field elements ---------------------------------
 
 
+def denominators(elems) -> list:
+    """The distinct denominators of field elements, in order of appearance.
+    Their product D is the common denominator that ``coordinate_matrix`` and
+    ``SpanBasis`` clear by."""
+    dens = []
+    for e in elems:
+        if not any(d == e.den for d in dens):
+            dens.append(e.den)
+    return dens
+
+
+def _clear(e, dens):
+    """The numerator of e * D when e.den is one of ``dens``, else None."""
+    p, found = e.num, False
+    for d in dens:
+        if not found and d == e.den:
+            found = True
+        else:
+            p = p * d
+    return p if found else None
+
+
 def coordinate_matrix(elems):
     """Columns of rational coordinates for field elements.
 
@@ -196,17 +226,8 @@ def coordinate_matrix(elems):
     if not elems:
         return []
     reduce(_join_order, (e.order for e in elems))  # mixed orders raise
-    dens = []
-    for e in elems:
-        if not any(d == e.den for d in dens):
-            dens.append(e.den)
-    cleared = []
-    for e in elems:
-        p = e.num
-        for d in dens:
-            if d != e.den:
-                p = p * d
-        cleared.append(p)
+    dens = denominators(elems)
+    cleared = [_clear(e, dens) for e in elems]
     support = []
     seen = set()
     for p in cleared:
@@ -218,6 +239,107 @@ def coordinate_matrix(elems):
     support.sort(key=lambda m: _grlex_key(m, syms))
     zero = Fraction(0)
     return [[p.terms.get(mono, zero) for p in cleared] for mono in support]
+
+
+class SpanBasis:
+    """Semi-echelon basis of the Q-span of field elements.
+
+    Elements are cleared by one common denominator D, the product of the
+    distinct denominators ``dens``, into the coefficient maps of
+    polynomials: dicts from monomial to a nonzero Fraction.  A row is such a
+    map scaled to 1 at its pivot monomial, which no later row has.  A vector
+    is reduced against the rows in insertion order, so its residue has no
+    pivot monomial, and it lies in the span exactly when the residue is
+    empty; the residue map is Q-linear.  This is the sum of subspaces by
+    Gaussian elimination (H. Cohen, *A Course in Computational Algebraic
+    Number Theory*, GTM 138, section 2.3), kept sparse: a reduction touches
+    only the pivots present and the monomials of their rows.
+
+    With ``track``, each row keeps its coordinates in the vectors offered
+    to ``add``, by their index, so ``coordinates`` solves for a vector in
+    the span; an offered vector already in the span adds no row and keeps
+    coordinate 0, as in the greedy pivots of ``qlin_solve``.
+    """
+
+    def __init__(self, dens, track: bool = False):
+        self.dens = list(dens)
+        self.track = track
+        self.rows = []  # (pivot, row, coordinates or None)
+        self.offered = 0
+
+    @classmethod
+    def spanning(cls, elems, dens=None, track: bool = False) -> "SpanBasis":
+        """The basis with ``elems`` offered in order, over ``dens`` (by
+        default their own denominators)."""
+        basis = cls(denominators(elems) if dens is None else dens, track)
+        for e in elems:
+            basis.add(basis.clear(e))
+        return basis
+
+    @cached_property
+    def denominator(self):
+        """D, the product of ``dens``."""
+        return reduce(MPoly.__mul__, self.dens, MPoly.const(1))
+
+    def clear(self, e):
+        """The terms of e * D when e.den is one of ``dens``, else None."""
+        p = _clear(e, self.dens)
+        return None if p is None else p.terms
+
+    def reduce(self, vec):
+        """(residue, coordinates): ``vec`` minus the combination of rows
+        that clears every pivot, and the coordinates of that combination in
+        the offered vectors (None without ``track``)."""
+        v = dict(vec)
+        coords = {} if self.track else None
+        for pivot, row, row_coords in self.rows:
+            c = v.get(pivot)
+            if c is None:
+                continue
+            for mono, x in row.items():
+                s = v.get(mono)
+                if s is None:
+                    v[mono] = -c * x
+                else:
+                    s = s - c * x
+                    if s:
+                        v[mono] = s
+                    else:
+                        del v[mono]
+            if coords is not None:
+                for i, y in row_coords.items():
+                    s = coords.get(i)
+                    coords[i] = c * y if s is None else s + c * y
+        return v, coords
+
+    def add(self, vec) -> bool:
+        """Offer ``vec``; True when it was outside the span and became a
+        row."""
+        index = self.offered
+        self.offered += 1
+        v, coords = self.reduce(vec)
+        if not v:
+            return False
+        pivot = next(iter(v))
+        inv = 1 / v[pivot]
+        if inv != 1:
+            v = {mono: x * inv for mono, x in v.items()}
+        row_coords = None
+        if coords is not None:
+            # row = (vec - sum coords[i] * offered_i) * inv
+            row_coords = {i: -y * inv for i, y in coords.items()}
+            row_coords[index] = inv
+        self.rows.append((pivot, v, row_coords))
+        return True
+
+    def coordinates(self, vec):
+        """Coordinates of ``vec`` in the offered vectors, as Fractions, or
+        None when it lies outside the span.  Needs ``track``."""
+        v, coords = self.reduce(vec)
+        if v:
+            return None
+        zero = Fraction(0)
+        return [coords.get(i, zero) for i in range(self.offered)]
 
 
 def rational_span_solve(basis_elems, target):

@@ -319,7 +319,8 @@ class MPoly:
                         out[mono] = s
                     else:
                         del out[mono]
-        return MPoly(out, order)
+        # the loop drops zero coefficients, and only zeta needs reducing
+        return MPoly(out, order, _reduce=order > 1)
 
     def __rmul__(self, other) -> "MPoly":
         return self.__mul__(other)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import (CyclotomicOrderMismatch, DomainError, NotTranscendental,
-                     UnsupportedShape, ZeroValue)
+                     SchemaError, UnsupportedShape, ZeroValue)
 from .efield import (EFieldPresentation, SolveResult, adjoin_transcendentals,
                      e_eval, eval_system, extend_graph, presentation, solve)
 from .exprlang import (Atom, ESystem, Exp, Mul, Var, fresh_name, parse,
@@ -238,7 +238,9 @@ def verify_finite_witness(cand, branches=()) -> VerifyReport:
 
     (iii) runs exhaustively over the array or tree; (ii) is certified
     structurally for the built-in formula pair only; (i) runs the full
-    realization pipeline per supplied branch.
+    realization pipeline per supplied branch.  An SOP1 branch is a 0/1
+    string (or sequence) of the candidate's depth, or ``branches`` is
+    ``"all"``; any other branch raises SchemaError at ``branches``.
     """
     if isinstance(cand, TP2Witness):
         return _verify_tp2(cand, branches)
@@ -265,6 +267,13 @@ def _verify_tp2(w: TP2Witness, branches) -> VerifyReport:
 
 
 def _verify_sop1(cand: SOP1Candidate, branches) -> VerifyReport:
+    if branches == "all":
+        branches = product("01", repeat=cand.depth)
+    branches = ["".join(str(x) for x in sigma) for sigma in branches]
+    for sigma in branches:
+        if len(sigma) != cand.depth or sigma.strip("01"):
+            raise SchemaError("branches", "not a 0/1 string of length "
+                              f"{cand.depth}: {sigma!r}")
     cond_iii = []
     nodes = sorted(cand.tree, key=lambda s: (len(s), s))
     for eta in nodes:
@@ -276,13 +285,8 @@ def _verify_sop1(cand: SOP1Candidate, branches) -> VerifyReport:
                 ok = _psi_holds(cand.psi, cand.base, cand.tree[left],
                                 cand.tree[nu])
                 cond_iii.append(((left, nu), ok))
-    if branches == "all":
-        branches = ["".join(bits) for bits in product("01", repeat=cand.depth)]
-    labelled = []
-    for sigma in branches:
-        sigma = "".join(str(x) for x in sigma)
-        labelled.append(((sigma,), [cand.tree[sigma[:k]] for k in
-                                    range(min(len(sigma), cand.depth))]))
+    labelled = [((sigma,), [cand.tree[sigma[:k]] for k in range(cand.depth)])
+                for sigma in branches]
     return _report(cand, labelled, cond_iii)
 
 

@@ -11,20 +11,27 @@ verdicts and failures, in the same order.
 
 ``_rref`` skips the arithmetic by zero and one; its oracle is the dense
 Gauss-Jordan loop that scales every pivot row and updates every entry, and
-``ff_rank`` must find the oracle's number of pivots."""
+``ff_rank`` must find the oracle's number of pivots.
+
+``hull`` and ``e_eval`` reduce against one semi-echelon basis
+(``SpanBasis``).  Their oracles are the loops they replaced: ``hull`` that
+rebuilt two coordinate matrices every round, and ``e_eval`` that solved
+for the coordinates with ``rational_span_solve`` on every call."""
 
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from expofield import (FieldElem, acf_indep, coerce, eliminate_symbols,
-                       hull, indep, merge_graphs, qlin_solve, reduce,
+from expofield import (EEvalResult, FieldElem, LinearDependence, acf_indep,
+                       coerce, e_eval, eliminate_symbols, extend_graph, hull,
+                       indep, merge_graphs, presentation, qlin_solve, reduce,
                        verify_independent_system)
 from expofield.amalg import subset_label
-from expofield.fieldelem import cyclotomic_root
+from expofield.efield import adjoin_transcendentals, build_unchecked
+from expofield.fieldelem import cyclotomic_root, power_product
 from expofield.linalg import (_rref, coordinate_matrix, ff_rank,
                               integer_kernel_basis, integer_row_basis,
                               kernel_basis, rational_span_solve)
@@ -361,3 +368,200 @@ def test_sparse_rref_matches_dense_on_fractions(rows):
 @given(matrices(field_entries(), 4, 5))
 def test_sparse_rref_matches_dense_on_field_elements(rows):
     same_rref(rows)
+
+
+# -- hull and e_eval against the loops they replaced ----------------------------
+
+
+def hull_rebuild_oracle(f, elems):
+    """Each round: the kernel of one coordinate matrix of [args, gens, 1],
+    and the pivots of another of [gens, 1, candidates]."""
+    order = f.cyclotomic_order
+    gens = []
+    for e in (coerce(e, order) for e in elems):
+        if not any(e == g for g in gens):
+            gens.append(e)
+    args = [a for a, _ in f.egraph]
+    vals = [v for _, v in f.egraph]
+    if not args:
+        return gens
+    one = FieldElem.one(order)
+    for _ in range(len(args) + 1):
+        rel = kernel_basis(coordinate_matrix(args + gens + [one]))
+        proj = [p for p in (vec[:len(args)] for vec in rel) if any(p)]
+        if not proj:
+            break
+        ortho = kernel_basis(proj) or [[0] * len(args)]
+        cands = [power_product(vals, z, order)
+                 for z in integer_kernel_basis(ortho)]
+        _, pivots = _rref(coordinate_matrix(gens + [one] + cands))
+        new = [cands[c - len(gens) - 1] for c in pivots if c > len(gens)]
+        if not new:
+            break
+        gens += new
+    return gens
+
+
+def e_eval_solve_oracle(f, a):
+    order = f.cyclotomic_order
+    a = coerce(a, order)
+    if a.is_zero():
+        return EEvalResult(value=FieldElem.one(order))
+    if not f.egraph:
+        return EEvalResult(outside_span=True)
+    coords = rational_span_solve(f.args, a)
+    if coords is None:
+        return EEvalResult(outside_span=True)
+    if all(q.denominator == 1 for q in coords):
+        return EEvalResult(value=power_product(f.vals, coords, order))
+    return EEvalResult(root_specs=tuple(
+        (val, q.denominator) for q, val in zip(coords, f.vals)
+        if q.denominator != 1))
+
+
+def same_eval(got, want):
+    assert got == want
+    assert str(got.value) == str(want.value)
+    assert [(str(v), d) for v, d in got.root_specs] == \
+        [(str(v), d) for v, d in want.root_specs]
+
+
+SPAN_ORDERS = (1, 3, 4, 6)
+
+
+def denominators_of(order):
+    """1, a rational, a non-unit polynomial and, above order 1, one that
+    carries zeta."""
+    t1, t2 = S("t1", order), S("t2", order)
+    dens = [coerce(1, order), coerce(2, order), t1 + 1, t1 * t2]
+    if order > 1:
+        dens.append(t2 + cyclotomic_root(order))
+    return dens
+
+
+@st.composite
+def span_elements(draw, order):
+    atoms = [S(t, order) for t in ("t1", "t2", "t3")]
+    if order > 1:
+        atoms.append(cyclotomic_root(order, draw(st.integers(1, order - 1))))
+    num = coerce(draw(st.integers(-3, 3).filter(bool)), order)
+    for _ in range(draw(st.integers(0, 2))):
+        term = draw(st.sampled_from(atoms)) ** draw(st.integers(1, 2))
+        num = num + coerce(draw(st.integers(-2, 2).filter(bool)), order) * term
+    if num.is_zero():
+        num = coerce(1, order)
+    return num / draw(st.sampled_from(denominators_of(order)))
+
+
+@st.composite
+def graphs(draw, order):
+    """A presentation over t1, t2, t3 whose values are often arguments of
+    the graph, so that hulls grow over several rounds."""
+    args = draw(st.lists(span_elements(order), min_size=1, max_size=3))
+    vals = []
+    for i in range(len(args)):
+        if i + 1 < len(args) and draw(st.booleans()):
+            vals.append(args[i + 1])
+        else:
+            vals.append(draw(span_elements(order)))
+    try:
+        return presentation("F", order, ("t1", "t2", "t3"),
+                            list(zip(args, vals)))
+    except LinearDependence:
+        assume(False)
+
+
+@st.composite
+def hull_cases(draw):
+    order = draw(st.sampled_from(SPAN_ORDERS))
+    f = draw(graphs(order))
+    pool = list(f.args) + [S(t, order) for t in f.transcendentals]
+    elems = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        z = draw(st.lists(st.integers(-2, 2), min_size=len(f.args),
+                          max_size=len(f.args)))
+        elems.append(sum((coerce(k, order) * a for k, a in zip(z, f.args)),
+                         FieldElem.zero(order)) + 1)
+    return f, elems
+
+
+@st.composite
+def eval_cases(draw):
+    order = draw(st.sampled_from(SPAN_ORDERS))
+    f = draw(graphs(order))
+    q = draw(st.lists(st.fractions(-3, 3, max_denominator=3),
+                      min_size=len(f.args), max_size=len(f.args)))
+    a = FieldElem.zero(order)
+    for c, arg in zip(q, f.args):
+        if c:
+            a = a + coerce(c, order) * arg
+    if draw(st.integers(0, 3)) == 0:
+        a = a + draw(span_elements(order))
+    return f, a
+
+
+def zeta_pin():
+    """E(1/(t+zeta)) = u and E(1/(t-zeta)) = v, evaluated at their sum,
+    2t/(t^2 - zeta^2): a denominator that is not an argument's and that
+    carries zeta, so exact division declines it."""
+    t, z = S("t", 3), cyclotomic_root(3)
+    f = presentation("Z", 3, ("t", "u", "v"),
+                     [(1 / (t + z), S("u", 3)), (1 / (t - z), S("v", 3))])
+    return f, f.args[0] + f.args[1]
+
+
+def growing_pin():
+    """hull(t1) adds E(t1) = t2 / (t1 + 1), whose denominator the basis
+    lacks, and in a second round E(t2 / (t1 + 1)) = t3."""
+    t1, t2 = S("t1"), S("t2")
+    f = presentation("G", 1, ("t1", "t2", "t3"),
+                     [(t1, t2 / (t1 + 1)), (t2 / (t1 + 1), S("t3"))])
+    return f, [t1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(hull_cases())
+@example(growing_pin())
+@example((zeta_pin()[0], [zeta_pin()[1]]))
+def test_hull_matches_rebuild_oracle(case):
+    f, elems = case
+    same(hull(f, elems).generators, hull_rebuild_oracle(f, elems))
+
+
+def test_growing_pin_grows_over_two_rounds():
+    f, elems = growing_pin()
+    assert [str(g) for g in hull(f, elems).generators] == \
+        ["t1", "(t2)/(t1 + 1)", "t3"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(eval_cases())
+@example(zeta_pin())
+def test_e_eval_matches_span_solve(case):
+    f, a = case
+    same_eval(e_eval(f, a), e_eval_solve_oracle(f, a))
+
+
+def test_zeta_pin_is_declined_by_exact_division():
+    f, a = zeta_pin()
+    basis = f.arg_basis
+    assert basis.clear(a) is None
+    assert (a.num * basis.denominator).exact_divide(a.den) is None
+    assert e_eval(f, a).value == S("u", 3) * S("v", 3)
+
+
+def test_each_presentation_evaluates_on_its_own_graph():
+    """The argument basis belongs to one presentation: the ones built from
+    it after its basis exists see their own graph."""
+    s, t, u = S("s"), S("t"), S("u")
+    f = presentation("F", 1, ("s", "t", "u"), [(s, t)])
+    assert e_eval(f, 2 * s).value == t ** 2
+    assert e_eval(f, u).outside_span
+    g = extend_graph(f, [(u, s + 1)])
+    assert e_eval(g, s + u).value == t * (s + 1)
+    assert e_eval(f, u).outside_span
+    h = adjoin_transcendentals(f, ["w"])
+    assert e_eval(h, 3 * s).value == t ** 3
+    k = build_unchecked("K", 1, ("s", "t", "u"), [(u, coerce(5))])
+    assert e_eval(k, 2 * u).value == coerce(25)
+    assert e_eval(k, s).outside_span

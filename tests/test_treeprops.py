@@ -12,7 +12,7 @@ from expofield.exprlang import parse
 from expofield.fieldelem import cyclotomic_root
 from expofield.treeprops import PHI_TEXT, PSI_TEXT
 from expofield.errors import (CyclotomicOrderMismatch, NotTranscendental,
-                              UnsupportedShape, ZeroValue)
+                              SchemaError, UnsupportedShape, ZeroValue)
 
 S = FieldElem.from_symbol
 ONE = FieldElem.one()
@@ -90,6 +90,21 @@ class TestSOP1:
                              phi=parse(PHI_TEXT), psi=parse("y1 = y2"))
         rep = verify_finite_witness(cand, branches=[])
         assert rep.condition_ii == "unverified"
+
+    @pytest.mark.parametrize("branch", ["22", "ab", "0", "000", (0, 2)])
+    def test_branch_outside_the_tree_rejected(self, branch):
+        cand = SOP1Candidate(depth=2, tree=self._tree(2, (S("t"), ONE)),
+                             base=presentation("A", transcendentals=("t",)),
+                             phi=parse(PHI_TEXT), psi=parse(PSI_TEXT))
+        with pytest.raises(SchemaError, match="not a 0/1 string of length 2"):
+            verify_finite_witness(cand, branches=[branch])
+
+    def test_branch_may_be_a_sequence_of_bits(self):
+        cand = SOP1Candidate(depth=2, tree=self._tree(2, (S("t"), ONE)),
+                             base=presentation("A", transcendentals=("t",)),
+                             phi=parse(PHI_TEXT), psi=parse(PSI_TEXT))
+        rep = verify_finite_witness(cand, branches=[(0, 1), "10"])
+        assert [r.branch for r in rep.condition_i] == [("01",), ("10",)]
 
 
 class TestZStabilizer:
