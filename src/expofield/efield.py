@@ -10,9 +10,11 @@ so the regime is closed under all constructions here.
 A presentation's linear structure is computed once: its ``arg_basis`` is a
 semi-echelon basis of the arguments (``linalg.SpanBasis``), built on the
 first ``e_eval`` and kept with the presentation, which is immutable.
-``e_eval`` reduces only its target against it.  ``hull`` builds one basis
-of span(generators, 1) per call and reduces the arguments and the candidate
-values against it.  No result is cached between calls.
+``e_eval`` has one path: it asks that basis for the coordinates of its
+target.  ``hull`` builds one basis of span(generators, 1) per call and
+reduces the arguments and the candidate values against it.  How elements
+are cleared of denominators is left to ``SpanBasis``.  No result is cached
+between calls.
 """
 
 from __future__ import annotations
@@ -28,10 +30,8 @@ from .errors import (ExponentialConflict, LinearDependence, MissingExponential,
 from . import exprlang
 from .exprlang import ETerm, Exp, fresh_name
 from .fieldelem import FieldElem, coerce, int_combination, power_product
-from .linalg import (SpanBasis, _rref, coordinate_matrix, denominators,
-                     integer_kernel_basis, integer_row_basis, kernel_basis,
-                     rational_span_solve)
-from .mpoly import ZETA
+from .linalg import (SpanBasis, _rref, coordinate_matrix, integer_kernel_basis,
+                     integer_row_basis, kernel_basis)
 from .variety import (ParametricVariety, ReductionResult, additive_freeness,
                       pullback, reduce as variety_reduce)
 
@@ -62,11 +62,11 @@ class EFieldPresentation:
 
     @cached_property
     def arg_basis(self) -> SpanBasis:
-        """Semi-echelon basis of the arguments over their common
-        denominator, each row with its coordinates in the arguments.  Built
-        on the first ``e_eval``; a presentation is immutable, and every
-        constructor returns a new one, so it is never stale."""
-        return SpanBasis.spanning(self.args, track=True)
+        """Semi-echelon basis of the arguments, each row with its
+        coordinates in them.  Built on the first ``e_eval``; a presentation
+        is immutable, and every constructor returns a new one, so it is
+        never stale, and ``coordinates`` never grows it."""
+        return SpanBasis(self.args, track=True)
 
 
 def _graph_violations(egraph):
@@ -178,28 +178,11 @@ def e_eval(f: EFieldPresentation, a: FieldElem) -> EEvalResult:
     powers; fractional coordinates report the roots that would be needed;
     arguments outside the Q-span report a fresh value marker.
 
-    The coordinates come from reducing ``a`` against ``f.arg_basis``.  Every
-    element of the span times D is a polynomial, so ``a`` is cleared by
-    multiplication when its denominator is one of the arguments', and
-    otherwise by exact division, whose failure shows ``a`` outside the span.
-    ``exact_divide`` declines divisors that carry zeta; only then is ``a``
-    solved for from scratch.
+    The coordinates come from one reduction of ``a`` against
+    ``f.arg_basis``, which clears ``a`` itself; E(0) = 1 is the empty
+    product.
     """
-    a = coerce(a, f.cyclotomic_order)
-    if a.is_zero():
-        return EEvalResult(value=FieldElem.one(f.cyclotomic_order))
-    if not f.egraph:
-        return EEvalResult(outside_span=True)
-    basis = f.arg_basis
-    vec = basis.clear(a)
-    if vec is None:
-        q = (a.num * basis.denominator).exact_divide(a.den)
-        if q is not None:
-            vec = q.terms
-        elif ZETA not in a.den.symbols():
-            return EEvalResult(outside_span=True)
-    coords = (basis.coordinates(vec) if vec is not None
-              else rational_span_solve(f.args, a))
+    coords = f.arg_basis.coordinates(coerce(a, f.cyclotomic_order))
     if coords is None:
         return EEvalResult(outside_span=True)
     if all(q.denominator == 1 for q in coords):
@@ -452,8 +435,8 @@ def hull(f: EFieldPresentation, elems) -> HullPresentation:
     kernel, which depends only on the subspace.  The value products of its
     basis vectors are then offered to the same basis in order, and those
     with a nonzero residue, the ones outside the span of everything before
-    them, join the generators.  A product with a denominator the basis
-    lacks makes it rebuild over the larger common denominator first.
+    them, join the generators.  ``covering`` gives a basis that clears the
+    arguments, and then the products, before they are reduced.
     """
     order = f.cyclotomic_order
     gens = []
@@ -466,10 +449,10 @@ def hull(f: EFieldPresentation, elems) -> HullPresentation:
     if not args:
         return HullPresentation(tuple(gens), True)
     one = FieldElem.one(order)
-    span = SpanBasis.spanning(gens + [one], denominators(args + gens + [one]))
+    span = SpanBasis(gens + [one]).covering(args)
     zero = Fraction(0)
     for _ in range(len(args) + 1):
-        residues = [span.reduce(span.clear(a))[0] for a in args]
+        residues = [span.residue(a) for a in args]
         monos = dict.fromkeys(m for r in residues for m in r)
         # with every residue zero, and with no orthogonal rows, every
         # argument lies in the span: the kernel of one zero row is the
@@ -481,12 +464,8 @@ def hull(f: EFieldPresentation, elems) -> HullPresentation:
         ortho = kernel_basis(rel) or [[0] * len(args)]
         cands = [power_product(vals, z, order)
                  for z in integer_kernel_basis(ortho)]
-        lacking = [c for c in cands
-                   if not any(d == c.den for d in span.dens)]
-        if lacking:
-            span = SpanBasis.spanning(gens + [one],
-                                      span.dens + denominators(lacking))
-        new = [c for c in cands if span.add(span.clear(c))]
+        span = span.covering(cands)
+        new = [c for c in cands if span.add(c)]
         if not new:
             break
         gens += new

@@ -15,19 +15,21 @@ Field elements enter linear algebra over one common denominator D, the
 product of their distinct denominators: ``coordinate_matrix`` lays the
 cleared numerators out as a dense matrix, and ``SpanBasis`` keeps their
 span as a sparse semi-echelon basis (rows of monomial -> Fraction dicts,
-each 1 at a pivot that no later row has) and reduces one vector at a time
-against it.  ``efield.hull`` builds one per call; every presentation builds
-one of its graph arguments on its first ``e_eval`` and keeps it.
+each 1 at a pivot that no later row has) and reduces one element at a time
+against it.  Only this module knows D: ``SpanBasis`` takes field elements,
+clears them itself, and rebuilds over a larger D when an element needs it.
+``efield.hull`` builds one per call; every presentation builds one of its
+graph arguments on its first ``e_eval`` and keeps it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from math import lcm
 
 from .errors import DimensionMismatch
-from .mpoly import MPoly, _grlex_key, _join_order
+from .mpoly import _grlex_key, _join_order
 
 
 def _check_rect(rows) -> int:
@@ -193,11 +195,11 @@ def integer_row_basis(rows):
 # -- Q-linear structure of field elements ---------------------------------
 
 
-def denominators(elems) -> list:
-    """The distinct denominators of field elements, in order of appearance.
-    Their product D is the common denominator that ``coordinate_matrix`` and
-    ``SpanBasis`` clear by."""
-    dens = []
+def denominators(elems, dens=()) -> list:
+    """``dens`` and then the distinct denominators of field elements that
+    it lacks, in order of appearance.  Their product is the common
+    denominator D that ``coordinate_matrix`` and ``SpanBasis`` clear by."""
+    dens = list(dens)
     for e in elems:
         if not any(d == e.den for d in dens):
             dens.append(e.den)
@@ -242,55 +244,58 @@ def coordinate_matrix(elems):
 
 
 class SpanBasis:
-    """Semi-echelon basis of the Q-span of field elements.
+    """Semi-echelon basis of the Q-span of the field elements offered to it.
 
-    Elements are cleared by one common denominator D, the product of the
-    distinct denominators ``dens``, into the coefficient maps of
-    polynomials: dicts from monomial to a nonzero Fraction.  A row is such a
-    map scaled to 1 at its pivot monomial, which no later row has.  A vector
-    is reduced against the rows in insertion order, so its residue has no
-    pivot monomial, and it lies in the span exactly when the residue is
-    empty; the residue map is Q-linear.  This is the sum of subspaces by
-    Gaussian elimination (H. Cohen, *A Course in Computational Algebraic
-    Number Theory*, GTM 138, section 2.3), kept sparse: a reduction touches
-    only the pivots present and the monomials of their rows.
+    This is the one place that decides how an element is cleared: by one
+    common denominator D, the product of the distinct denominators
+    ``dens``, into the coefficient map of a polynomial, a dict from
+    monomial to a nonzero Fraction.  Multiplying by D is injective and
+    Q-linear, so which elements are independent, their coordinates and the
+    relations among them do not depend on D.  A row is such a map scaled to
+    1 at its pivot monomial, which no later row has.  An element is reduced
+    against the rows in insertion order, so its residue has no pivot
+    monomial, and it lies in the span exactly when the residue is empty;
+    the residue map is Q-linear.  This is the sum of subspaces by Gaussian
+    elimination (H. Cohen, *A Course in Computational Algebraic Number
+    Theory*, GTM 138, section 2.3), kept sparse: a reduction touches only
+    the pivots present and the monomials of their rows.
 
-    With ``track``, each row keeps its coordinates in the vectors offered
-    to ``add``, by their index, so ``coordinates`` solves for a vector in
-    the span; an offered vector already in the span adds no row and keeps
-    coordinate 0, as in the greedy pivots of ``qlin_solve``.
+    ``add`` and ``residue`` take elements that D clears, such as the ones
+    named to ``covering``, which returns a basis over a D that clears them.
+    ``coordinates`` takes any element and, when D does not clear it, solves
+    on a covering basis of its own, so the basis never grows by it.
+
+    With ``track``, each row keeps its coordinates in the offered elements,
+    by their index, so ``coordinates`` solves for an element in the span;
+    an offered element already in the span adds no row and keeps coordinate
+    0, as in the greedy pivots of ``qlin_solve``.
     """
 
-    def __init__(self, dens, track: bool = False):
-        self.dens = list(dens)
+    def __init__(self, elems, track: bool = False, dens=()):
+        elems = list(elems)
+        self.dens = denominators(elems, dens)
         self.track = track
+        self.elems = []  # offered, in order
         self.rows = []  # (pivot, row, coordinates or None)
-        self.offered = 0
-
-    @classmethod
-    def spanning(cls, elems, dens=None, track: bool = False) -> "SpanBasis":
-        """The basis with ``elems`` offered in order, over ``dens`` (by
-        default their own denominators)."""
-        basis = cls(denominators(elems) if dens is None else dens, track)
         for e in elems:
-            basis.add(basis.clear(e))
-        return basis
+            self.add(e)
 
-    @cached_property
-    def denominator(self):
-        """D, the product of ``dens``."""
-        return reduce(MPoly.__mul__, self.dens, MPoly.const(1))
+    def covering(self, elems) -> "SpanBasis":
+        """This basis when D clears every one of ``elems``, else the basis
+        of the same offered elements over a D that also clears them."""
+        dens = denominators(elems, self.dens)
+        if len(dens) == len(self.dens):
+            return self
+        return SpanBasis(self.elems, self.track, dens)
 
-    def clear(self, e):
-        """The terms of e * D when e.den is one of ``dens``, else None."""
+    def _reduce(self, e):
+        """(residue, coordinates): e * D minus the combination of rows that
+        clears every pivot, and the coordinates of that combination in the
+        offered elements (None without ``track``)."""
         p = _clear(e, self.dens)
-        return None if p is None else p.terms
-
-    def reduce(self, vec):
-        """(residue, coordinates): ``vec`` minus the combination of rows
-        that clears every pivot, and the coordinates of that combination in
-        the offered vectors (None without ``track``)."""
-        v = dict(vec)
+        if p is None:
+            raise ValueError(f"{e} is not cleared by this basis; see covering")
+        v = dict(p.terms)
         coords = {} if self.track else None
         for pivot, row, row_coords in self.rows:
             c = v.get(pivot)
@@ -312,12 +317,17 @@ class SpanBasis:
                     coords[i] = c * y if s is None else s + c * y
         return v, coords
 
-    def add(self, vec) -> bool:
-        """Offer ``vec``; True when it was outside the span and became a
-        row."""
-        index = self.offered
-        self.offered += 1
-        v, coords = self.reduce(vec)
+    def residue(self, e) -> dict:
+        """The residue of e, which D must clear: empty exactly when e lies
+        in the span."""
+        return self._reduce(e)[0]
+
+    def add(self, e) -> bool:
+        """Offer e, which D must clear; True when it was outside the span
+        and became a row."""
+        v, coords = self._reduce(e)
+        index = len(self.elems)
+        self.elems.append(e)
         if not v:
             return False
         pivot = next(iter(v))
@@ -326,29 +336,25 @@ class SpanBasis:
             v = {mono: x * inv for mono, x in v.items()}
         row_coords = None
         if coords is not None:
-            # row = (vec - sum coords[i] * offered_i) * inv
+            # row = (e * D - sum coords[i] * offered_i * D) * inv
             row_coords = {i: -y * inv for i, y in coords.items()}
             row_coords[index] = inv
         self.rows.append((pivot, v, row_coords))
         return True
 
-    def coordinates(self, vec):
-        """Coordinates of ``vec`` in the offered vectors, as Fractions, or
-        None when it lies outside the span.  Needs ``track``."""
-        v, coords = self.reduce(vec)
+    def coordinates(self, e):
+        """Coordinates of e in the offered elements, as Fractions, or None
+        when it lies outside their span.  Needs ``track``."""
+        v, coords = self.covering([e])._reduce(e)
         if v:
             return None
         zero = Fraction(0)
-        return [coords.get(i, zero) for i in range(self.offered)]
+        return [coords.get(i, zero) for i in range(len(self.elems))]
 
 
 def rational_span_solve(basis_elems, target):
     """Coordinates of ``target`` in the Q-span of ``basis_elems`` (or None)."""
-    mat = coordinate_matrix(list(basis_elems) + [target])
-    cols = len(basis_elems)
-    rows = [r[:cols] for r in mat]
-    rhs = [r[cols] for r in mat]
-    return qlin_solve(rows, rhs)
+    return SpanBasis(basis_elems, track=True).coordinates(target)
 
 
 # -- rank over the function field ------------------------------------------

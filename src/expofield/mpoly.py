@@ -23,7 +23,10 @@ _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by symbol
 
 _ONE_MONO: Monomial = ()
-_ONE_TERMS = {_ONE_MONO: Fraction(1)}  # the terms of the constant 1
+# the terms of the constant 1; its coefficient is the one Fraction(1) that
+# ``const`` and ``var`` share, so comparing unit coefficients stops at identity
+_ONE = Fraction(1)
+_ONE_TERMS = {_ONE_MONO: _ONE}
 
 
 def is_valid_symbol(name: str) -> bool:
@@ -172,8 +175,8 @@ class MPoly:
 
     @staticmethod
     def const(value, order: int = 1) -> "MPoly":
-        c = Fraction(value)
-        if c == 0:
+        c = _ONE if value == 1 else Fraction(value)
+        if not c:
             return MPoly.zero(order)
         return MPoly({_ONE_MONO: c}, order, _reduce=False)
 
@@ -181,7 +184,7 @@ class MPoly:
     def var(name: str, order: int = 1) -> "MPoly":
         if not is_valid_symbol(name):
             raise UnknownVariable(f"bad symbol name {name!r}")
-        return MPoly({((name, 1),): Fraction(1)}, order, _reduce=(name == ZETA))
+        return MPoly({((name, 1),): _ONE}, order, _reduce=(name == ZETA))
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> "MPoly":
