@@ -20,7 +20,7 @@ from .amalg import amalgamate2, complete_system, indep
 from .efield import (build_unchecked, check_presentation, hull, presentation,
                      solve)
 from .errors import DomainError, ExpoFieldError, SchemaError, UnsupportedShape
-from .exprlang import (eliminate_inequations, flatten, parse, parse_element)
+from .exprlang import eliminate_inequations, flatten, parse
 from .treeprops import (tp2_witness, type_family, verify_finite_witness,
                         z_stabilizer_witness)
 from .variety import additive_freeness, freeness_oracle, reduce
@@ -51,18 +51,27 @@ def _system_text(args) -> str:
         return fh.read()
 
 
+def _order(args):
+    """``--order``, or None when it is not given."""
+    order = getattr(args, "order", None)
+    if order is not None and order < 1:
+        raise SchemaError("--order", f"expected an integer >= 1, got {order}")
+    return order
+
+
 def _load_presentation(args):
+    order = _order(args)
     if getattr(args, "presentation", None):
         return serialize.presentation_from_json(_load_json(args.presentation))
-    return presentation("Q", cyclotomic_order=getattr(args, "order", 1) or 1)
+    return presentation("Q", cyclotomic_order=order or 1)
 
 
-def _elems(text: str, f):
-    """Comma-separated element texts over the transcendentals of ``f``."""
+def _elems(text: str, f, option: str):
+    """Comma-separated element texts of ``option`` in ``f``'s symbols."""
     text = text.strip()
     if not text:
         return []
-    elems = [parse_element(part.strip(), f.cyclotomic_order)
+    elems = [serialize._elem(part.strip(), f.cyclotomic_order, option)
              for part in text.split(",")]
     extra = set().union(*(e.symbols() for e in elems)) - set(f.transcendentals)
     if extra:
@@ -82,7 +91,10 @@ def cmd_free_check(args) -> int:
     cert = additive_freeness(v)
     payload = serialize.freeness_to_json(cert)
     if args.oracle:
-        oc = freeness_oracle(v, args.oracle)
+        try:
+            oc = freeness_oracle(v, args.oracle)
+        except UnsupportedShape as exc:
+            raise SchemaError("--oracle", str(exc)) from None
         payload["oracle"] = {
             "bound": args.oracle,
             "verdict": oc.verdict,
@@ -124,13 +136,14 @@ def cmd_efield_check(args) -> int:
 
 def cmd_hull(args) -> int:
     f = _load_presentation(args)
-    h = hull(f, _elems(args.generators, f))
+    h = hull(f, _elems(args.generators, f, "-g"))
     return _emit(args, serialize.hull_to_json(h))
 
 
 def cmd_indep(args) -> int:
     f = _load_presentation(args)
-    result = indep(f, _elems(args.A, f), _elems(args.B, f), _elems(args.C, f))
+    result = indep(f, _elems(args.A, f, "-A"), _elems(args.B, f, "-B"),
+                   _elems(args.C, f, "-C"))
     return _emit(args, {"independent": result})
 
 
@@ -182,17 +195,17 @@ def cmd_zwitness(args) -> int:
     if args.presentation:
         f = serialize.presentation_from_json(_load_json(args.presentation))
     else:
-        order = args.order
+        order = _order(args)
         if order is None:
             # the order comes from the denominator of a rational c
-            c = parse_element(args.c)
+            c = serialize._elem(args.c, 1, "-c")
             if not c.is_rational():
                 raise SchemaError("-c", f"{args.c!r} is not rational; give "
                                         "-F or --order")
             order = c.as_fraction().denominator
         f = presentation("Q", cyclotomic_order=order)
-    c = parse_element(args.c, f.cyclotomic_order)
-    d = parse_element(args.d, f.cyclotomic_order) if args.d else None
+    c = serialize._elem(args.c, f.cyclotomic_order, "-c")
+    d = serialize._elem(args.d, f.cyclotomic_order, "-d") if args.d else None
     w = z_stabilizer_witness(f, c, d=d)
     payload = {
         "mode": w.mode,

@@ -11,10 +11,10 @@ A presentation's linear structure is computed once: its ``arg_basis`` is a
 semi-echelon basis of the arguments (``linalg.SpanBasis``), built on the
 first ``e_eval`` and kept with the presentation, which is immutable.
 ``e_eval`` has one path: it asks that basis for the coordinates of its
-target.  ``hull`` builds one basis of span(generators, 1) per call and
-reduces the arguments and the candidate values against it.  How elements
-are cleared of denominators is left to ``SpanBasis``.  No result is cached
-between calls.
+target.  ``hull`` builds one basis of span(generators, 1) per call, reduces
+the arguments and candidates against it, and reads each round's lattice
+off one echelon form.  ``SpanBasis`` decides how elements are cleared of
+denominators.  No result is cached between calls.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from . import exprlang
 from .exprlang import ETerm, Exp, fresh_name
 from .fieldelem import FieldElem, coerce, int_combination, power_product
 from .linalg import (SpanBasis, _rref, coordinate_matrix, integer_kernel_basis,
-                     integer_row_basis, kernel_basis)
+                     integer_row_basis)
 from .variety import (ParametricVariety, ReductionResult, additive_freeness,
                       pullback, reduce as variety_reduce)
 
@@ -430,13 +430,13 @@ def hull(f: EFieldPresentation, elems) -> HullPresentation:
     until the span stops growing.
 
     Each round reduces the arguments against one semi-echelon basis of
-    span(generators, 1): the rational z above are the kernel of their
-    residues.  The lattice is read off ``ortho``, the kernel basis of that
-    kernel, which depends only on the subspace.  The value products of its
-    basis vectors are then offered to the same basis in order, and those
-    with a nonzero residue, the ones outside the span of everything before
-    them, join the generators.  ``covering`` gives a basis that clears the
-    arguments, and then the products, before they are reduced.
+    span(generators, 1): the rational z above are the kernel of R, the
+    matrix of their residues.  The lattice is read off the echelon form of
+    R with its columns reversed, read back to front: the basis of R's row
+    space that is the identity on R's independent columns chosen from the
+    right, which by matroid duality (Oxley, *Matroid Theory*, 2.1) is the
+    kernel basis of the kernel.  Value products of the lattice basis
+    outside the span of everything before them join the generators.
     """
     order = f.cyclotomic_order
     gens = []
@@ -444,24 +444,21 @@ def hull(f: EFieldPresentation, elems) -> HullPresentation:
         e = coerce(e, order)
         if not any(e == g for g in gens):
             gens.append(e)
-    args = [a for a, _ in f.egraph]
-    vals = [v for _, v in f.egraph]
+    args, vals = f.args, f.vals
     if not args:
         return HullPresentation(tuple(gens), True)
     one = FieldElem.one(order)
     span = SpanBasis(gens + [one]).covering(args)
-    zero = Fraction(0)
-    for _ in range(len(args) + 1):
+    zero, n = Fraction(0), len(args)
+    for _ in range(n + 1):
         residues = [span.residue(a) for a in args]
         monos = dict.fromkeys(m for r in residues for m in r)
-        # with every residue zero, and with no orthogonal rows, every
-        # argument lies in the span: the kernel of one zero row is the
-        # unit vectors
-        rel = kernel_basis([[r.get(m, zero) for r in residues]
-                            for m in monos] or [[zero] * len(args)])
-        if not rel:
+        rows, pivots = _rref([[r.get(m, zero) for r in reversed(residues)]
+                              for m in monos])
+        if len(pivots) == n:
             break
-        ortho = kernel_basis(rel) or [[0] * len(args)]
+        # no residue at all: the zero row spans the row space
+        ortho = [r[::-1] for r in reversed(rows[:len(pivots)])] or [[0] * n]
         cands = [power_product(vals, z, order)
                  for z in integer_kernel_basis(ortho)]
         span = span.covering(cands)
@@ -504,16 +501,17 @@ def graph_conflicts(f1: EFieldPresentation, f2: EFieldPresentation):
 
 # -- diagnostics -----------------------------------------------------------------
 
+SPOT_CHECKS = 10  # homomorphism-law samples of check_presentation
 
-def check_presentation(f: EFieldPresentation, spot_checks: int = 10,
-                       seed: int = 0) -> dict:
+
+def check_presentation(f: EFieldPresentation, seed: int = 0) -> dict:
     """Validate the invariants and spot-check the homomorphism law."""
     violations = list(_graph_violations(f.egraph))
     checks = 0
     if not violations and f.egraph:
         rng = random.Random(seed)
         order = f.cyclotomic_order
-        for _ in range(spot_checks):
+        for _ in range(SPOT_CHECKS):
             z = [rng.randint(-3, 3) for _ in range(len(f.egraph))]
             ev = e_eval(f, int_combination(z, f.args, order))
             if not ev.is_value or ev.value != power_product(f.vals, z, order):

@@ -133,6 +133,8 @@ def freeness_oracle(v: ParametricVariety, bound: int) -> FreenessCertificate:
     Independent of the kernel computation: enumerates vectors and tests the
     locus-parameter derivatives of sum(m_i X_i) directly.
     """
+    if bound < 0:
+        raise UnsupportedShape(f"oracle bound must be >= 0, got {bound}")
     int_rows = []
     for row in _derivative_rows(list(v.X), v.locus_params):
         den = lcm(*(q.denominator for q in row))
@@ -262,8 +264,8 @@ class FromFlatResult:
     coordinates: tuple  # unknown names, in variety coordinate order
 
 
-def from_flat(fs: FlatSystem, base_params, cyclotomic_order: int = 1,
-              extra_coefficients=()) -> FromFlatResult:
+def from_flat(fs: FlatSystem, base_params,
+              cyclotomic_order: int = 1) -> FromFlatResult:
     """Present a flat system's solution set as a parametric variety.
 
     Supported fragment: polynomials split into (a) equations affine-linear in
@@ -275,7 +277,7 @@ def from_flat(fs: FlatSystem, base_params, cyclotomic_order: int = 1,
     """
     order = cyclotomic_order
     base = tuple(base_params)
-    coeff_syms = set(base) | set(extra_coefficients) | {ZETA}
+    coeff_syms = set(base) | {ZETA}
     paired = list(fs.xvars)
     if not paired:
         raise UnsupportedShape("system has no exponential part")
@@ -341,7 +343,7 @@ def from_flat(fs: FlatSystem, base_params, cyclotomic_order: int = 1,
     if len(unknowns) in pivots:
         raise Inconsistent("affine part of the system has no solution")
 
-    used = set(base) | set(unknowns) | yset | set(extra_coefficients)
+    used = set(base) | set(unknowns) | yset
     free_cols = [c for c in range(len(unknowns)) if c not in pivots]
     params = {}
     for c in free_cols:

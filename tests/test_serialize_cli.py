@@ -290,17 +290,34 @@ class TestCLI:
         ["sop1-verify", "-f", "{sop1}", "--branches", "ab"],
         ["sop1-verify", "-f", "{sop1}", "--branches", "000"],
         ["sop1-verify", "-f", "{sop1}", "--branches", "01,1"],
+        ["hull", "-F", "{F}", "-g", "(1)/(0)"],
+        ["indep", "-F", "{F}", "-B", "t1", "-A", "(t1)/(t1-t1)"],
+        ["indep", "-F", "{F}", "-A", "t1", "-B", "(t1)/(t1-t1)"],
+        ["indep", "-F", "{F}", "-A", "t1", "-B", "t1", "-C", "(t1)/(t1-t1)"],
+        ["zwitness", "-c", "(1)/(0)"],
+        ["zwitness", "-c", "1/2", "-d", "(1)/(0)"],
+        ["solve", "-f", "{V}", "--order", "0"],
+        ["type-family", "--assignments", '[{"1": "2"}]', "--order", "0"],
+        ["type-family", "--assignments", '[{"1": "2"}]', "--order", "-1"],
+        ["free-check", "-f", "{V}", "--oracle", "-1"],
     ])
     def test_malformed_argument_exits_1(self, capsys, tmp_path, argv):
-        """``{sop1}`` stands for a depth-2 SOP1 candidate file."""
-        path = tmp_path / "sop1.json"
-        path.write_text(json.dumps(SOP1_DEPTH_2))
-        argv = [str(path) if arg == "{sop1}" else arg for arg in argv]
+        """``{sop1}`` stands for a depth-2 SOP1 candidate file, ``{F}`` for
+        a presentation over t1 and ``{V}`` for a free variety.  When the
+        last option given is one of those listed below, the error names it."""
+        files = {"{sop1}": SOP1_DEPTH_2,
+                 "{F}": {"name": "F", "transcendentals": ["t1"], "egraph": []},
+                 "{V}": VARIETY}
+        for mark, doc in files.items():
+            (tmp_path / mark.strip("{}")).write_text(json.dumps(doc))
+        argv = [str(tmp_path / arg.strip("{}")) if arg in files else arg
+                for arg in argv]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(("schema error:", "error:"))
-        if "--branches" in argv:
-            assert err.startswith("schema error: --branches:")
+        if argv[-2] in ("--branches", "--order", "--oracle", "-g", "-A", "-B",
+                        "-C", "-c", "-d"):
+            assert err.startswith(f"schema error: {argv[-2]}:")
 
     def test_sop1_branches_of_the_depth_are_checked(self, capsys, tmp_path):
         path = tmp_path / "sop1.json"

@@ -530,10 +530,45 @@ def growing_pin():
     return f, [t1]
 
 
+def four_argument_pin(args, gens):
+    """E(args[i]) = v_i over t1..t4, with generators ``gens``; each
+    argument and generator is given by its coefficients of t1..t4."""
+    t = [S(f"t{i}") for i in range(1, 5)]
+
+    def lin(row):
+        return sum((coerce(c) * x for c, x in zip(row, t) if c),
+                   FieldElem.zero())
+
+    vals = [S(f"v{i}") for i in range(4)]
+    f = presentation("R", 1, tuple(map(str, t + vals)),
+                     list(zip(map(lin, args), vals)))
+    return f, [lin(row) for row in gens]
+
+
+def reversal_pin():
+    """The lattice basis here depends on reading the echelon form of the
+    residues with its columns reversed and back to front: with the columns
+    left in order, or the rows, the hull gains other generators.  No hull
+    of at most three arguments tells these apart."""
+    return four_argument_pin(
+        [(1, 2, -1, 3), (2, 0, 2, 0), (-1, 1, 2, 0), (0, 3, -1, 2)],
+        [(1, 2, 0, 0), (0, 0, 0, 1)])
+
+
+def plain_rref_pin():
+    """As ``reversal_pin``, and plain Gauss-Jordan on the residues, with no
+    reversal at all, gives other generators here too."""
+    return four_argument_pin(
+        [(-1, 1, 3, 0), (2, 0, 1, 0), (0, 0, 3, 2), (0, -1, 3, 0)],
+        [(0, 2, 0, -1), (-1, 2, 0, 1)])
+
+
 @settings(max_examples=120, deadline=None)
 @given(hull_cases())
 @example(growing_pin())
 @example((zeta_pin()[0], [zeta_pin()[1]]))
+@example(reversal_pin())
+@example(plain_rref_pin())
 def test_hull_matches_rebuild_oracle(case):
     f, elems = case
     same(hull(f, elems).generators, hull_rebuild_oracle(f, elems))
@@ -543,6 +578,16 @@ def test_growing_pin_grows_over_two_rounds():
     f, elems = growing_pin()
     assert [str(g) for g in hull(f, elems).generators] == \
         ["t1", "(t2)/(t1 + 1)", "t3"]
+
+
+def test_reversal_pins_print_their_generators():
+    f, elems = reversal_pin()
+    assert [str(g) for g in hull(f, elems).generators] == \
+        ["t1 + 2*t2", "t4", "(1)/(v0^2*v1^3*v3^4)", "(v2)/(v0*v1^6*v3^9)"]
+    f, elems = plain_rref_pin()
+    assert [str(g) for g in hull(f, elems).generators] == \
+        ["2*t2 - t4", "-t1 + 2*t2 + t4", "(v3^7)/(v0^5*v2^2)",
+         "(v1^3*v3^4)/(v2^5)"]
 
 
 @settings(max_examples=150, deadline=None)

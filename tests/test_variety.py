@@ -59,6 +59,14 @@ class TestAdditiveFreeness:
         assert cert.verdict == "not_free"
         assert cert.relation == (1,) and cert.value == S("t1") + 1
 
+    def test_oracle_rejects_a_negative_bound(self):
+        # a negative bound would count one coordinate up without end
+        v = _v((), ("_p1", "_p2", "_q1", "_q2"),
+               (S("_p1"), S("_p2")), (S("_q1"), S("_q2")), (True, True))
+        with pytest.raises(UnsupportedShape):
+            freeness_oracle(v, -1)
+        assert freeness_oracle(v, 0).is_free
+
     def test_oracle_agreement_randomized(self):
         rng = random.Random(7)
         for _ in range(40):
