@@ -188,8 +188,10 @@ class MPoly:
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> "MPoly":
-        return MPoly({((ZETA, power % order if order > 1 else 0),): Fraction(1)}, order) \
-            if order > 1 else MPoly.const(1)
+        k = power % order
+        if not k:  # zeta^0 is the monomial 1, not a zeta factor
+            return MPoly.const(1, order)
+        return MPoly({((ZETA, k),): Fraction(1)}, order)
 
     # -- basic queries -----------------------------------------------------
 

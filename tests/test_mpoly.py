@@ -36,6 +36,14 @@ def test_zeta_primitive_roots_nontrivial():
             assert z ** k != MPoly.const(1, m), (m, k)
 
 
+def test_zeta_power_multiple_of_order_is_one():
+    # zeta^m was once kept as a monomial "zeta^0" next to the constant 1
+    for m in (1, 3, 4, 6):
+        for k in (0, m, -m, 2 * m):
+            assert MPoly.zeta(m, k) == MPoly.const(1, m)
+            assert str(MPoly.zeta(m, k) + MPoly.const(1, m)) == "2"
+
+
 def test_order_mixing():
     a = MPoly.zeta(3)
     b = MPoly.zeta(4)
