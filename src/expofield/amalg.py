@@ -56,15 +56,15 @@ def acf_indep(a, b, c, amb_params) -> bool:
 
 class _IndepChecks:
     """Hulls, Jacobian rows and ranks shared by the independence checks
-    made inside one presentation.  A row is keyed by its generator's printed
-    text (printing round-trips, so equal text means equal value), and a rank,
-    which ignores row order and repeats, by its set of row keys."""
+    made inside one presentation.  A row is keyed by its generator's
+    ``key()``, equal exactly when the printed texts are, and a rank, which
+    ignores row order and repeats, by its set of row keys."""
 
     def __init__(self, f: EFieldPresentation):
         self.f = f
         self.params = list(f.transcendentals)
         self.hulls: dict = {}  # input key -> row keys of the hull generators
-        self.rows: dict = {}  # str(generator) -> Jacobian row
+        self.rows: dict = {}  # generator key() -> Jacobian row
         self.ranks: dict = {}  # frozenset of row keys -> rank
 
     def hull(self, key, elems) -> tuple:
@@ -72,7 +72,7 @@ class _IndepChecks:
         keys = self.hulls.get(key)
         if keys is None:
             gens = hull(self.f, elems).generators
-            keys = self.hulls[key] = tuple(str(g) for g in gens)
+            keys = self.hulls[key] = tuple(g.key() for g in gens)
             for k, g in zip(keys, gens):
                 if k not in self.rows:
                     self.rows[k] = [g.derivative(p) for p in self.params]
@@ -100,7 +100,7 @@ def indep(f: EFieldPresentation, a, b, c) -> bool:
     b = [coerce(x, order) for x in b]
     c = [coerce(x, order) for x in c]
     checks = _IndepChecks(f)
-    return checks.indep(*(checks.hull(tuple(str(x) for x in g), g)
+    return checks.indep(*(checks.hull(tuple(x.key() for x in g), g)
                           for g in (a + c, b + c, c)))
 
 

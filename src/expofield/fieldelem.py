@@ -23,7 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UnknownVariable
-from .mpoly import MPoly, ZETA, _ONE_TERMS, _join_order, is_valid_symbol
+from .mpoly import (MPoly, ZETA, _ONE_TERMS, _join_order, decode, encode,
+                    is_valid_symbol, monomial_gcd)
 
 
 class FieldElem:
@@ -53,9 +54,7 @@ class FieldElem:
         if mc_num:
             mc_den = den.monomial_content()
             if mc_den:
-                dn, dd = dict(mc_num), dict(mc_den)
-                common = tuple(sorted(
-                    (s, min(e, dd[s])) for s, e in dn.items() if s in dd))
+                common = monomial_gcd(mc_num, mc_den)
                 if common:
                     num = num.divide_monomial(common)
                     den = den.divide_monomial(common)
@@ -75,8 +74,8 @@ class FieldElem:
         if den.leading()[1] < 0:
             c = -c
         if c != 1:
-            num = num.scale(1 / c)
-            den = den.scale(1 / c)
+            num = num.divide_scalar(c)
+            den = den.divide_scalar(c)
         self.num = num
         self.den = den
 
@@ -124,6 +123,12 @@ class FieldElem:
 
     def symbols(self) -> set:
         return (self.num.symbols() | self.den.symbols()) - {ZETA}
+
+    def key(self) -> tuple:
+        """Hashable, and equal for two elements exactly when their
+        numerators and denominators have equal terms, so equal keys mean
+        equal printed text."""
+        return (self.num.key(), self.den.key())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -258,11 +263,11 @@ def _poly_subs(poly: MPoly, mapping: dict) -> FieldElem:
     out = FieldElem.zero(poly.order)
     for mono, c in poly.terms.items():
         term = coerce(c, poly.order)
-        for sym, e in mono:
+        for sym, e in decode(mono):
             if sym in mapping:
                 term = term * (coerce(mapping[sym], poly.order) ** e)
             else:
-                term = term * FieldElem(MPoly({((sym, e),): Fraction(1)},
+                term = term * FieldElem(MPoly({encode(((sym, e),)): 1},
                                               poly.order, _reduce=False))
         out = out + term
     return out

@@ -2,9 +2,10 @@
 bases, and rank over the rational-function field.
 
 Matrices are plain lists of lists.  ``_rref`` is Gauss-Jordan over any field
-whose elements support ``bool``, ``+``, ``-``, ``*`` and ``/``; the rational
-routines feed it Fraction entries.  The function-field rank is one exact
-forward elimination by division over FieldElem entries.
+whose elements support ``bool``, ``+``, ``-``, ``*`` and ``/``, and over Q
+with int and Fraction entries, which it keeps exact: no entry is ever a
+float.  The function-field rank is one exact forward elimination by
+division over FieldElem entries.
 
 Gauss-Jordan does no arithmetic by zero or one: a row update touches only
 the columns where the pivot row is nonzero, and a pivot row that is 1 at its
@@ -14,7 +15,7 @@ not the rows or pivots; the dense loop lives on as a test oracle.
 Field elements enter linear algebra over one common denominator D, the
 product of their distinct denominators: ``coordinate_matrix`` lays the
 cleared numerators out as a dense matrix, and ``SpanBasis`` keeps their
-span as a sparse semi-echelon basis (rows of monomial -> Fraction dicts,
+span as a sparse semi-echelon basis (rows of monomial -> rational dicts,
 each 1 at a pivot that no later row has) and reduces one element at a time
 against it.  Only this module knows D: ``SpanBasis`` takes field elements,
 clears them itself, and rebuilds over a larger D when an element needs it.
@@ -29,7 +30,7 @@ from functools import reduce
 from math import lcm
 
 from .errors import DimensionMismatch
-from .mpoly import _grlex_key, _join_order
+from .mpoly import _join_order, sorted_monomials
 
 
 def _check_rect(rows) -> int:
@@ -46,10 +47,15 @@ def _fraction(x) -> Fraction:
     return x if x.__class__ is Fraction else Fraction(x)
 
 
+def _inverse(x):
+    """1 / x, exact for an int x too, where ``1 / x`` would be a float."""
+    return Fraction(1, x) if x.__class__ is int else 1 / x
+
+
 def _rref(rows):
     """Reduced row echelon form over the entries' field; returns
-    (rref_rows, pivot_cols).  Entries must be field elements (Fraction or
-    FieldElem), not ints, so that ``1 / pivot`` stays exact.
+    (rref_rows, pivot_cols).  Entries are ints, Fractions or FieldElems;
+    a pivot is inverted exactly, as a Fraction for an int.
 
     The pivots are the greedy independent columns, leftmost first: column j
     is a pivot exactly when it is not in the span of the columns before it.
@@ -70,7 +76,7 @@ def _rref(rows):
         # entries left of c are zero in every row from r on
         nz = [j for j in range(c, ncols) if row[j]]
         if row[c] != 1:
-            inv = 1 / row[c]
+            inv = _inverse(row[c])
             for j in nz:
                 row[j] = row[j] * inv
         for i in range(len(m)):
@@ -126,12 +132,11 @@ def integer_kernel_basis(rows):
     ncols = _check_rect(rows)
     if ncols == 0:
         return []
-    # clear denominators row by row, in integers
+    # clear denominators row by row, in integers (an int is its own numerator)
     m = []
     for row in rows:
-        fr = [_fraction(x) for x in row]
-        den = lcm(*(x.denominator for x in fr))
-        m.append([x.numerator * (den // x.denominator) for x in fr])
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
     u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     pivot_cols: set[int] = set()
 
@@ -230,17 +235,8 @@ def coordinate_matrix(elems):
     reduce(_join_order, (e.order for e in elems))  # mixed orders raise
     dens = denominators(elems)
     cleared = [_clear(e, dens) for e in elems]
-    support = []
-    seen = set()
-    for p in cleared:
-        for mono in p.terms:
-            if mono not in seen:
-                seen.add(mono)
-                support.append(mono)
-    syms = sorted({s for mono in support for s, _ in mono})
-    support.sort(key=lambda m: _grlex_key(m, syms))
-    zero = Fraction(0)
-    return [[p.terms.get(mono, zero) for p in cleared] for mono in support]
+    support = sorted_monomials({mono for p in cleared for mono in p.terms})
+    return [[p.terms.get(mono, 0) for p in cleared] for mono in support]
 
 
 class SpanBasis:
@@ -249,9 +245,9 @@ class SpanBasis:
     This is the one place that decides how an element is cleared: by one
     common denominator D, the product of the distinct denominators
     ``dens``, into the coefficient map of a polynomial, a dict from
-    monomial to a nonzero Fraction.  Multiplying by D is injective and
-    Q-linear, so which elements are independent, their coordinates and the
-    relations among them do not depend on D.  A row is such a map scaled to
+    monomial to a nonzero rational, an int or a Fraction.  Multiplying by
+    D is injective and Q-linear, so which elements are independent, their
+    coordinates and the relations among them do not depend on D.  A row is such a map scaled to
     1 at its pivot monomial, which no later row has.  An element is reduced
     against the rows in insertion order, so its residue has no pivot
     monomial, and it lies in the span exactly when the residue is empty;
@@ -331,7 +327,7 @@ class SpanBasis:
         if not v:
             return False
         pivot = next(iter(v))
-        inv = 1 / v[pivot]
+        inv = _inverse(v[pivot])
         if inv != 1:
             v = {mono: x * inv for mono, x in v.items()}
         row_coords = None
@@ -343,8 +339,8 @@ class SpanBasis:
         return True
 
     def coordinates(self, e):
-        """Coordinates of e in the offered elements, as Fractions, or None
-        when it lies outside their span.  Needs ``track``."""
+        """Coordinates of e in the offered elements, as ints and Fractions,
+        or None when it lies outside their span.  Needs ``track``."""
         v, coords = self.covering([e])._reduce(e)
         if v:
             return None

@@ -1,36 +1,138 @@
 """Sparse exact multivariate polynomials over Q with one cyclotomic layer.
 
-A polynomial is a map from monomials to Fraction coefficients.  Monomials are
-sorted tuples of (symbol, exponent) pairs.  The reserved symbol ``zeta``
-denotes a primitive m-th root of unity: its exponent is kept reduced modulo
-the m-th cyclotomic polynomial, where m is the ``order`` carried by the
-polynomial (order 1 means plain rationals).  Term order is graded lex over
-the alphabetically sorted occurring symbols.
+A polynomial is a dict from monomials to nonzero coefficients.
+
+Monomials are packed ints (Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Symbol i
+of one process-wide symbol table owns bits ``i * FIELD_BITS`` up to
+``(i + 1) * FIELD_BITS`` of every monomial: the low ``FIELD_BITS - 1`` bits
+hold its exponent, and the top bit is a guard bit that a valid monomial
+keeps clear.  The table only grows, a symbol is interned the first time a
+polynomial uses it, and ``zeta`` is symbol 0, so a field never changes its
+meaning.  Multiplying monomials adds their ints and dividing subtracts them;
+b is divisible by a exactly when subtracting a from b with every guard bit
+set leaves every guard bit set.  ``decode`` and ``encode`` convert to and
+from sorted (symbol, exponent) pairs.
+
+The width is a limit: an exponent above ``MAX_EXPONENT`` = 2^31 - 1 would
+carry into the next symbol's field.  A product that passes it sets a guard
+bit, and it, ``encode`` and ``rename`` raise ``UnsupportedShape`` instead of
+wrapping, which the CLI reports with exit code 2.
+
+A coefficient is an ``int`` when it is integral and a ``Fraction`` only
+otherwise, so integer arithmetic never builds a Fraction, and ``==``,
+``hash``, ``.numerator`` and ``.denominator`` read the same either way.
+
+The reserved symbol ``zeta`` denotes a primitive m-th root of unity: its
+exponent is kept reduced modulo the m-th cyclotomic polynomial, where m is
+the ``order`` carried by the polynomial (order 1 means plain rationals).
+
+Orders.  The order of the packed ints is lex with the latest interned
+symbol first, so it depends on the order in which symbols were first seen;
+only ``exact_divide`` uses it, because an exact quotient, and whether there
+is one, does not depend on the monomial order.  Everything a reader can see
+keeps graded-lex order over the alphabetically sorted occurring symbols, by
+decoding: printing, ``leading()``, which fixes the sign of every FieldElem
+denominator, and ``sorted_monomials``, the row order of
+``linalg.coordinate_matrix``.  Every terms dict is built in a fixed order
+from its operands' dicts, and a quotient lists its terms in descending
+graded-lex order, because FieldElem normal forms are not canonical: the
+order of additions can show in a result.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 
-from .errors import CyclotomicOrderMismatch, UnknownVariable
+from .errors import CyclotomicOrderMismatch, UnknownVariable, UnsupportedShape
 
 ZETA = "zeta"
 
 _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-Monomial = tuple  # tuple[tuple[str, int], ...], sorted by symbol
+FIELD_BITS = 32
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_GUARD = 1 << (FIELD_BITS - 1)
+_ZETA_SPAN = 1 << FIELD_BITS  # monomials below it are powers of zeta
 
-_ONE_MONO: Monomial = ()
-# the terms of the constant 1; its coefficient is the one Fraction(1) that
-# ``const`` and ``var`` share, so comparing unit coefficients stops at identity
-_ONE = Fraction(1)
-_ONE_TERMS = {_ONE_MONO: _ONE}
+_SYMBOLS = [ZETA]  # field i holds the exponent of _SYMBOLS[i]
+_INDEX = {ZETA: 0}
+_GUARDS = _GUARD  # the guard bit of every interned field
+
+# the terms of the constant 1
+_ONE_TERMS = {0: 1}
 
 
 def is_valid_symbol(name: str) -> bool:
     return bool(_SYMBOL_RE.match(name))
+
+
+def _field(name: str) -> int:
+    """Bit offset of a symbol's field, interning the symbol on first use."""
+    i = _INDEX.get(name)
+    if i is None:
+        global _GUARDS
+        i = _INDEX[name] = len(_SYMBOLS)
+        _SYMBOLS.append(name)
+        _GUARDS |= _GUARD << (i * FIELD_BITS)
+    return i * FIELD_BITS
+
+
+def _too_large():
+    return UnsupportedShape(f"an exponent exceeds the limit {MAX_EXPONENT}")
+
+
+def encode(pairs) -> int:
+    """The monomial of (symbol, exponent) pairs; exponents of a repeated
+    symbol add up."""
+    mono = 0
+    for sym, e in pairs:
+        if e > MAX_EXPONENT:
+            raise _too_large()
+        mono += e << _field(sym)
+    if mono & _GUARDS:
+        raise _too_large()
+    return mono
+
+
+def decode(mono: int) -> tuple:
+    """The (symbol, exponent) pairs of a monomial, sorted by symbol."""
+    out = []
+    i = 0
+    while mono:
+        e = mono & MAX_EXPONENT
+        if e:
+            out.append((_SYMBOLS[i], e))
+        mono >>= FIELD_BITS
+        i += 1
+    out.sort()
+    return tuple(out)
+
+
+def monomial_gcd(a: int, b: int) -> int:
+    """The largest monomial dividing both: the smaller exponent per field."""
+    b_le_a = ((a | _GUARDS) - b) & _GUARDS  # guard bits of fields with a >= b
+    take_b = b_le_a - (b_le_a >> (FIELD_BITS - 1))  # their exponent bits
+    return (b & take_b) | (a & ~take_b)
+
+
+def _grlex_descending(mono: int) -> tuple:
+    """Sort key of descending graded-lex order over alphabetically sorted
+    symbols: higher total degree first, then the larger exponent of the
+    first symbol where two monomials differ, where a symbol one of them
+    lacks counts as exponent 0."""
+    pairs = decode(mono)
+    return (-sum(e for _, e in pairs), tuple((s, -e) for s, e in pairs))
+
+
+def sorted_monomials(monos, reverse: bool = False) -> list:
+    """Distinct monomials in ascending graded-lex order over the
+    alphabetically sorted symbols; descending with ``reverse``."""
+    return sorted(monos, key=_grlex_descending, reverse=not reverse)
 
 
 def euler_phi(m: int) -> int:
@@ -84,64 +186,54 @@ def cyclotomic_polynomial(m: int) -> list[int]:
     return poly
 
 
-_ZETA_POWERS: dict[int, list[tuple[Fraction, ...]]] = {}
+_ZETA_POWERS: dict[int, list[tuple[int, ...]]] = {}
 
 
-def _zeta_power(m: int, k: int) -> tuple[Fraction, ...]:
-    """zeta_m^k reduced mod Phi_m, as a coefficient vector of length phi(m)."""
+def _zeta_power(m: int, k: int) -> tuple[int, ...]:
+    """zeta_m^k reduced mod Phi_m, as an integer coefficient vector of
+    length phi(m) (Phi_m is monic)."""
     phi = euler_phi(m)
     table = _ZETA_POWERS.setdefault(m, [])
     if not table:
         for j in range(phi):
-            vec = [Fraction(0)] * phi
-            vec[j] = Fraction(1)
+            vec = [0] * phi
+            vec[j] = 1
             table.append(tuple(vec))
     while len(table) <= k:
         # multiply the last entry by zeta and reduce the overflow at degree phi
         prev = table[-1]
-        shifted = [Fraction(0)] + list(prev[:-1])
+        shifted = [0] + list(prev[:-1])
         top = prev[-1]
         if top:
             cyc = cyclotomic_polynomial(m)
-            lead = cyc[phi]
             for i in range(phi):
-                shifted[i] -= top * Fraction(cyc[i], lead)
+                shifted[i] -= top * cyc[i]
         table.append(tuple(shifted))
     return table[k]
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for sym, e in b:
-        d[sym] = d.get(sym, 0) + e
-    return tuple(sorted(d.items()))
+def _coeff(value):
+    """A rational as a coefficient: an int when integral, else a Fraction."""
+    if value.__class__ is int:
+        return value
+    c = value if value.__class__ is Fraction else Fraction(value)
+    return c.numerator if c.denominator == 1 else c
 
 
-def _mono_total_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
+def _integral(terms: dict) -> dict:
+    """``terms`` with every integral Fraction coefficient made an int."""
+    for mono, c in terms.items():
+        if c.__class__ is Fraction and c.denominator == 1:
+            terms[mono] = c.numerator
+    return terms
 
 
-def _grlex_key(mono: Monomial, symbols: list[str]) -> tuple:
-    exps = dict(mono)
-    return (_mono_total_degree(mono), tuple(exps.get(s, 0) for s in symbols))
-
-
-def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    db = dict(b)
-    return all(db.get(sym, 0) >= e for sym, e in a)
-
-
-def _mono_div(b: Monomial, a: Monomial) -> Monomial:
-    d = dict(b)
-    for sym, e in a:
-        d[sym] -= e
-        if d[sym] == 0:
-            del d[sym]
-    return tuple(sorted(d.items()))
+def _quotient(a, b):
+    """The coefficient a / b, exact for ints too."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return q if not r else Fraction(a, b)
+    return _coeff(a / b)
 
 
 def _join_order(a: int, b: int) -> int:
@@ -175,23 +267,23 @@ class MPoly:
 
     @staticmethod
     def const(value, order: int = 1) -> "MPoly":
-        c = _ONE if value == 1 else Fraction(value)
+        c = _coeff(value)
         if not c:
             return MPoly.zero(order)
-        return MPoly({_ONE_MONO: c}, order, _reduce=False)
+        return MPoly({0: c}, order, _reduce=False)
 
     @staticmethod
     def var(name: str, order: int = 1) -> "MPoly":
         if not is_valid_symbol(name):
             raise UnknownVariable(f"bad symbol name {name!r}")
-        return MPoly({((name, 1),): _ONE}, order, _reduce=(name == ZETA))
+        return MPoly({1 << _field(name): 1}, order, _reduce=(name == ZETA))
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> "MPoly":
         k = power % order
         if not k:  # zeta^0 is the monomial 1, not a zeta factor
             return MPoly.const(1, order)
-        return MPoly({((ZETA, k),): Fraction(1)}, order)
+        return MPoly({k: 1}, order)
 
     # -- basic queries -----------------------------------------------------
 
@@ -200,70 +292,67 @@ class MPoly:
 
     def is_constant(self) -> bool:
         """True when no symbol other than zeta occurs."""
-        return all(all(s == ZETA for s, _ in mono) for mono in self.terms)
+        return not self.terms or max(self.terms) < _ZETA_SPAN
 
     def is_rational(self) -> bool:
-        return all(not mono for mono in self.terms)
+        return not any(self.terms)
 
     def as_fraction(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"not a rational constant: {self}")
-        return self.terms[_ONE_MONO]
+        return Fraction(self.terms[0])
 
     def symbols(self) -> set:
-        out = set()
-        for mono in self.terms:
-            for sym, _ in mono:
-                out.add(sym)
-        return out
+        # a field of the OR of all monomials is nonzero where a term has it
+        return {s for s, _ in decode(reduce(or_, self.terms, 0))}
 
     def degree_in(self, sym: str) -> int:
-        deg = 0
-        for mono in self.terms:
-            for s, e in mono:
-                if s == sym and e > deg:
-                    deg = e
-        return deg
+        if sym not in _INDEX or not self.terms:
+            return 0
+        shift = _field(sym)
+        return max((m >> shift) & MAX_EXPONENT for m in self.terms)
+
+    def key(self) -> frozenset:
+        """Hashable, and equal for two polynomials exactly when their terms
+        are: equal keys mean equal printed text."""
+        return frozenset(self.terms.items())
 
     def sorted_terms(self) -> list:
         """Terms in descending graded-lex order (deterministic)."""
-        syms = sorted(self.symbols())
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0], syms),
-                      reverse=True)
+        return [(m, self.terms[m])
+                for m in sorted_monomials(self.terms, reverse=True)]
 
     def leading(self) -> tuple:
         """(monomial, coefficient) of the graded-lex leading term."""
-        if not self.terms:
-            return (_ONE_MONO, Fraction(0))
-        return self.sorted_terms()[0]
+        if len(self.terms) < 2:
+            return next(iter(self.terms.items()), (0, 0))
+        mono = min(self.terms, key=_grlex_descending)
+        return (mono, self.terms[mono])
 
-    def content(self) -> Fraction:
-        """Positive rational with terms/content having integer, gcd-1 coefficients."""
+    def content(self):
+        """Positive rational with terms/content having integer, gcd-1
+        coefficients; an int when every coefficient is one."""
         if not self.terms:
-            return Fraction(1)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+            return 1
+        coeffs = self.terms.values()
+        try:
+            return gcd(*coeffs)
+        except TypeError:  # a Fraction among them
+            pass
+        return Fraction(gcd(*(c.numerator for c in coeffs)),
+                        lcm(*(c.denominator for c in coeffs)))
 
-    def monomial_content(self) -> Monomial:
+    def monomial_content(self) -> int:
         """Largest monomial dividing every term."""
-        if not self.terms:
-            return _ONE_MONO
-        common: dict | None = None
-        for mono in self.terms:
-            d = dict(mono)
-            if common is None:
-                common = d
-            else:
-                common = {s: min(e, d[s]) for s, e in common.items() if s in d}
+        monos = iter(self.terms)
+        common = next(monos, 0)
+        for mono in monos:
             if not common:
-                return _ONE_MONO
-        return tuple(sorted(common.items()))
+                break
+            common = monomial_gcd(common, mono)
+        return common
 
     # -- arithmetic --------------------------------------------------------
 
@@ -281,10 +370,12 @@ class MPoly:
                 out[mono] = c
             else:
                 s = s + c
-                if s:
+                if not s:
+                    del out[mono]
+                elif s.__class__ is int or s.denominator != 1:
                     out[mono] = s
                 else:
-                    del out[mono]
+                    out[mono] = s.numerator
         return MPoly(out, order, _reduce=False)
 
     def __radd__(self, other) -> "MPoly":
@@ -307,25 +398,34 @@ class MPoly:
         for a, b in ((self, other), (other, self)):
             if b.terms == _ONE_TERMS:  # a times 1: a is reduced already
                 return a if a.order == order else MPoly(a.terms, order, _reduce=False)
-        out: dict = {}
         small, big = (self.terms, other.terms)
         if len(small) > len(big):
             small, big = big, small
-        for m1, c1 in small.items():
-            for m2, c2 in big.items():
-                mono = _mono_mul(m1, m2)
-                c = c1 * c2
-                s = out.get(mono)
-                if s is None:
-                    out[mono] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[mono] = s
+        if len(small) == 1:
+            # one term: distinct monomials stay distinct, nothing merges
+            (m1, c1), = small.items()
+            out = {m1 + m2: c1 * c2 for m2, c2 in big.items()}
+        else:
+            out = {}
+            for m1, c1 in small.items():
+                for m2, c2 in big.items():
+                    mono = m1 + m2
+                    c = c1 * c2
+                    s = out.get(mono)
+                    if s is None:
+                        out[mono] = c
                     else:
-                        del out[mono]
+                        s = s + c
+                        if s:
+                            out[mono] = s
+                        else:
+                            del out[mono]
+        if reduce(or_, out, 0) & _GUARDS:
+            raise _too_large()
+        _integral(out)
         # the loop drops zero coefficients, and only zeta needs reducing
-        return MPoly(out, order, _reduce=order > 1)
+        return MPoly(_reduce_zeta(out, order) if order > 1 else out, order,
+                     _reduce=False)
 
     def __rmul__(self, other) -> "MPoly":
         return self.__mul__(other)
@@ -343,60 +443,53 @@ class MPoly:
         return result
 
     def scale(self, c) -> "MPoly":
-        c = Fraction(c)
-        if c == 0:
+        """self times the rational c."""
+        c = _coeff(c)
+        if not c:
             return MPoly.zero(self.order)
-        return MPoly({m: k * c for m, k in self.terms.items()}, self.order, _reduce=False)
+        return MPoly(_integral({m: k * c for m, k in self.terms.items()}),
+                     self.order, _reduce=False)
+
+    def divide_scalar(self, c) -> "MPoly":
+        """self divided by the nonzero rational c."""
+        c = _coeff(c)
+        return MPoly({m: _quotient(k, c) for m, k in self.terms.items()},
+                     self.order, _reduce=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
             other = _coerce(other, self.order)
         return self.terms == other.terms
 
-    __hash__ = None  # mutable-dict backed; compare by value only
+    __hash__ = None  # mutable-dict backed; compare by value only, or by key()
 
     # -- structural operations ---------------------------------------------
 
     def derivative(self, sym: str) -> "MPoly":
         if sym == ZETA or not is_valid_symbol(sym):
             raise UnknownVariable(f"cannot differentiate by {sym!r}")
-        out: dict = {}
+        if sym not in _INDEX:
+            return MPoly.zero(self.order)
+        shift = _field(sym)
+        unit = 1 << shift
+        # distinct monomials stay distinct, nothing merges
+        out = {}
         for mono, c in self.terms.items():
-            d = dict(mono)
-            e = d.get(sym, 0)
-            if e == 0:
-                continue
-            if e == 1:
-                del d[sym]
-            else:
-                d[sym] = e - 1
-            key = tuple(sorted(d.items()))
-            s = out.get(key)
-            cc = c * e
-            if s is None:
-                out[key] = cc
-            else:
-                s = s + cc
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return MPoly(out, self.order, _reduce=False)
+            e = (mono >> shift) & MAX_EXPONENT
+            if e:
+                out[mono - unit] = c * e
+        return MPoly(_integral(out), self.order, _reduce=False)
 
     def rename(self, mapping: dict) -> "MPoly":
         """Substitute symbols by symbols."""
         out: dict = {}
         for mono, c in self.terms.items():
-            d: dict = {}
-            for sym, e in mono:
-                t = mapping.get(sym, sym)
-                d[t] = d.get(t, 0) + e
-            key = tuple(sorted(d.items()))
-            out[key] = out.get(key, Fraction(0)) + c
+            key = encode((mapping.get(s, s), e) for s, e in decode(mono))
+            out[key] = out.get(key, 0) + c
         return MPoly({m: c for m, c in out.items() if c}, self.order)
 
-    def divide_monomial(self, mono: Monomial) -> "MPoly":
-        return MPoly({_mono_div(m, mono): c for m, c in self.terms.items()},
+    def divide_monomial(self, mono: int) -> "MPoly":
+        return MPoly({m - mono: c for m, c in self.terms.items()},
                      self.order, _reduce=False)
 
     def exact_divide(self, den: "MPoly"):
@@ -404,40 +497,43 @@ class MPoly:
 
         Not attempted when den carries zeta with a non-unit part (divisibility
         of reduced representatives differs from divisibility in the quotient).
+        Long division in the packed int order; the quotient lists its terms
+        in descending graded-lex order.
         """
         if den.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         order = _join_order(self.order, den.order)
         if self.is_zero():
             return MPoly.zero(order)
+        if den.is_rational():
+            return MPoly(self.divide_scalar(den.terms[0]).terms, order,
+                         _reduce=False)
         if den.is_constant():
-            inv = _constant_inverse(den)
-            if inv is None:
-                return None
-            return self * inv
-        if order > 1 and (ZETA in den.symbols()):
+            return self * _constant_inverse(den)
+        if order > 1 and ZETA in den.symbols():
             return None
-        syms = sorted(self.symbols() | den.symbols())
-        # the grlex-largest term of den is the divisor head
-        lead_mono, lead_coeff = max(
-            den.terms.items(), key=lambda kv: _grlex_key(kv[0], syms))
+        guards = _GUARDS
+        lead_mono = max(den.terms)
+        lead_coeff = den.terms[lead_mono]
         rem = dict(self.terms)
         quot: dict = {}
         while rem:
-            mono = max(rem, key=lambda m: _grlex_key(m, syms))
-            if not _mono_divides(lead_mono, mono):
+            mono = max(rem)
+            # an exact quotient keeps every remainder exponent within self's
+            if mono & guards or ((mono | guards) - lead_mono) & guards != guards:
                 return None
-            qm = _mono_div(mono, lead_mono)
-            qc = rem[mono] / lead_coeff
-            quot[qm] = quot.get(qm, Fraction(0)) + qc
+            qm = mono - lead_mono
+            qc = quot[qm] = _quotient(rem[mono], lead_coeff)
             for dm, dc in den.terms.items():
-                key = _mono_mul(dm, qm)
-                s = rem.get(key, Fraction(0)) - dc * qc
+                key = dm + qm
+                s = rem.get(key, 0) - dc * qc
                 if s:
                     rem[key] = s
                 else:
                     rem.pop(key, None)
-        return MPoly({m: c for m, c in quot.items() if c}, order, _reduce=False)
+        if len(quot) > 1:
+            quot = {m: quot[m] for m in sorted_monomials(quot, reverse=True)}
+        return MPoly(quot, order, _reduce=False)
 
     # -- printing ----------------------------------------------------------
 
@@ -447,7 +543,7 @@ class MPoly:
         parts = []
         for mono, coeff in self.sorted_terms():
             factors = []
-            for sym, e in mono:
+            for sym, e in decode(mono):
                 factors.append(sym if e == 1 else f"{sym}^{e}")
             mag = abs(coeff)
             if not factors:
@@ -466,7 +562,7 @@ class MPoly:
         return f"MPoly({self}, order={self.order})"
 
 
-def _frac_str(f: Fraction) -> str:
+def _frac_str(f) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
@@ -477,45 +573,54 @@ def _coerce(value, order: int) -> MPoly:
 
 
 def _reduce_terms(terms: dict, order: int) -> dict:
-    """Drop zero coefficients and reduce zeta exponents mod Phi_order."""
+    """Drop zero coefficients, make coefficients canonical and reduce zeta
+    exponents mod Phi_order."""
     phi = euler_phi(order) if order > 1 else 1
     out: dict = {}
     for mono, c in terms.items():
         if not c:
             continue
-        ze = dict(mono).get(ZETA, 0)
+        ze = mono & MAX_EXPONENT
         if order == 1 and ze:
             raise CyclotomicOrderMismatch("zeta used with cyclotomic order 1")
-        if ze < phi or order == 1:
-            out[mono] = out.get(mono, Fraction(0)) + c
-            if not out[mono]:
+        if ze < phi:
+            s = out.get(mono, 0) + c
+            if s:
+                out[mono] = s
+            else:
                 del out[mono]
             continue
-        rest = tuple((s, e) for s, e in mono if s != ZETA)
+        rest = mono - ze
         for j, comp in enumerate(_zeta_power(order, ze)):
             if not comp:
                 continue
-            key = _mono_mul(rest, ((ZETA, j),) if j else ())
-            s = out.get(key, Fraction(0)) + c * comp
+            key = rest + j
+            s = out.get(key, 0) + c * comp
             if s:
                 out[key] = s
             else:
                 out.pop(key, None)
+    for mono, c in out.items():
+        out[mono] = _coeff(c)
     return out
 
 
-def _constant_inverse(const: MPoly):
-    """Inverse of a zeta-only constant polynomial, or None when zero."""
-    if const.is_zero():
-        return None
-    if const.is_rational():
-        return MPoly.const(1 / const.as_fraction(), const.order)
+def _reduce_zeta(terms: dict, order: int) -> dict:
+    """``terms``, nonzero and canonical, with zeta reduced mod Phi_order."""
+    phi = euler_phi(order)
+    if all(m & MAX_EXPONENT < phi for m in terms):
+        return terms
+    return _reduce_terms(terms, order)
+
+
+def _constant_inverse(const: MPoly) -> MPoly:
+    """Inverse of a nonzero polynomial in zeta alone."""
     # extended Euclid in Q[x] against Phi_m
     m = const.order
     phi = euler_phi(m)
     a = [Fraction(0)] * phi
     for mono, c in const.terms.items():
-        a[dict(mono).get(ZETA, 0)] = c
+        a[mono] = Fraction(c)
     mod = [Fraction(c) for c in cyclotomic_polynomial(m)]
     r0, r1 = mod, a
     s0, s1 = [Fraction(0)], [Fraction(1)]
@@ -541,8 +646,4 @@ def _constant_inverse(const: MPoly):
         r0, r1, s0, s1 = r1, r0, s1, s0
     # r1 is a nonzero rational (Phi_m irreducible over Q); s1 * a = r1 mod Phi
     unit = r1[0]
-    inv_terms = {}
-    for i, c in enumerate(s1):
-        if c:
-            inv_terms[((ZETA, i),) if i else ()] = c / unit
-    return MPoly(inv_terms, m)
+    return MPoly({i: c / unit for i, c in enumerate(s1) if c}, m)

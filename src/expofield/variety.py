@@ -18,7 +18,7 @@ from .exprlang import FlatSystem, fresh_name
 from .fieldelem import (FieldElem, coerce, eliminate_symbols, int_combination,
                         power_product)
 from .linalg import _rref, coordinate_matrix, integer_kernel_basis
-from .mpoly import MPoly, ZETA
+from .mpoly import MPoly, ZETA, decode, encode
 
 
 @dataclass(frozen=True)
@@ -293,14 +293,14 @@ def from_flat(fs: FlatSystem, base_params,
         cmap: dict = {}
         const = MPoly.zero(order)
         for mono, c in p.terms.items():
-            d = dict(mono)
+            d = dict(decode(mono))
             touched = [s for s in d if s in unknowns]
             deg = sum(d[s] for s in touched)
             if deg == 0:
                 const = const + MPoly({mono: c}, order)
             elif deg == 1:
                 s = touched[0]
-                rest = tuple(sorted((t, e) for t, e in mono if t != s))
+                rest = encode((t, e) for t, e in d.items() if t != s)
                 cmap.setdefault(s, MPoly.zero(order))
                 cmap[s] = cmap[s] + MPoly({rest: c}, order)
             else:
@@ -323,9 +323,10 @@ def from_flat(fs: FlatSystem, base_params,
             coeff = MPoly.zero(order)
             rest = MPoly.zero(order)
             for mono, c in p.terms.items():
-                if y in dict(mono):
-                    coeff = coeff + MPoly({tuple(sorted(
-                        (s, e) for s, e in mono if s != y)): c}, order)
+                pairs = decode(mono)
+                if y in dict(pairs):
+                    coeff = coeff + MPoly({encode(
+                        (s, e) for s, e in pairs if s != y): c}, order)
                 else:
                     rest = rest + MPoly({mono: c}, order)
             if coeff.symbols() & set(unknowns):

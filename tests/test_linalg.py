@@ -130,3 +130,49 @@ def test_rational_span_solve():
     assert rational_span_solve([t1], t2) is None
     assert rational_span_solve([], FieldElem.zero()) == []
     assert rational_span_solve([], t1) is None
+
+
+def _exact(x) -> bool:
+    return x.__class__ is int or x.__class__ is Fraction
+
+
+small_ints = st.integers(-3, 3)
+
+
+@st.composite
+def integral_elems(draw):
+    """Quotients of polynomials in t1, t2 with int coefficients."""
+    t1, t2 = S("t1"), S("t2")
+
+    def poly():
+        out = FieldElem.from_int(draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(0, 2))):
+            out = out + draw(small_ints) * t1 ** draw(st.integers(0, 2)) \
+                * t2 ** draw(st.integers(0, 1))
+        return out
+
+    num, den = poly(), poly()
+    return num / den if den else num
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(integral_elems(), min_size=1, max_size=4),
+       st.lists(small_ints, min_size=4, max_size=4), st.integers(1, 4))
+def test_int_coefficients_never_become_floats(elems, zs, k):
+    """Integral coefficients are ints, and 1 / int is a float: every pivot
+    inversion and every coordinate stays an int or a Fraction."""
+    from expofield import e_eval, presentation
+    from expofield.linalg import SpanBasis, _rref
+    rows, _ = _rref(coordinate_matrix(elems))
+    assert all(_exact(x) for row in rows for x in row)
+    target = sum((z * e for z, e in zip(zs, elems)), FieldElem.zero()) / k
+    coords = SpanBasis(elems, track=True).coordinates(target)
+    assert coords is not None and all(_exact(q) for q in coords)
+    t1, t2 = S("t1"), S("t2")
+    f = presentation("F", transcendentals=("t1", "t2"),
+                     egraph=[(t1, FieldElem.from_int(2)), (t1 * t2 + 1, t2),
+                             (t2 ** 2, t1 + 3)])
+    res = e_eval(f, (zs[0] * t1 + zs[1] * (t1 * t2 + 1) + zs[2] * t2 ** 2) / k)
+    assert all(_exact(q) for q in f.arg_basis.coordinates(
+        (zs[0] * t1 + zs[1] * (t1 * t2 + 1)) / k))
+    assert all(d.__class__ is int and d >= 2 for _, d in res.root_specs)

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expofield.mpoly import (MPoly, cyclotomic_polynomial, euler_phi)
-from expofield.errors import CyclotomicOrderMismatch
+from expofield.mpoly import (FIELD_BITS, MAX_EXPONENT, MPoly,
+                             cyclotomic_polynomial, decode, encode, euler_phi)
+from expofield.errors import CyclotomicOrderMismatch, UnsupportedShape
 
 
 def test_cyclotomic_polynomials():
@@ -75,7 +76,28 @@ def test_content_and_monomial_content():
     x, y = MPoly.var("x"), MPoly.var("y")
     p = (x * y).scale(4) + (x * x * y).scale(6)
     assert p.content() == 2
-    assert p.monomial_content() == (("x", 1), ("y", 1))
+    assert decode(p.monomial_content()) == (("x", 1), ("y", 1))
+
+
+def test_exponent_limit_raises_and_never_wraps():
+    # fresh symbols, so y's field lies above x's and y leads in packed order
+    x, y = MPoly.var("limit_x"), MPoly.var("limit_y")
+    top = x ** MAX_EXPONENT * y
+    assert decode(next(iter(top.terms))) == (("limit_x", MAX_EXPONENT),
+                                             ("limit_y", 1))
+    assert top.degree_in("limit_x") == MAX_EXPONENT
+    assert top.degree_in("limit_y") == 1
+    assert (top * y).exact_divide(y * y) == x ** MAX_EXPONENT
+    for make in (lambda: top * x,
+                 lambda: x ** (1 << FIELD_BITS),  # one field up, if it wrapped
+                 lambda: top.rename({"limit_y": "limit_x"}),
+                 lambda: encode([("limit_x", MAX_EXPONENT + 1)]),
+                 lambda: encode([("limit_x", MAX_EXPONENT), ("limit_x", 1)])):
+        with pytest.raises(UnsupportedShape):
+            make()
+    # the first step leaves x^(MAX_EXPONENT + 5) in the remainder, which no
+    # exact quotient needs: an exponent above the dividend's
+    assert top.exact_divide(y + x ** 5) is None
 
 
 names = st.sampled_from(["x", "y", "z"])

@@ -73,6 +73,21 @@ class TestCLI:
         assert doc["aux_count"] == 1
         assert doc["xvars"] == ["x", "_u1"]
 
+    def test_exponent_beyond_the_field_width_exits_2(self, capsys):
+        from expofield.mpoly import MAX_EXPONENT
+        code, out = run_cli(capsys, "normalize", "-e",
+                            "x = t^100000000000000000000 * t")
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "UnsupportedShape",
+            "detail": f"an exponent exceeds the limit {MAX_EXPONENT}"}
+        code, out = run_cli(capsys, "normalize", "-e", f"x = t^{MAX_EXPONENT}")
+        assert code == 0
+        assert json.loads(out)["polys"] == [f"-t^{MAX_EXPONENT} + x"]
+        code, out = run_cli(capsys, "normalize", "-e",
+                            f"x = t^{MAX_EXPONENT} * t")
+        assert code == 2 and json.loads(out)["error"] == "UnsupportedShape"
+
     def test_free_check_exit_codes(self, capsys, tmp_path):
         free = tmp_path / "free.json"
         free.write_text(json.dumps({
