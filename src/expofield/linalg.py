@@ -247,11 +247,11 @@ class SpanBasis:
     ``dens``, into the coefficient map of a polynomial, a dict from
     monomial to a nonzero rational, an int or a Fraction.  Multiplying by
     D is injective and Q-linear, so which elements are independent, their
-    coordinates and the relations among them do not depend on D.  A row is such a map scaled to
-    1 at its pivot monomial, which no later row has.  An element is reduced
-    against the rows in insertion order, so its residue has no pivot
-    monomial, and it lies in the span exactly when the residue is empty;
-    the residue map is Q-linear.  This is the sum of subspaces by Gaussian
+    coordinates and the relations among them do not depend on D.  A row is
+    such a map scaled to 1 at its pivot monomial, which no later row has.
+    An element is reduced against the rows in insertion order, so its
+    residue has no pivot monomial, and it lies in the span exactly when the
+    residue is empty; the residue map is Q-linear.  This is the sum of subspaces by Gaussian
     elimination (H. Cohen, *A Course in Computational Algebraic Number
     Theory*, GTM 138, section 2.3), kept sparse: a reduction touches only
     the pivots present and the monomials of their rows.
