@@ -48,8 +48,11 @@ def _fraction(x) -> Fraction:
 
 
 def _inverse(x):
-    """1 / x, exact for an int x too, where ``1 / x`` would be a float."""
-    return Fraction(1, x) if x.__class__ is int else 1 / x
+    """1 / x, exact for an int x too, where ``1 / x`` would be a float; the
+    inverse of 1 or -1 stays an int."""
+    if x.__class__ is int:
+        return x if x * x == 1 else Fraction(1, x)
+    return 1 / x
 
 
 def _rref(rows):
