@@ -401,31 +401,26 @@ class MPoly:
         small, big = (self.terms, other.terms)
         if len(small) > len(big):
             small, big = big, small
-        if len(small) == 1:
-            # one term: distinct monomials stay distinct, nothing merges
-            (m1, c1), = small.items()
-            out = {m1 + m2: c1 * c2 for m2, c2 in big.items()}
-        else:
-            out = {}
-            for m1, c1 in small.items():
-                for m2, c2 in big.items():
-                    mono = m1 + m2
-                    c = c1 * c2
-                    s = out.get(mono)
-                    if s is None:
-                        out[mono] = c
+        out = {}
+        for m1, c1 in small.items():
+            for m2, c2 in big.items():
+                mono = m1 + m2
+                c = c1 * c2
+                s = out.get(mono)
+                if s is None:
+                    out[mono] = c
+                else:
+                    s = s + c
+                    if s:
+                        out[mono] = s
                     else:
-                        s = s + c
-                        if s:
-                            out[mono] = s
-                        else:
-                            del out[mono]
+                        del out[mono]
         if reduce(or_, out, 0) & _GUARDS:
             raise _too_large()
-        _integral(out)
-        # the loop drops zero coefficients, and only zeta needs reducing
-        return MPoly(_reduce_zeta(out, order) if order > 1 else out, order,
-                     _reduce=False)
+        if order > 1:  # only zeta needs reducing
+            return MPoly(out, order)
+        # the loop drops zero coefficients
+        return MPoly(_integral(out), order, _reduce=False)
 
     def __rmul__(self, other) -> "MPoly":
         return self.__mul__(other)
@@ -603,14 +598,6 @@ def _reduce_terms(terms: dict, order: int) -> dict:
     for mono, c in out.items():
         out[mono] = _coeff(c)
     return out
-
-
-def _reduce_zeta(terms: dict, order: int) -> dict:
-    """``terms``, nonzero and canonical, with zeta reduced mod Phi_order."""
-    phi = euler_phi(order)
-    if all(m & MAX_EXPONENT < phi for m in terms):
-        return terms
-    return _reduce_terms(terms, order)
 
 
 def _constant_inverse(const: MPoly) -> MPoly:
