@@ -15,9 +15,10 @@ set leaves every guard bit set.  ``decode`` and ``encode`` convert to and
 from sorted (symbol, exponent) pairs.
 
 The width is a limit: an exponent above ``MAX_EXPONENT`` = 2^31 - 1 would
-carry into the next symbol's field.  A product that passes it sets a guard
-bit, and it, ``encode`` and ``rename`` raise ``UnsupportedShape`` instead of
-wrapping, which the CLI reports with exit code 2.
+carry into the next symbol's field.  Multiplication (so also ``**``),
+``encode`` and ``rename`` raise ``UnsupportedShape`` where an exponent
+would pass it, seen as a set guard bit, instead of wrapping; the CLI
+reports that with exit code 2.
 
 A coefficient is an ``int`` when it is integral and a ``Fraction`` only
 otherwise, so integer arithmetic never builds a Fraction, and ``==``,
