@@ -9,11 +9,11 @@ completed the same way, with the homomorphism's well-definedness certified
 on the integer kernel of the concatenated graph arguments.
 
 The independence checks made inside one field share their work through
-``_IndepChecks``: each distinct generator input is closed to its hull once,
-each distinct hull generator is differentiated once, and each distinct set of
-Jacobian rows is ranked once.  One ``_IndepChecks`` serves one ``indep`` call
-or one node of ``verify_independent_system`` and is dropped when that call
-returns; nothing is kept between calls.
+``_IndepChecks``: each distinct set of generators is closed to its hull once,
+each distinct hull generator is differentiated once, by the symbols it has,
+and each distinct set of Jacobian rows is ranked once.  One ``_IndepChecks``
+serves one ``indep`` call or one node of ``verify_independent_system`` and is
+dropped when that call returns; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -56,26 +56,34 @@ def acf_indep(a, b, c, amb_params) -> bool:
 
 class _IndepChecks:
     """Hulls, Jacobian rows and ranks shared by the independence checks
-    made inside one presentation.  A row is keyed by its generator's
-    ``key()``, equal exactly when the printed texts are, and a rank, which
-    ignores row order and repeats, by its set of row keys."""
+    made inside one presentation.  A hull is keyed by the set of its
+    inputs' ``key()``s, since its generators, as a set, do not depend on
+    the order of the inputs or on repeats.  A row is keyed by its
+    generator's ``key()``, equal exactly when the printed texts are; it
+    differentiates the generator only by the symbols it has, and holds one
+    shared zero elsewhere.  A rank, which ignores row order and repeats, is
+    keyed by its set of row keys."""
 
     def __init__(self, f: EFieldPresentation):
         self.f = f
         self.params = list(f.transcendentals)
-        self.hulls: dict = {}  # input key -> row keys of the hull generators
+        self.zero = FieldElem.zero(f.cyclotomic_order)
+        self.hulls: dict = {}  # frozenset of input keys -> hull row keys
         self.rows: dict = {}  # generator key() -> Jacobian row
         self.ranks: dict = {}  # frozenset of row keys -> rank
 
-    def hull(self, key, elems) -> tuple:
-        """Row keys of the hull of ``elems``, computed once per ``key``."""
+    def hull(self, elems) -> tuple:
+        """Row keys of the hull of ``elems``, computed once per set."""
+        key = frozenset(e.key() for e in elems)
         keys = self.hulls.get(key)
         if keys is None:
             gens = hull(self.f, elems).generators
             keys = self.hulls[key] = tuple(g.key() for g in gens)
             for k, g in zip(keys, gens):
                 if k not in self.rows:
-                    self.rows[k] = [g.derivative(p) for p in self.params]
+                    syms = g.symbols()
+                    self.rows[k] = [g.derivative(p) if p in syms else self.zero
+                                    for p in self.params]
         return keys
 
     def rank(self, *hulls) -> int:
@@ -100,8 +108,7 @@ def indep(f: EFieldPresentation, a, b, c) -> bool:
     b = [coerce(x, order) for x in b]
     c = [coerce(x, order) for x in c]
     checks = _IndepChecks(f)
-    return checks.indep(*(checks.hull(tuple(x.key() for x in g), g)
-                          for g in (a + c, b + c, c)))
+    return checks.indep(*(checks.hull(g) for g in (a + c, b + c, c)))
 
 
 # -- pairwise amalgamation ------------------------------------------------------
@@ -270,35 +277,31 @@ def verify_independent_system(s: IndepSystem) -> SystemReport:
     """Check the independence condition at every pair a < b of the diagram.
 
     The pairs a < b of one node b share one ``_IndepChecks``: one hull per
-    distinct tuple of symbols, one Jacobian row per distinct hull generator
+    distinct set of symbols, one Jacobian row per distinct hull generator
     and one rank per distinct set of rows, dropped once node b is done.
     """
     failures = []
     subsets = sorted(s.nodes, key=lambda x: (len(x), sorted(x)))
+    syms = {a: set(s.nodes[a].transcendentals) for a in subsets}
+    below = {a: set().union(*(syms[c] for c in subsets if c < a))
+             for a in subsets}
     for b in subsets:
         fb = s.nodes[b]
         checks = _IndepChecks(fb)
 
-        def hull_of(syms):
-            return checks.hull(syms, (fb.elem(t) for t in syms))
+        def hull_of(symbols):
+            return checks.hull([fb.elem(t) for t in sorted(symbols)])
 
         for a in subsets:
             if not (a < b) or not a:
                 continue
-            c_syms: set = set()
-            for c in subsets:
-                if c < a:
-                    c_syms |= set(s.nodes[c].transcendentals)
-            d_syms: set = set()
-            for d in subsets:
-                if d <= b and not (a <= d):
-                    d_syms |= set(s.nodes[d].transcendentals)
+            d_syms = set().union(*(syms[d] for d in subsets
+                                   if d <= b and not (a <= d)))
             if not d_syms:
                 continue
-            a_key = tuple(s.nodes[a].transcendentals)
-            c_key, d_key = tuple(sorted(c_syms)), tuple(sorted(d_syms))
-            if not checks.indep(hull_of(a_key + c_key), hull_of(d_key + c_key),
-                                hull_of(c_key)):
+            c_syms = below[a]
+            if not checks.indep(hull_of(syms[a] | c_syms),
+                                hull_of(d_syms | c_syms), hull_of(c_syms)):
                 failures.append((subset_label(a), subset_label(b)))
     return SystemReport(ok=not failures, failures=tuple(failures))
 

@@ -494,7 +494,10 @@ class MPoly:
         Not attempted when den carries zeta with a non-unit part (divisibility
         of reduced representatives differs from divisibility in the quotient).
         Long division in the packed int order; the quotient lists its terms
-        in descending graded-lex order.
+        in descending graded-lex order.  An exact quotient's last term in
+        the packed order is trail(self)/trail(den), so the division gives up
+        at once when that is not a monomial or a quotient term falls below
+        it, instead of taking one step per candidate term.
         """
         if den.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -509,6 +512,10 @@ class MPoly:
         if order > 1 and ZETA in den.symbols():
             return None
         guards = _GUARDS
+        trail, den_trail = min(self.terms), min(den.terms)
+        if ((trail | guards) - den_trail) & guards != guards:
+            return None
+        trail_q = trail - den_trail
         lead_mono = max(den.terms)
         lead_coeff = den.terms[lead_mono]
         rem = dict(self.terms)
@@ -519,6 +526,8 @@ class MPoly:
             if mono & guards or ((mono | guards) - lead_mono) & guards != guards:
                 return None
             qm = mono - lead_mono
+            if qm < trail_q:
+                return None
             qc = quot[qm] = _quotient(rem[mono], lead_coeff)
             for dm, dc in den.terms.items():
                 key = dm + qm

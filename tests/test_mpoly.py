@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from expofield.mpoly import (FIELD_BITS, MAX_EXPONENT, MPoly,
                              cyclotomic_polynomial, decode, encode, euler_phi)
 from expofield.errors import CyclotomicOrderMismatch, UnsupportedShape
+from expofield.exprlang import parse_element
 
 
 def test_cyclotomic_polynomials():
@@ -95,9 +96,23 @@ def test_exponent_limit_raises_and_never_wraps():
                  lambda: encode([("limit_x", MAX_EXPONENT), ("limit_x", 1)])):
         with pytest.raises(UnsupportedShape):
             make()
-    # the first step leaves x^(MAX_EXPONENT + 5) in the remainder, which no
-    # exact quotient needs: an exponent above the dividend's
+    # the first quotient term x^MAX_EXPONENT lies below the last one an
+    # exact quotient would have, trail(top)/trail(y + x^5) = x^(MAX - 5)*y
     assert top.exact_divide(y + x ** 5) is None
+    # over a trailing 1 the first step leaves x^(MAX_EXPONENT + 5) in the
+    # remainder, which no exact quotient needs: an exponent above the
+    # dividend's
+    assert (top + 1).exact_divide(y + x ** 5 + 1) is None
+
+
+def test_inexact_division_near_the_limit_stops_at_once():
+    """Long division of t^N*u by t + 1 would take one step per power of t;
+    the quotient's trailing term t^N*u lies above the first candidate."""
+    n = MAX_EXPONENT - 1
+    t, u = MPoly.var("t"), MPoly.var("u")
+    assert (t ** n * u).exact_divide(t + 1) is None
+    assert (t + 1).exact_divide(t ** n * u) is None
+    assert str(parse_element(f"(t^{n}*u)/(t + 1)")) == f"(t^{n}*u)/(t + 1)"
 
 
 names = st.sampled_from(["x", "y", "z"])

@@ -9,7 +9,11 @@ agree by value and by printed text.
 indep and verify_independent_system share hulls, Jacobian rows and ranks
 across the checks made inside one field; their oracle builds three hulls and
 four Jacobian ranks from scratch for every pair, and must give the same
-verdicts and failures, in the same order.
+verdicts and failures, in the same order.  The sharing keys a hull by the set
+of its inputs, which is exact because ``hull`` returns the same generators
+for any order of its input and for repeats, and builds each Jacobian row
+from the derivatives by the generator's own symbols only, which must equal
+the dense row of ``jacobian``.
 
 ``_rref`` skips the arithmetic by zero and one; its oracle is the dense
 Gauss-Jordan loop that scales every pivot row and updates every entry, and
@@ -28,16 +32,16 @@ from math import lcm
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from expofield import (EEvalResult, FieldElem, LinearDependence, acf_indep,
-                       coerce, e_eval, eliminate_symbols, extend_graph, hull,
-                       indep, merge_graphs, presentation, qlin_solve, reduce,
-                       verify_independent_system)
-from expofield.amalg import subset_label
+from expofield import (EEvalResult, FieldElem, IndepSystem, LinearDependence,
+                       acf_indep, amalg, coerce, e_eval, eliminate_symbols,
+                       extend_graph, hull, indep, merge_graphs, presentation,
+                       qlin_solve, reduce, verify_independent_system)
+from expofield.amalg import _IndepChecks, subset_label, validate_system
 from expofield.efield import adjoin_transcendentals, build_unchecked
 from expofield.fieldelem import cyclotomic_root, power_product
 from expofield.linalg import (_rref, coordinate_matrix, ff_rank,
                               integer_kernel_basis, integer_row_basis,
-                              kernel_basis)
+                              jacobian, kernel_basis)
 from gen import (conflicting_system, rand_extension, rand_pminus_system,
                  rand_presentation, rand_variety, reused_transcendental_system,
                  shared_sibling_system, zspan_pair)
@@ -276,6 +280,40 @@ def test_verify_matches_per_pair_indep_on_adversarial_systems(index):
     assert verdict(s) == verify_oracle(s)
 
 
+def growing_system():
+    """A valid P^-(3) system: over E(1) = tau, node {i} adds g_i with
+    E(g_i) = i + 2, and node {0,1} also defines E(tau) = w for a new
+    transcendental w, so its hulls that contain tau grow by w."""
+    one, tau = FieldElem.one(), S("tau")
+    nodes = {}
+    for mask in range(7):
+        a = frozenset(i for i in range(3) if mask >> i & 1)
+        f = presentation("F" + "".join(map(str, sorted(a))), 1,
+                         ["tau"] + [f"g{i}" for i in sorted(a)],
+                         [(one, tau)] + [(S(f"g{i}"), coerce(i + 2))
+                                         for i in sorted(a)])
+        if a == {0, 1}:
+            f = extend_graph(adjoin_transcendentals(f, ["w"]), [(tau, S("w"))])
+        nodes[a] = f
+    return IndepSystem(n=3, nodes=nodes)
+
+
+def test_verify_matches_per_pair_indep_where_a_hull_grows(monkeypatch):
+    grew = []
+
+    def spy(f, elems):
+        elems = list(elems)
+        out = hull(f, elems)
+        grew.append(len(out.generators) > len({e.key() for e in elems}))
+        return out
+
+    s = growing_system()
+    validate_system(s)
+    monkeypatch.setattr(amalg, "hull", spy)
+    assert verdict(s) == verify_oracle(s) == (True, ())
+    assert any(grew)
+
+
 def test_adversarial_systems_fail_at_several_pairs():
     verdicts = [verify_oracle(s) for s in adversarial_systems()]
     assert sum(not ok for ok, _ in verdicts) >= 7
@@ -303,6 +341,30 @@ def test_indep_matches_hull_and_acf_indep():
             assert indep(f, a, b, c) == want
             seen.add(want)
     assert seen == {True, False}
+
+
+def same_sparse_rows(f, elems):
+    """The rows ``_IndepChecks`` builds for the hull of ``elems`` are the
+    dense ``jacobian`` rows of its generators, by value and by text."""
+    checks = _IndepChecks(f)
+    keys = checks.hull(elems)
+    gens = hull(f, elems).generators
+    assert keys == tuple(g.key() for g in gens)
+    for g, want in zip(gens, jacobian(gens, f.transcendentals)):
+        same(checks.rows[g.key()], want)
+    return gens
+
+
+def test_sparse_jacobian_rows_equal_dense_rows():
+    dens = 0
+    for seed in SEEDS:
+        for f, a, b, c in indep_triples(random.Random(seed)):
+            quotients = [x / (y + 1) for x, y in zip(a, b + c)
+                         if not (y + 1).is_zero()]
+            for elems in (a + c, b + c, c, quotients + a):
+                gens = same_sparse_rows(f, elems)
+                dens += any(not g.den.is_constant() for g in gens)
+    assert dens
 
 
 def dense_rref(rows):
@@ -572,6 +634,26 @@ def plain_rref_pin():
 def test_hull_matches_rebuild_oracle(case):
     f, elems = case
     same(hull(f, elems).generators, hull_rebuild_oracle(f, elems))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hull_cases(), st.randoms(use_true_random=False))
+@example(growing_pin(), random.Random(0))
+@example(reversal_pin(), random.Random(1))
+def test_hull_generators_ignore_input_order_and_repeats(case, rnd):
+    f, elems = case
+    shuffled = elems + [rnd.choice(elems)]
+    rnd.shuffle(shuffled)
+    assert {g.key() for g in hull(f, shuffled).generators} == \
+        {g.key() for g in hull(f, elems).generators}
+
+
+@settings(max_examples=60, deadline=None)
+@given(hull_cases())
+@example((zeta_pin()[0], [zeta_pin()[1]]))
+@example(growing_pin())
+def test_sparse_jacobian_rows_equal_dense_rows_over_cyclotomic_fields(case):
+    same_sparse_rows(*case)
 
 
 def test_growing_pin_grows_over_two_rounds():
