@@ -12,9 +12,10 @@ semi-echelon basis of the arguments (``linalg.SpanBasis``), built on the
 first ``e_eval`` and kept with the presentation, which is immutable.
 ``e_eval`` has one path: it asks that basis for the coordinates of its
 target.  ``hull`` builds one basis of span(generators, 1) per call, reduces
-the arguments and candidates against it, and reads each round's lattice
-off one echelon form.  ``SpanBasis`` decides how elements are cleared of
-denominators.  No result is cached between calls.
+the arguments and candidates against it, and takes each round's lattice
+as the integer kernel of the residues.  ``SpanBasis`` decides how elements
+are cleared of denominators.  No result is cached between calls.  Every
+lattice basis here is a Hermite normal form (``linalg.hermite_form``).
 """
 
 from __future__ import annotations
@@ -23,15 +24,14 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .errors import (ExponentialConflict, LinearDependence, MissingExponential,
                      NotAdditivelyFree, WellDefFailure, ZeroValue)
 from . import exprlang
 from .exprlang import ETerm, Exp, fresh_name
 from .fieldelem import FieldElem, coerce, int_combination, power_product
-from .linalg import (SpanBasis, _rref, coordinate_matrix, integer_kernel_basis,
-                     integer_row_basis)
+from .linalg import (SpanBasis, coordinate_matrix, hermite_form,
+                     integer_coordinates, integer_kernel_basis)
 from .variety import (ParametricVariety, ReductionResult, additive_freeness,
                       pullback, reduce as variety_reduce)
 
@@ -233,20 +233,21 @@ def merge_graphs(pairs, order: int):
     """Check coherence of a concatenated pair family and rebuild it on a
     Z-basis of the argument lattice.
 
-    One coordinate matrix of the arguments gives both the integer kernel and,
-    through its echelon form, the coordinates of every argument in the
-    greedy independent ones (the pivots); the Z-lattice they span is then
-    echelonized by ``integer_row_basis``.  Returns (consolidated_pairs,
-    WellDefCheck).  Raises WellDefFailure when some integer kernel vector of
-    the arguments has value product != 1.
+    One ``hermite_form`` of the arguments' coordinates in the greedy
+    independent ones gives both: its transform's rows after the rank span
+    the integer kernel, checked in Hermite normal form, and the rows up to
+    the rank rebuild the pairs on the Hermite normal form of the argument
+    lattice.  Returns (consolidated_pairs, WellDefCheck), the pairs as
+    given when there is no kernel.  Raises WellDefFailure when some integer
+    kernel vector of the arguments has value product != 1.
     """
     pairs = [(coerce(a, order), coerce(v, order)) for a, v in pairs]
     if not pairs:
         return (), WellDefCheck((), ())
     args = [a for a, _ in pairs]
     vals = [v for _, v in pairs]
-    mat = coordinate_matrix(args)
-    kernel = integer_kernel_basis(mat)
+    h, t = hermite_form(integer_coordinates(args))
+    kernel = hermite_form(t[len(h):])[0]
     for vec in kernel:
         prod = power_product(vals, vec, order)
         if not prod.is_one():
@@ -255,11 +256,6 @@ def merge_graphs(pairs, order: int):
                          (True,) * len(kernel))
     if not kernel:
         return tuple(pairs), check
-    # rebuild on a Z-basis of the argument lattice
-    m, pivots = _rref(mat)
-    coords = [[m[r][i] for r in range(len(pivots))] for i in range(len(args))]
-    den = lcm(*(x.denominator for q in coords for x in q))
-    h, t = integer_row_basis([[int(x * den) for x in q] for q in coords])
     return tuple((int_combination(z, args, order),
                   power_product(vals, z, order)) for z in t[:len(h)]), check
 
@@ -342,18 +338,8 @@ def solve(f: EFieldPresentation, v: ParametricVariety,
                 val = current.elem(r)
                 param_values[sym] = val
             else:
+                # arg has fresh _c symbols, so E(arg) is not yet defined
                 val = yp.subs(param_values)
-                ev = e_eval(current, arg)
-                if ev.is_value:
-                    if ev.value != val:
-                        raise ExponentialConflict(
-                            f"E({arg}) is already {ev.value}, variety needs {val}")
-                    ec_values.append(val)
-                    continue
-                if not ev.outside_span:
-                    raise MissingExponential(
-                        f"E({arg}) needs roots of existing values",
-                        root_specs=list(ev.root_specs))
             new_pairs.append((arg, val))
             ec_values.append(val)
         current = extend_graph(current, new_pairs)
@@ -430,12 +416,9 @@ def hull(f: EFieldPresentation, elems) -> HullPresentation:
     until the span stops growing.
 
     Each round reduces the arguments against one semi-echelon basis of
-    span(generators, 1): the rational z above are the kernel of R, the
-    matrix of their residues.  The lattice is read off the echelon form of
-    R with its columns reversed, read back to front: the basis of R's row
-    space that is the identity on R's independent columns chosen from the
-    right, which by matroid duality (Oxley, *Matroid Theory*, 2.1) is the
-    kernel basis of the kernel.  Value products of the lattice basis
+    span(generators, 1): the z above are the integer kernel of the matrix
+    of their residues, in Hermite normal form, so the generators added
+    depend only on that lattice.  Value products of the lattice basis
     outside the span of everything before them join the generators.
     """
     order = f.cyclotomic_order
@@ -449,18 +432,16 @@ def hull(f: EFieldPresentation, elems) -> HullPresentation:
         return HullPresentation(tuple(gens), True)
     one = FieldElem.one(order)
     span = SpanBasis(gens + [one]).covering(args)
-    zero, n = Fraction(0), len(args)
-    for _ in range(n + 1):
+    for _ in range(len(args) + 1):
         residues = [span.residue(a) for a in args]
-        monos = dict.fromkeys(m for r in residues for m in r)
-        rows, pivots = _rref([[r.get(m, zero) for r in reversed(residues)]
-                              for m in monos])
-        if len(pivots) == n:
+        monos = {m for r in residues for m in r}
+        # no residue at all: every z is in the kernel
+        lattice = integer_kernel_basis(
+            [[r.get(m, 0) for r in residues] for m in monos]
+            or [[0] * len(args)])
+        if not lattice:
             break
-        # no residue at all: the zero row spans the row space
-        ortho = [r[::-1] for r in reversed(rows[:len(pivots)])] or [[0] * n]
-        cands = [power_product(vals, z, order)
-                 for z in integer_kernel_basis(ortho)]
+        cands = [power_product(vals, z, order) for z in lattice]
         span = span.covering(cands)
         new = [c for c in cands if span.add(c)]
         if not new:

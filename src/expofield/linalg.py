@@ -1,11 +1,14 @@
-"""Exact linear algebra: rational solve/kernel, integer kernels and lattice
-bases, and rank over the rational-function field.
+"""Exact linear algebra: rational solve/kernel, integer lattices, and rank
+over the rational-function field.
 
 Matrices are plain lists of lists.  ``_rref`` is Gauss-Jordan over any field
 whose elements support ``bool``, ``+``, ``-``, ``*`` and ``/``, and over Q
 with int and Fraction entries, which it keeps exact: no entry is ever a
 float.  The function-field rank is one exact forward elimination by
 division over FieldElem entries.
+
+``hermite_form`` is the one integer elimination.  Every lattice basis the
+library prints is a Hermite normal form, so it depends only on the lattice.
 
 Gauss-Jordan does no arithmetic by zero or one: a row update touches only
 the columns where the pivot row is nonzero, and a pivot row that is 1 at its
@@ -126,78 +129,52 @@ def kernel_basis(rows):
     return basis
 
 
-def integer_kernel_basis(rows):
-    """Z-basis of {z in Z^n : rows * z = 0} (a saturated lattice).
+def hermite_form(rows):
+    """(H, T) for an integer matrix.  H is its row-style Hermite normal form:
+    nonzero rows whose pivots (first nonzero entries) are positive and move
+    right row by row, with every entry above a pivot in [0, pivot).  It
+    depends only on the Z-lattice the rows span (H. Cohen, GTM 138, section
+    2.4.2).  T is unimodular with T * rows = H followed by zero rows, so
+    T[len(H):] is a Z-basis of the left kernel {y : y * rows = 0}."""
+    m = [list(row) for row in rows]
+    t = [[int(i == j) for j in range(len(m))] for i in range(len(m))]
+    r = 0
+    for c in range(_check_rect(m)):
+        for i in range(r + 1, len(m)):
+            while m[i][c]:  # Euclid's algorithm on rows r and i
+                q = m[r][c] // m[i][c]
+                for a in (m, t):
+                    a[r], a[i] = a[i], [x - q * y for x, y in zip(a[r], a[i])]
+        if r == len(m) or not m[r][c]:
+            continue
+        if m[r][c] < 0:
+            m[r], t[r] = [-x for x in m[r]], [-x for x in t[r]]
+        for i in range(r):
+            q = m[i][c] // m[r][c]
+            if q:
+                for a in (m, t):
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return m[:r], t
 
-    Unimodular column reduction: columns of the tracking identity that end
-    up annihilated by every row form the kernel basis.
-    """
-    ncols = _check_rect(rows)
-    if ncols == 0:
-        return []
-    # clear denominators row by row, in integers (an int is its own numerator)
-    m = []
+
+def _integer_columns(rows):
+    """The columns of a rational matrix as integer rows, after clearing each
+    of its rows of denominators (an int is its own numerator)."""
+    cleared = []
     for row in rows:
         den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    pivot_cols: set[int] = set()
-
-    def _col_op(dst: int, src: int, q: int) -> None:
-        for row in m:
-            row[dst] -= q * row[src]
-        for row in u:
-            row[dst] -= q * row[src]
-
-    for i in range(len(m)):
-        active = [c for c in range(ncols) if c not in pivot_cols]
-        while True:
-            nz = [c for c in active if m[i][c]]
-            if len(nz) <= 1:
-                break
-            a = min(nz, key=lambda c: abs(m[i][c]))
-            for c in nz:
-                if c == a:
-                    continue
-                _col_op(c, a, m[i][c] // m[i][a])
-        nz = [c for c in active if m[i][c]]
-        if nz:
-            pivot_cols.add(nz[0])
-    kernel = []
-    for c in range(ncols):
-        if c not in pivot_cols:
-            kernel.append([u[r][c] for r in range(ncols)])
-    return kernel
+        cleared.append([x.numerator * (den // x.denominator) for x in row])
+    return [list(col) for col in zip(*cleared)]
 
 
-def integer_row_basis(rows):
-    """Rows spanning the same Z-lattice, echelonized, with the unimodular
-    transform: returns (basis_rows, transform) where basis = transform * rows
-    and transform has integer entries."""
-    if not rows:
-        return [], []
-    ncols = _check_rect(rows)
-    m = [list(map(int, r)) for r in rows]
-    t = [[1 if i == j else 0 for j in range(len(m))] for i in range(len(m))]
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, len(m)) if m[i][c]]
-            if len(nz) <= 1:
-                break
-            a = min(nz, key=lambda i: abs(m[i][c]))
-            for i in nz:
-                if i == a:
-                    continue
-                q = m[i][c] // m[a][c]
-                m[i] = [x - q * y for x, y in zip(m[i], m[a])]
-                t[i] = [x - q * y for x, y in zip(t[i], t[a])]
-        nz = [i for i in range(r, len(m)) if m[i][c]]
-        if nz:
-            m[r], m[nz[0]] = m[nz[0]], m[r]
-            t[r], t[nz[0]] = t[nz[0]], t[r]
-            r += 1
-    return m[:r], t[:r]
+def integer_kernel_basis(rows):
+    """Z-basis of {z in Z^n : rows * z = 0} (a saturated lattice) in Hermite
+    normal form: the left kernel of the transpose, read off the transform of
+    its ``hermite_form``."""
+    _check_rect(rows)
+    h, t = hermite_form(_integer_columns(rows))
+    return hermite_form(t[len(h):])[0]
 
 
 # -- Q-linear structure of field elements ---------------------------------
@@ -354,6 +331,13 @@ class SpanBasis:
 def rational_span_solve(basis_elems, target):
     """Coordinates of ``target`` in the Q-span of ``basis_elems`` (or None)."""
     return SpanBasis(basis_elems, track=True).coordinates(target)
+
+
+def integer_coordinates(elems):
+    """Each element's coordinates in the greedy independent ones, each
+    coordinate cleared of denominators: integer rows with their relations."""
+    basis = SpanBasis(elems, track=True)
+    return _integer_columns(list(zip(*map(basis.coordinates, elems))))
 
 
 # -- rank over the function field ------------------------------------------

@@ -491,8 +491,9 @@ class MPoly:
     def exact_divide(self, den: "MPoly"):
         """Return self/den when den divides self exactly, else None.
 
-        Not attempted when den carries zeta with a non-unit part (divisibility
-        of reduced representatives differs from divisibility in the quotient).
+        When den carries zeta with a non-unit part, only a rational multiple
+        of den is divided (divisibility of reduced representatives differs
+        from divisibility in the quotient).
         Long division in the packed int order; the quotient lists its terms
         in descending graded-lex order.  An exact quotient's last term in
         the packed order is trail(self)/trail(den), so the division gives up
@@ -510,6 +511,10 @@ class MPoly:
         if den.is_constant():
             return self * _constant_inverse(den)
         if order > 1 and ZETA in den.symbols():
+            mono, c = next(iter(den.terms.items()))
+            q = _quotient(self.terms.get(mono, 0), c)
+            if self.terms == {m: q * d for m, d in den.terms.items()}:
+                return MPoly.const(q, order)
             return None
         guards = _GUARDS
         trail, den_trail = min(self.terms), min(den.terms)

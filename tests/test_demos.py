@@ -10,7 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS_SHA256 = \
-    "4c3b8f544bf723bb1930997e180075431eb1fee276a4e88af829518dd062fd13"
+    "5e8e3c0edea8b30e1a74b283b012f524f14bce8280a90e45add866d96272a294"
 
 
 def test_demos_print_the_pinned_bytes():

@@ -158,6 +158,21 @@ class TestSolve:
         with pytest.raises(MissingExponential):
             solve(presentation("Q"), v)
 
+    def test_offset_needing_a_root_of_a_graph_value(self):
+        """X_2 = 2 X_1 - t/2 and E(t) = s, so E(-t/2) needs a square root
+        of s, which the offset resolution refuses with that root."""
+        t, u = S("t"), S("_p1")
+        base = presentation("F", transcendentals=("t", "s"),
+                            egraph=((t, S("s")),))
+        v = ParametricVariety(base_params=("t", "s"),
+                              locus_params=("_p1", "_q1", "_q2"),
+                              X=(u + t / 2, 2 * u + t / 2),
+                              Y=(S("_q1"), S("_q2")), free_Y=(True, True))
+        with pytest.raises(MissingExponential) as exc:
+            solve(base, v)
+        assert exc.value.root_specs == [(S("s"), 2)]
+        assert exc.value.payload()["root_specs"] == [["s", 2]]
+
     def test_rational_root_materializes(self):
         u = S("_p1")
         v = ParametricVariety(base_params=(), locus_params=("_p1", "_q1"),
@@ -267,7 +282,7 @@ class TestCheckPresentation:
         assert rep["violations"][0] == {"kind": "zero_argument", "index": 0}
         cert = next(v["certificate"] for v in rep["violations"]
                     if v["kind"] == "dependent_arguments")
-        assert cert == [0, -2, 1]
+        assert cert == [0, 2, -1]
         assert len(cert) == len(bad.egraph)
         total = FieldElem.zero()
         for z, a in zip(cert, args):
@@ -284,6 +299,14 @@ class TestMergeGraphs:
         with pytest.raises(WellDefFailure) as exc:
             merge_graphs([(S("a"), S("x")), (S("a"), S("y"))], 1)
         assert exc.value.vector in ([1, -1], [-1, 1])
+
+    def test_zero_argument_needs_value_one(self):
+        """E(0) = 1, also when every argument is zero."""
+        with pytest.raises(WellDefFailure) as exc:
+            merge_graphs([(FieldElem.zero(), coerce(2))], 1)
+        assert exc.value.vector == [1]
+        pairs, check = merge_graphs([(FieldElem.zero(), ONE)], 1)
+        assert check.kernel_basis == ((1,),) and pairs == ()
 
     def test_lattice_completion(self):
         x = S("x")

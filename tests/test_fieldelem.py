@@ -37,6 +37,18 @@ def test_division_by_zero():
         FieldElem(S("t1").num, FieldElem.zero().num)
 
 
+def test_rational_multiple_over_a_zeta_denominator_is_that_rational():
+    """exact_divide decides divisibility by a polynomial that carries zeta
+    only for a rational multiple of it, which cancels to that rational."""
+    z, t2 = cyclotomic_root(3), S("t2", 3)
+    x = t2 ** 2 * z - t2 ** 2 + t2 * z - t2 + 3 * z
+    assert str(x) == "t2^2*zeta - t2^2 + t2*zeta - t2 + 3*zeta"
+    assert str(x / x) == "1"
+    assert str((2 * x) / (3 * x)) == "2/3"
+    assert str((x + 1) / x) == \
+        "(t2^2*zeta - t2^2 + t2*zeta - t2 + 3*zeta + 1)/(%s)" % x
+
+
 def test_derivative_examples():
     t1, t2 = S("t1"), S("t2")
     assert (t1 ** 2 * t2).derivative("t1") == 2 * t1 * t2

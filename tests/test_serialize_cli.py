@@ -104,8 +104,8 @@ class TestCLI:
                             "--oracle", "5")
         doc = json.loads(out)
         assert code == 2
-        assert doc["relation"]["m"] == [-2, 1]
-        assert doc["relation"]["a"] == "3"
+        assert doc["relation"]["m"] == [2, -1]
+        assert doc["relation"]["a"] == "-3"
         assert doc["oracle"]["agrees"]
 
     def test_solve_command(self, capsys, tmp_path):

@@ -4,7 +4,10 @@ time with ``dense_span_solve``: greedily keep each element outside the span
 of the ones kept before it, then solve for the coordinates of the rest.  It
 solves on a dense coordinate matrix with ``qlin_solve``, not through the
 ``SpanBasis`` that ``hull`` and ``e_eval`` reduce against.  Outputs must
-agree by value and by printed text.
+agree by value and by printed text, except where a lattice basis is chosen:
+``merge_graphs`` rebuilds a graph on the Hermite normal form of its
+argument lattice, and its oracle on the integer row echelon form it used
+before, so the two must span the same lattice of pairs.
 
 indep and verify_independent_system share hulls, Jacobian rows and ranks
 across the checks made inside one field; their oracle builds three hulls and
@@ -38,10 +41,10 @@ from expofield import (EEvalResult, FieldElem, IndepSystem, LinearDependence,
                        qlin_solve, reduce, verify_independent_system)
 from expofield.amalg import _IndepChecks, subset_label, validate_system
 from expofield.efield import adjoin_transcendentals, build_unchecked
+from expofield.exprlang import parse_element
 from expofield.fieldelem import cyclotomic_root, power_product
 from expofield.linalg import (_rref, coordinate_matrix, ff_rank,
-                              integer_kernel_basis, integer_row_basis,
-                              jacobian, kernel_basis)
+                              integer_kernel_basis, jacobian, kernel_basis)
 from gen import (conflicting_system, rand_extension, rand_pminus_system,
                  rand_presentation, rand_variety, reused_transcendental_system,
                  shared_sibling_system, zspan_pair)
@@ -100,15 +103,47 @@ def hull_oracle(f, elems):
     return gens
 
 
+def row_echelon(rows):
+    """Integer row echelon form with its transform: (basis_rows, transform)
+    with basis = transform * rows, by repeated division with remainder
+    against the smallest entry of each column.  Not a normal form: another
+    basis of the same lattice can come out."""
+    if not rows:
+        return [], []
+    m = [list(map(int, r)) for r in rows]
+    t = [[1 if i == j else 0 for j in range(len(m))] for i in range(len(m))]
+    r = 0
+    for c in range(len(m[0])):
+        while True:
+            nz = [i for i in range(r, len(m)) if m[i][c]]
+            if len(nz) <= 1:
+                break
+            a = min(nz, key=lambda i: abs(m[i][c]))
+            for i in nz:
+                if i == a:
+                    continue
+                q = m[i][c] // m[a][c]
+                m[i] = [x - q * y for x, y in zip(m[i], m[a])]
+                t[i] = [x - q * y for x, y in zip(t[i], t[a])]
+        nz = [i for i in range(r, len(m)) if m[i][c]]
+        if nz:
+            m[r], m[nz[0]] = m[nz[0]], m[r]
+            t[r], t[nz[0]] = t[nz[0]], t[r]
+            r += 1
+    return m[:r], t[:r]
+
+
 def merge_oracle(pairs, order):
-    """The consolidated pairs merge_graphs builds for a coherent family."""
+    """Coherent pairs rebuilt on a Z-basis of the argument lattice: the
+    coordinates of every argument in the greedy independent ones, brought
+    to integer row echelon form."""
     args = [coerce(a, order) for a, _ in pairs]
     vals = [coerce(v, order) for _, v in pairs]
     coords = span_coordinates(args)
     den = lcm(*(x.denominator for q in coords for x in q))
-    _, t = integer_row_basis([[int(x * den) for x in q] for q in coords])
+    h, t = row_echelon([[int(x * den) for x in q] for q in coords])
     out = []
-    for row in t:
+    for row in t[:len(h)]:
         arg, val = FieldElem.zero(order), FieldElem.one(order)
         for i, z in enumerate(row):
             if z:
@@ -116,6 +151,30 @@ def merge_oracle(pairs, order):
                 val = val * vals[i] ** z
         out.append((arg, val))
     return out
+
+
+def in_lattice(v, basis):
+    """v is an integer combination of the independent vectors ``basis``."""
+    z = qlin_solve([list(col) for col in zip(*basis)], list(v))
+    return z is not None and all(q.denominator == 1 for q in z)
+
+
+def same_lattice(a, b):
+    """Mutual integer membership: each basis lies in the other's lattice."""
+    assert all(in_lattice(v, b) for v in a)
+    assert all(in_lattice(v, a) for v in b)
+
+
+def same_pair_lattice(got, want, order):
+    """Every pair of each family is an integer combination of the pairs of
+    the other, in the argument and, by the same exponents, in the value."""
+    assert len(got) == len(want)
+    for xs, ys in ((got, want), (want, got)):
+        for a, v in xs:
+            z = dense_span_solve([b for b, _ in ys], a)
+            assert z is not None and all(q.denominator == 1 for q in z)
+            assert power_product([w for _, w in ys], [int(q) for q in z],
+                                 order) == v
 
 
 def reduce_oracle(v):
@@ -185,9 +244,11 @@ def test_merge_graphs_matches_per_element_solves(seed):
     got, check = merge_graphs(pairs, 1)
     kernel = integer_kernel_basis(coordinate_matrix([a for a, _ in pairs]))
     assert check.kernel_basis == tuple(tuple(vec) for vec in kernel)
-    want = merge_oracle(pairs, 1) if kernel else pairs
-    same([a for a, _ in got], [a for a, _ in want])
-    same([v for _, v in got], [v for _, v in want])
+    if not kernel:
+        same([a for a, _ in got], [a for a, _ in pairs])
+        same([v for _, v in got], [v for _, v in pairs])
+        return
+    same_pair_lattice(got, merge_oracle(pairs, 1), 1)
 
 
 def test_merge_family_exercises_duplicates_and_fractions():
@@ -437,8 +498,20 @@ def test_sparse_rref_matches_dense_on_fractions(rows):
     same_rref(rows)
 
 
+def rational_multiple_rows():
+    """Here an entry equal to 1 came out as a quotient of two rational
+    multiples of one polynomial that carries zeta, and printed as such."""
+    row = [parse_element(t, 3) for t in (
+        "(-3)/(t2*zeta - t2)", "-t2*zeta - t2 - zeta - 1",
+        "(-1)/(t1*zeta + t1)", "(t2)/(t1)", "0")]
+    ones = [parse_element(t, 3) for t in ("1", "1", "0", "0", "1")]
+    return [[FieldElem.zero(3)] * 5, ones, row,
+            row[:4] + [FieldElem.one(3)]]
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices(field_entries(), 4, 5))
+@example(rational_multiple_rows())
 def test_sparse_rref_matches_dense_on_field_elements(rows):
     same_rref(rows)
 
@@ -608,10 +681,10 @@ def four_argument_pin(args, gens):
 
 
 def reversal_pin():
-    """The lattice basis here depends on reading the echelon form of the
-    residues with its columns reversed and back to front: with the columns
-    left in order, or the rows, the hull gains other generators.  No hull
-    of at most three arguments tells these apart."""
+    """Reading the echelon form of the residues with its columns reversed
+    and back to front, as ``hull`` once did, gave a lattice basis here that
+    neither the plain echelon form nor the Hermite normal form gives.  No
+    hull of at most three arguments tells these apart."""
     return four_argument_pin(
         [(1, 2, -1, 3), (2, 0, 2, 0), (-1, 1, 2, 0), (0, 3, -1, 2)],
         [(1, 2, 0, 0), (0, 0, 0, 1)])
@@ -619,7 +692,7 @@ def reversal_pin():
 
 def plain_rref_pin():
     """As ``reversal_pin``, and plain Gauss-Jordan on the residues, with no
-    reversal at all, gives other generators here too."""
+    reversal at all, gives another basis here too."""
     return four_argument_pin(
         [(-1, 1, 3, 0), (2, 0, 1, 0), (0, 0, 3, 2), (0, -1, 3, 0)],
         [(0, 2, 0, -1), (-1, 2, 0, 1)])
@@ -663,13 +736,30 @@ def test_growing_pin_grows_over_two_rounds():
 
 
 def test_reversal_pins_print_their_generators():
-    f, elems = reversal_pin()
-    assert [str(g) for g in hull(f, elems).generators] == \
-        ["t1 + 2*t2", "t4", "(1)/(v0^2*v1^3*v3^4)", "(v2)/(v0*v1^6*v3^9)"]
-    f, elems = plain_rref_pin()
-    assert [str(g) for g in hull(f, elems).generators] == \
-        ["2*t2 - t4", "-t1 + 2*t2 + t4", "(v3^7)/(v0^5*v2^2)",
-         "(v1^3*v3^4)/(v2^5)"]
+    """The generators the pins add are the value products of the Hermite
+    normal form of the detected lattice; the reversed echelon form that
+    chose them before printed other exponents of the same lattice."""
+    pins = [
+        (reversal_pin,
+         ["t1 + 2*t2", "t4", "(v0*v1^6*v3^9)/(v2)", "(v1^9*v3^14)/(v2^2)"],
+         [(1, 6, -1, 9), (0, 9, -2, 14)],
+         ["(1)/(v0^2*v1^3*v3^4)", "(v2)/(v0*v1^6*v3^9)"],
+         [(-2, -3, 0, -4), (-1, -6, 1, -9)]),
+        (plain_rref_pin,
+         ["2*t2 - t4", "-t1 + 2*t2 + t4", "(v0^5*v2^2)/(v3^7)",
+          "(v1^3*v3^4)/(v2^5)"],
+         [(5, 0, 2, -7), (0, 3, -5, 4)],
+         ["(v3^7)/(v0^5*v2^2)", "(v1^3*v3^4)/(v2^5)"],
+         [(-5, 0, -2, 7), (0, 3, -5, 4)]),
+    ]
+    for pin, text, exps, old_text, old_exps in pins:
+        f, elems = pin()
+        gens = hull(f, elems).generators
+        assert [str(g) for g in gens] == text
+        assert list(gens[2:]) == [power_product(f.vals, z, 1) for z in exps]
+        assert [str(power_product(f.vals, z, 1)) for z in old_exps] == \
+            old_text
+        same_lattice(exps, old_exps)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,22 +1,35 @@
-"""Differential oracle: the polynomial kernel and field equality against sympy.
+"""Differential oracle: the polynomial kernel, field equality and exact
+linear algebra against sympy.
 
 ``MPoly`` sums, products and exact quotients are compared with ``sympy.Poly``
 over ``QQ`` in the generators (zeta, t1, t2, t3), where zeta is a plain
 variable reduced modulo ``cyclotomic_poly(m)``; ``FieldElem`` equality is
 compared with ``sympy.cancel`` of the difference, whose numerator must
 vanish modulo the same polynomial.  Elements reach sympy only through their
-printed text, so the oracle reads no internals of the kernel.  Skipped
-where sympy does not import.
+printed text, so the oracle reads no internals of the kernel.
+
+``integer_kernel_basis`` must give a saturated Z-basis of sympy's rational
+null space: it annihilates the rows, has n - rank vectors, its Smith normal
+form has only unit invariants, and it and sympy's ``nullspace`` span the
+same lattice.  ``ff_rank`` must agree with ``DomainMatrix.rank`` over the
+fraction field ``QQ(t1, t2, t3)``.  ``hermite_form`` must give the same H
+for every basis of a lattice.  Skipped where sympy does not import.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
 from expofield.fieldelem import FieldElem  # noqa: E402
+from expofield.linalg import (ff_rank, hermite_form,  # noqa: E402
+                              integer_kernel_basis)
 from expofield.mpoly import MPoly  # noqa: E402
 
 NAMES = ("t1", "t2", "t3")
@@ -174,3 +187,149 @@ def test_fieldelem_equality_matches_cancel(case):
         assert _reduced(sympy.expand(diff_num), m).is_zero
     num, _ = sympy.fraction(sympy.cancel(sx - sy))
     assert (x == y) == _reduced(sympy.expand(num), m).is_zero
+
+
+# -- integer lattices and function-field rank ---------------------------------
+
+
+@st.composite
+def int_matrices(draw, entries=st.integers(-6, 6), max_rows=5, max_cols=5):
+    """Matrices with at least one row, often of lower rank: some rows are
+    integer combinations of the ones before them."""
+    n = draw(st.integers(1, max_cols))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n))]
+    for _ in range(draw(st.integers(0, max_rows - 1))):
+        if draw(st.booleans()):
+            k = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                              max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(k, rows))
+                         for j in range(n)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=n, max_size=n)))
+    return rows
+
+
+def _in_lattice(v, basis):
+    """v is an integer combination of the independent rows ``basis``."""
+    sol, _ = sympy.Matrix(basis).T.gauss_jordan_solve(sympy.Matrix(v))
+    return all(x.is_integer for x in sol)
+
+
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(entries=st.one_of(st.just(Fraction(0)), fractions)))
+def test_integer_kernel_basis_is_a_saturated_basis_of_the_null_space(rows):
+    n = len(rows[0])
+    basis = integer_kernel_basis(rows)
+    a = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                       for x in row] for row in rows])
+    for z in basis:
+        assert all(x.__class__ is int for x in z)
+        assert a * sympy.Matrix(z) == sympy.zeros(len(rows), 1)
+    assert len(basis) == n - a.rank()
+    if basis:
+        snf = smith_normal_form(sympy.Matrix(basis), domain=sympy.ZZ)
+        assert all(abs(snf[i, i]) == 1 for i in range(len(basis)))
+    # the same lattice: each null vector, cleared, is an integer
+    # combination of the basis, and each (integer) basis vector is a
+    # rational one of the null vectors, so it lies in their saturation
+    null = a.nullspace()
+    for v in null:
+        den = lcm(*(int(x.q) for x in v))
+        assert _in_lattice([int(x * den) for x in v], basis)
+    for z in basis:
+        assert sympy.Matrix.hstack(*null, sympy.Matrix(z)).rank() == \
+            len(null)
+
+
+def _is_hermite(h):
+    """Row-style Hermite normal form: nonzero rows, pivots positive and
+    strictly to the right row by row, entries above a pivot in [0, pivot)."""
+    last = -1
+    for r, row in enumerate(h):
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None or c <= last or row[c] <= 0:
+            return False
+        if any(not 0 <= h[i][c] < row[c] for i in range(r)):
+            return False
+        last = c
+    return True
+
+
+@st.composite
+def unimodular_ops(draw, m):
+    """Elementary row operations on m rows: swap, negate, add a multiple."""
+    ops = []
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        kind = draw(st.sampled_from(["swap", "negate", "add"]))
+        ops.append((kind, i, j, draw(st.integers(-4, 4))))
+    return ops
+
+
+def _apply(ops, rows):
+    u = [list(r) for r in rows]
+    for kind, i, j, k in ops:
+        if kind == "swap":
+            u[i], u[j] = u[j], u[i]
+        elif kind == "negate":
+            u[i] = [-x for x in u[i]]
+        elif i != j:
+            u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+@st.composite
+def lattice_bases(draw):
+    rows = draw(int_matrices())
+    return rows, _apply(draw(unimodular_ops(len(rows))), rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_bases())
+def test_hermite_form_depends_only_on_the_lattice(case):
+    rows, moved = case
+    h, t = hermite_form(rows)
+    assert _is_hermite(h)
+    assert hermite_form(moved)[0] == h
+    assert len(t) == len(rows) and abs(sympy.Matrix(t).det()) == 1
+    width = len(rows[0])
+    padded = h + [[0] * width] * (len(rows) - len(h))
+    assert (sympy.Matrix(t) * sympy.Matrix(rows)).tolist() == padded
+    assert len(h) == sympy.Matrix(rows).rank()
+
+
+RANK_FIELD = sympy.QQ.frac_field(*T)
+
+
+@st.composite
+def function_matrices(draw):
+    """Matrices of small quotients in t1..t3, often of lower rank: some
+    rows are sums of multiples of the ones before them by field elements."""
+    n = draw(st.integers(1, 4))
+
+    def entry():
+        num, _ = build(draw(terms(1, zeta=False, max_terms=2)), 1)
+        den, _ = build(draw(terms(1, zeta=False, max_terms=2)), 1)
+        return FieldElem(num) if den.is_zero() else FieldElem(num, den)
+
+    rows = [[entry() for _ in range(n)]]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            k = [entry() for _ in rows]
+            rows.append([sum((c * r[j] for c, r in zip(k, rows)),
+                             FieldElem.zero()) for j in range(n)])
+        else:
+            rows.append([entry() for _ in range(n)])
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(function_matrices())
+def test_ff_rank_matches_domain_matrix_rank(rows):
+    dm = DomainMatrix(
+        [[RANK_FIELD.from_sympy(_text_to_sympy(str(e))) for e in row]
+         for row in rows], (len(rows), len(rows[0])), RANK_FIELD)
+    assert ff_rank(rows) == dm.rank()

@@ -44,8 +44,8 @@ class TestAdditiveFreeness:
                (S("_q1"), S("_q2")), (True, True))
         cert = additive_freeness(v)
         assert cert.verdict == "not_free"
-        assert cert.relation == (-2, 1)
-        assert cert.value == coerce(3)
+        assert cert.relation == (2, -1)
+        assert cert.value == coerce(-3)
         assert relation_total(v, cert.relation) == cert.value
 
     def test_independent_parameters_free(self):
