@@ -9,22 +9,25 @@ completed the same way, with the homomorphism's well-definedness certified
 on the integer kernel of the concatenated graph arguments.
 
 The independence checks made inside one field share their work through
-``_IndepChecks``: each distinct set of generators is closed to its hull once,
-each distinct hull generator is differentiated once, by the symbols it has,
-and each distinct set of Jacobian rows is ranked once.  One ``_IndepChecks``
-serves one ``indep`` call or one node of ``verify_independent_system`` and is
-dropped when that call returns; nothing is kept between calls.
+``_IndepChecks``: all its hulls come from one ``efield.HullBasis``, which
+reduces the graph arguments once, each distinct set of generators is closed
+to its hull once, each distinct hull generator is differentiated once, by
+the symbols it has, into a sparse Jacobian row, and each distinct set of
+rows is ranked once.  One ``_IndepChecks`` serves one ``indep`` call or one
+node of ``verify_independent_system`` and is dropped when that call
+returns; nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import IllFormedExtension, UnsupportedShape
-from .efield import (EFieldPresentation, WellDefCheck, e_eval, hull,
+from .efield import (EFieldPresentation, HullBasis, WellDefCheck, e_eval,
                      merge_graphs, presentation)
 from .fieldelem import FieldElem, coerce
-from .linalg import ff_rank, jacobian_rank
+from .linalg import ff_rank, jacobian_rank, jacobian_row
 
 
 # -- transcendence degree and ACF-independence --------------------------------
@@ -56,34 +59,36 @@ def acf_indep(a, b, c, amb_params) -> bool:
 
 class _IndepChecks:
     """Hulls, Jacobian rows and ranks shared by the independence checks
-    made inside one presentation.  A hull is keyed by the set of its
-    inputs' ``key()``s, since its generators, as a set, do not depend on
-    the order of the inputs or on repeats.  A row is keyed by its
-    generator's ``key()``, equal exactly when the printed texts are; it
-    differentiates the generator only by the symbols it has, and holds one
-    shared zero elsewhere.  A rank, which ignores row order and repeats, is
-    keyed by its set of row keys."""
+    made inside one presentation.  Every hull comes from one ``HullBasis``,
+    built on the first, so the graph arguments are reduced once.  A hull is
+    keyed by a set its caller names, which must fix the set of its inputs,
+    since its generators, as a set, do not depend on the order of the
+    inputs or on repeats.  A row is keyed by its generator's ``key()``,
+    equal exactly when the printed texts are; it is a sparse dict {column:
+    derivative} over the symbols the generator has, every other column
+    zero.  A rank, which ignores row order and repeats, is keyed by its set
+    of row keys."""
 
     def __init__(self, f: EFieldPresentation):
         self.f = f
         self.params = list(f.transcendentals)
-        self.zero = FieldElem.zero(f.cyclotomic_order)
-        self.hulls: dict = {}  # frozenset of input keys -> hull row keys
+        self.hulls: dict = {}  # caller's key -> hull row keys
         self.rows: dict = {}  # generator key() -> Jacobian row
         self.ranks: dict = {}  # frozenset of row keys -> rank
 
-    def hull(self, elems) -> tuple:
-        """Row keys of the hull of ``elems``, computed once per set."""
-        key = frozenset(e.key() for e in elems)
+    @cached_property
+    def basis(self) -> HullBasis:
+        return HullBasis(self.f)
+
+    def hull(self, key, elems) -> tuple:
+        """Row keys of the hull of ``elems``, computed once per ``key``."""
         keys = self.hulls.get(key)
         if keys is None:
-            gens = hull(self.f, elems).generators
+            gens = self.basis.hull(elems).generators
             keys = self.hulls[key] = tuple(g.key() for g in gens)
             for k, g in zip(keys, gens):
                 if k not in self.rows:
-                    syms = g.symbols()
-                    self.rows[k] = [g.derivative(p) if p in syms else self.zero
-                                    for p in self.params]
+                    self.rows[k] = jacobian_row(g, self.params)
         return keys
 
     def rank(self, *hulls) -> int:
@@ -108,7 +113,8 @@ def indep(f: EFieldPresentation, a, b, c) -> bool:
     b = [coerce(x, order) for x in b]
     c = [coerce(x, order) for x in c]
     checks = _IndepChecks(f)
-    return checks.indep(*(checks.hull(g) for g in (a + c, b + c, c)))
+    return checks.indep(*(checks.hull(frozenset(e.key() for e in g), g)
+                          for g in (a + c, b + c, c)))
 
 
 # -- pairwise amalgamation ------------------------------------------------------
@@ -276,27 +282,31 @@ class SystemReport:
 def verify_independent_system(s: IndepSystem) -> SystemReport:
     """Check the independence condition at every pair a < b of the diagram.
 
-    The pairs a < b of one node b share one ``_IndepChecks``: one hull per
-    distinct set of symbols, one Jacobian row per distinct hull generator
-    and one rank per distinct set of rows, dropped once node b is done.
+    The pairs a < b of one node b share one ``_IndepChecks``: one reduction
+    of b's graph arguments, one hull per distinct set of symbol names, one
+    Jacobian row per distinct hull generator and one rank per distinct set
+    of rows, dropped once node b is done.  Each symbol's element is built
+    once per call.
     """
     failures = []
     subsets = sorted(s.nodes, key=lambda x: (len(x), sorted(x)))
-    syms = {a: set(s.nodes[a].transcendentals) for a in subsets}
-    below = {a: set().union(*(syms[c] for c in subsets if c < a))
+    syms = {a: frozenset(s.nodes[a].transcendentals) for a in subsets}
+    below = {a: frozenset().union(*(syms[c] for c in subsets if c < a))
              for a in subsets}
+    order = s.nodes[subsets[0]].cyclotomic_order
+    elem = {t: FieldElem.from_symbol(t, order)
+            for t in frozenset().union(*syms.values())}
     for b in subsets:
-        fb = s.nodes[b]
-        checks = _IndepChecks(fb)
+        checks = _IndepChecks(s.nodes[b])
 
         def hull_of(symbols):
-            return checks.hull([fb.elem(t) for t in sorted(symbols)])
+            return checks.hull(symbols, [elem[t] for t in sorted(symbols)])
 
         for a in subsets:
             if not (a < b) or not a:
                 continue
-            d_syms = set().union(*(syms[d] for d in subsets
-                                   if d <= b and not (a <= d)))
+            d_syms = frozenset().union(*(syms[d] for d in subsets
+                                         if d <= b and not (a <= d)))
             if not d_syms:
                 continue
             c_syms = below[a]

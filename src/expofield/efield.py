@@ -11,11 +11,15 @@ A presentation's linear structure is computed once: its ``arg_basis`` is a
 semi-echelon basis of the arguments (``linalg.SpanBasis``), built on the
 first ``e_eval`` and kept with the presentation, which is immutable.
 ``e_eval`` has one path: it asks that basis for the coordinates of its
-target.  ``hull`` builds one basis of span(generators, 1) per call, reduces
-the arguments and candidates against it, and takes each round's lattice
-as the integer kernel of the residues.  ``SpanBasis`` decides how elements
-are cleared of denominators.  No result is cached between calls.  Every
-lattice basis here is a Hermite normal form (``linalg.hermite_form``).
+target.  Every hull comes from a ``HullBasis``: one basis of 1 and of the
+elements offered to it, against which the arguments are reduced once and
+then kept reduced, so the hulls made inside one ``indep`` call or one node
+of an independent system share that work; ``hull`` is one such hull on a
+basis of its own.  Each round's lattice is the integer kernel of the
+arguments' residues and coordinates modulo the generators.  ``SpanBasis``
+decides how elements are cleared of denominators.  No result is cached
+between calls, nor on the presentation beyond ``arg_basis``.  Every lattice
+basis here is a Hermite normal form (``linalg.hermite_form``).
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .errors import (ExponentialConflict, LinearDependence, MissingExponential,
 from . import exprlang
 from .exprlang import ETerm, Exp, fresh_name
 from .fieldelem import FieldElem, coerce, int_combination, power_product
-from .linalg import (SpanBasis, coordinate_matrix, hermite_form,
-                     integer_coordinates, integer_kernel_basis)
+from .linalg import (SpanBasis, coordinate_matrix, extend_basis, hermite_form,
+                     integer_coordinates, integer_kernel_basis, reduce_mod)
 from .variety import (ParametricVariety, ReductionResult, additive_freeness,
                       pullback, reduce as variety_reduce)
 
@@ -66,7 +70,7 @@ class EFieldPresentation:
         coordinates in them.  Built on the first ``e_eval``; a presentation
         is immutable, and every constructor returns a new one, so it is
         never stale, and ``coordinates`` never grows it."""
-        return SpanBasis(self.args, track=True)
+        return SpanBasis(self.args)
 
 
 def _graph_violations(egraph):
@@ -407,47 +411,111 @@ class HullPresentation:
     closed_under_graph: bool
 
 
-def hull(f: EFieldPresentation, elems) -> HullPresentation:
-    """Close a generator list under detectable graph application.
+class HullBasis:
+    """The hulls of one presentation, sharing one reduction of its graph
+    arguments.
 
-    A combination sum(z_i arg_i) with integer z lands in the Q-span of the
-    generators (and 1) exactly when the corresponding value product belongs
-    to the hull; the detectable such z form a saturated lattice, recomputed
-    until the span stops growing.
+    It holds a semi-echelon basis (``SpanBasis``) of 1 and of every element
+    offered to it: the generators and candidates of its hulls, each once.
+    Against it, each graph argument has a residue and coordinates in the
+    offered elements that became rows.  A new row reduces every argument by
+    that row alone, which is exact because the rows are semi-echelon in
+    insertion order; a new denominator rebuilds the basis through
+    ``covering`` and reduces the arguments again.
 
-    Each round reduces the arguments against one semi-echelon basis of
-    span(generators, 1): the z above are the integer kernel of the matrix
-    of their residues, in Hermite normal form, so the generators added
-    depend only on that lattice.  Value products of the lattice basis
-    outside the span of everything before them join the generators.
+    An integer combination sum(z_i arg_i) lies in span(G, 1) exactly when
+    its residue is zero and its coordinates lie in the span of the
+    coordinates of G and 1.  So a hull round's matrix stacks the residues
+    on the coordinates reduced modulo that span, and its integer kernel is
+    the round's lattice: the same lattice, so the same Hermite normal form
+    and the same generators as from a basis of span(G, 1) alone.  When G is
+    among the offered rows, as a set of symbols is, the reduction just
+    drops G's coordinates.  Nothing is kept beyond the object, which serves
+    one ``hull`` call, one ``indep`` call or one node of
+    ``amalg.verify_independent_system``.
     """
-    order = f.cyclotomic_order
-    gens = []
-    for e in elems:
-        e = coerce(e, order)
-        if not any(e == g for g in gens):
-            gens.append(e)
-    args, vals = f.args, f.vals
-    if not args:
+
+    def __init__(self, f: EFieldPresentation):
+        self.order = f.cyclotomic_order
+        self.args, self.vals = f.args, f.vals
+        self.span = SpanBasis().covering(self.args)
+        self.coords: dict = {}  # offered element key() -> its coordinates
+        self.products: dict = {}  # lattice vector -> (value product, coords)
+        self.reductions = [self.span.reduce(a) for a in self.args]
+        # offered first: 1 has index 0 and coordinates {0: 1}
+        self._coordinates(FieldElem.one(self.order))
+
+    def _coordinates(self, e: FieldElem) -> dict:
+        """The coordinates of e in the offered rows, offering it once."""
+        key = e.key()
+        x = self.coords.get(key)
+        if x is None:
+            span = self.span.covering([e])
+            if span is not self.span:
+                self.span = span
+                self.reductions = [span.reduce(a) for a in self.args]
+            start = len(span.rows)
+            x = self.coords[key] = span.add(e)
+            if len(span.rows) > start:
+                for res, y in self.reductions:
+                    span.eliminate(res, y, start)
+        return x
+
+    def _product(self, z) -> tuple:
+        """The value product of the exponents z and its coordinates."""
+        z = tuple(z)
+        out = self.products.get(z)
+        if out is None:
+            c = power_product(self.vals, z, self.order)
+            out = self.products[z] = (c, self._coordinates(c))
+        return out
+
+    def hull(self, elems) -> HullPresentation:
+        """Close a generator list under detectable graph application.
+
+        A combination sum(z_i arg_i) with integer z lands in the Q-span of
+        the generators (and 1) exactly when the corresponding value product
+        belongs to the hull; the detectable such z form a saturated
+        lattice, recomputed until the span stops growing.  Each round takes
+        it in Hermite normal form, so the generators added depend only on
+        that lattice: the value products of its basis outside the span of
+        everything before them.
+        """
+        local = {0: {}}  # reduced basis of the coordinates of 1 and gens
+        gens, seen = [], set()
+        for e in elems:
+            e = coerce(e, self.order)
+            # equal elements have equal coordinates, and only they do
+            x = self._coordinates(e)
+            key = frozenset(x.items())
+            if key not in seen:
+                seen.add(key)
+                gens.append(e)
+                extend_basis(local, dict(x))
+        if not self.args:
+            return HullPresentation(tuple(gens), True)
+        for _ in range(len(self.args) + 1):
+            parts = ([res for res, _ in self.reductions],
+                     [reduce_mod(local, dict(y)) for _, y in self.reductions])
+            # nothing left at all: every z is in the kernel
+            lattice = integer_kernel_basis(
+                [[v.get(k, 0) for v in part]
+                 for part in parts for k in set().union(*part)]
+                or [[0] * len(self.args)])
+            if not lattice:
+                break
+            new = [c for c, x in map(self._product, lattice)
+                   if extend_basis(local, dict(x))]
+            if not new:
+                break
+            gens += new
         return HullPresentation(tuple(gens), True)
-    one = FieldElem.one(order)
-    span = SpanBasis(gens + [one]).covering(args)
-    for _ in range(len(args) + 1):
-        residues = [span.residue(a) for a in args]
-        monos = {m for r in residues for m in r}
-        # no residue at all: every z is in the kernel
-        lattice = integer_kernel_basis(
-            [[r.get(m, 0) for r in residues] for m in monos]
-            or [[0] * len(args)])
-        if not lattice:
-            break
-        cands = [power_product(vals, z, order) for z in lattice]
-        span = span.covering(cands)
-        new = [c for c in cands if span.add(c)]
-        if not new:
-            break
-        gens += new
-    return HullPresentation(tuple(gens), True)
+
+
+def hull(f: EFieldPresentation, elems) -> HullPresentation:
+    """Close a generator list under detectable graph application inside
+    ``f``: ``HullBasis.hull`` on a basis of its own."""
+    return HullBasis(f).hull(elems)
 
 
 # -- generator families ---------------------------------------------------------

@@ -4,8 +4,8 @@ over the rational-function field.
 Matrices are plain lists of lists.  ``_rref`` is Gauss-Jordan over any field
 whose elements support ``bool``, ``+``, ``-``, ``*`` and ``/``, and over Q
 with int and Fraction entries, which it keeps exact: no entry is ever a
-float.  The function-field rank is one exact forward elimination by
-division over FieldElem entries.
+float.  The function-field rank is one exact elimination over sparse rows
+of FieldElem entries, dense rows included.
 
 ``hermite_form`` is the one integer elimination.  Every lattice basis the
 library prints is a Hermite normal form, so it depends only on the lattice.
@@ -22,14 +22,18 @@ span as a sparse semi-echelon basis (rows of monomial -> rational dicts,
 each 1 at a pivot that no later row has) and reduces one element at a time
 against it.  Only this module knows D: ``SpanBasis`` takes field elements,
 clears them itself, and rebuilds over a larger D when an element needs it.
-``efield.hull`` builds one per call; every presentation builds one of its
-graph arguments on its first ``e_eval`` and keeps it.
+Each ``efield.HullBasis`` builds one; every presentation builds one of its
+graph arguments on its first ``e_eval`` and keeps it.  ``reduce_mod`` and
+``extend_basis`` keep a small reduced basis of sparse coordinate vectors,
+and ``ff_rank`` eliminates over sparse rows, all through one update,
+``_add_multiple``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from math import lcm
 
 from .errors import DimensionMismatch
@@ -137,15 +141,20 @@ def hermite_form(rows):
     2.4.2).  T is unimodular with T * rows = H followed by zero rows, so
     T[len(H):] is a Z-basis of the left kernel {y : y * rows = 0}."""
     m = [list(row) for row in rows]
-    t = [[int(i == j) for j in range(len(m))] for i in range(len(m))]
+    n = len(m)
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
     r = 0
     for c in range(_check_rect(m)):
-        for i in range(r + 1, len(m)):
+        if r == n:  # every row has a pivot
+            break
+        for i in range(r + 1, n):
             while m[i][c]:  # Euclid's algorithm on rows r and i
                 q = m[r][c] // m[i][c]
-                for a in (m, t):
-                    a[r], a[i] = a[i], [x - q * y for x, y in zip(a[r], a[i])]
-        if r == len(m) or not m[r][c]:
+                for a in (m, t):  # a zero quotient only swaps the rows
+                    rest = ([x - q * y for x, y in zip(a[r], a[i])] if q
+                            else a[r])
+                    a[r], a[i] = a[i], rest
+        if not m[r][c]:
             continue
         if m[r][c] < 0:
             m[r], t[r] = [-x for x in m[r]], [-x for x in t[r]]
@@ -185,8 +194,11 @@ def denominators(elems, dens=()) -> list:
     it lacks, in order of appearance.  Their product is the common
     denominator D that ``coordinate_matrix`` and ``SpanBasis`` clear by."""
     dens = list(dens)
+    seen = {d.key() for d in dens}
     for e in elems:
-        if not any(d == e.den for d in dens):
+        key = e.den.key()
+        if key not in seen:
+            seen.add(key)
             dens.append(e.den)
     return dens
 
@@ -219,6 +231,47 @@ def coordinate_matrix(elems):
     return [[p.terms.get(mono, 0) for p in cleared] for mono in support]
 
 
+def _add_multiple(v, c, row) -> None:
+    """v += c * row on sparse vectors (dicts), in place, dropping the
+    entries that vanish.  Entries are rationals or field elements."""
+    for k, x in row.items():
+        s = v.get(k)
+        if s is None:
+            v[k] = c * x
+        else:
+            s = s + c * x
+            if s:
+                v[k] = s
+            else:
+                del v[k]
+
+
+def reduce_mod(basis: dict, v: dict) -> dict:
+    """v modulo the span of ``basis``, in place, and returned.  ``basis``
+    maps each pivot to the other entries of a row that is 1 there, and no
+    row has the pivot of another, so v loses exactly its pivot entries."""
+    for p in [k for k in v if k in basis]:
+        _add_multiple(v, -v.pop(p), basis[p])
+    return v
+
+
+def extend_basis(basis: dict, v: dict) -> bool:
+    """Add the sparse vector v to ``basis`` (see ``reduce_mod``), keeping
+    it reduced; True when v was outside its span."""
+    v = reduce_mod(basis, v)
+    if not v:
+        return False
+    pivot = next(iter(v))
+    inv = _inverse(v.pop(pivot))
+    row = v if inv == 1 else {k: x * inv for k, x in v.items()}
+    for rest in basis.values():
+        c = rest.pop(pivot, None)
+        if c is not None:
+            _add_multiple(rest, -c, row)
+    basis[pivot] = row
+    return True
+
+
 class SpanBasis:
     """Semi-echelon basis of the Q-span of the field elements offered to it.
 
@@ -231,97 +284,88 @@ class SpanBasis:
     such a map scaled to 1 at its pivot monomial, which no later row has.
     An element is reduced against the rows in insertion order, so its
     residue has no pivot monomial, and it lies in the span exactly when the
-    residue is empty; the residue map is Q-linear.  This is the sum of subspaces by Gaussian
-    elimination (H. Cohen, *A Course in Computational Algebraic Number
-    Theory*, GTM 138, section 2.3), kept sparse: a reduction touches only
-    the pivots present and the monomials of their rows.
+    residue is empty; the residue map is Q-linear.  This is the sum of
+    subspaces by Gaussian elimination (H. Cohen, *A Course in Computational
+    Algebraic Number Theory*, GTM 138, section 2.3), kept sparse: a
+    reduction touches only the pivots present and the monomials of their
+    rows.
 
-    ``add`` and ``residue`` take elements that D clears, such as the ones
+    Each row keeps its coordinates in the offered elements, by their
+    index, so a reduction also gives the coordinates of the combination of
+    rows it subtracts; an offered element already in the span adds no row
+    and keeps coordinate 0, as in the greedy pivots of ``qlin_solve``.
+
+    ``add`` and ``reduce`` take elements that D clears, such as the ones
     named to ``covering``, which returns a basis over a D that clears them.
     ``coordinates`` takes any element and, when D does not clear it, solves
     on a covering basis of its own, so the basis never grows by it.
-
-    With ``track``, each row keeps its coordinates in the offered elements,
-    by their index, so ``coordinates`` solves for an element in the span;
-    an offered element already in the span adds no row and keeps coordinate
-    0, as in the greedy pivots of ``qlin_solve``.
     """
 
-    def __init__(self, elems, track: bool = False, dens=()):
+    def __init__(self, elems=(), dens=()):
         elems = list(elems)
         self.dens = denominators(elems, dens)
-        self.track = track
+        self.den_keys = {d.key() for d in self.dens}
         self.elems = []  # offered, in order
-        self.rows = []  # (pivot, row, coordinates or None)
+        self.rows = []  # (pivot, row, coordinates)
         for e in elems:
             self.add(e)
 
     def covering(self, elems) -> "SpanBasis":
         """This basis when D clears every one of ``elems``, else the basis
         of the same offered elements over a D that also clears them."""
-        dens = denominators(elems, self.dens)
-        if len(dens) == len(self.dens):
+        if all(e.den.key() in self.den_keys for e in elems):
             return self
-        return SpanBasis(self.elems, self.track, dens)
+        return SpanBasis(self.elems, denominators(elems, self.dens))
 
-    def _reduce(self, e):
-        """(residue, coordinates): e * D minus the combination of rows that
-        clears every pivot, and the coordinates of that combination in the
-        offered elements (None without ``track``)."""
+    def reduce(self, e):
+        """(residue, coordinates) of e, which D must clear: e * D minus the
+        combination of rows that clears every pivot, and the coordinates of
+        that combination in the offered elements.  The residue is empty
+        exactly when e lies in the span."""
         p = _clear(e, self.dens)
         if p is None:
             raise ValueError(f"{e} is not cleared by this basis; see covering")
-        v = dict(p.terms)
-        coords = {} if self.track else None
-        for pivot, row, row_coords in self.rows:
+        coords = {}
+        return self.eliminate(dict(p.terms), coords), coords
+
+    def eliminate(self, v, coords, start=0):
+        """Reduce the residue map v, in place, against the rows from
+        ``start`` on: subtract the multiple of each row that clears its
+        pivot, and add the same multiple of its coordinates to ``coords``.
+        Returns v.  Later rows lack earlier pivots, so a residue reduced
+        against the rows before ``start`` and then this is reduced against
+        all of them."""
+        for pivot, row, row_coords in islice(self.rows, start, None):
             c = v.get(pivot)
             if c is None:
                 continue
-            for mono, x in row.items():
-                s = v.get(mono)
-                if s is None:
-                    v[mono] = -c * x
-                else:
-                    s = s - c * x
-                    if s:
-                        v[mono] = s
-                    else:
-                        del v[mono]
-            if coords is not None:
-                for i, y in row_coords.items():
-                    s = coords.get(i)
-                    coords[i] = c * y if s is None else s + c * y
-        return v, coords
+            _add_multiple(v, -c, row)
+            _add_multiple(coords, c, row_coords)
+        return v
 
-    def residue(self, e) -> dict:
-        """The residue of e, which D must clear: empty exactly when e lies
-        in the span."""
-        return self._reduce(e)[0]
-
-    def add(self, e) -> bool:
-        """Offer e, which D must clear; True when it was outside the span
+    def add(self, e) -> dict:
+        """Offer e, which D must clear.  Returns its coordinates in the
+        offered elements: ``{its index: 1}`` when it was outside the span
         and became a row."""
-        v, coords = self._reduce(e)
+        v, coords = self.reduce(e)
         index = len(self.elems)
         self.elems.append(e)
         if not v:
-            return False
+            return coords
         pivot = next(iter(v))
         inv = _inverse(v[pivot])
         if inv != 1:
             v = {mono: x * inv for mono, x in v.items()}
-        row_coords = None
-        if coords is not None:
-            # row = (e * D - sum coords[i] * offered_i * D) * inv
-            row_coords = {i: -y * inv for i, y in coords.items()}
-            row_coords[index] = inv
+        # row = (e * D - sum coords[i] * offered_i * D) * inv
+        row_coords = {i: -y * inv for i, y in coords.items()}
+        row_coords[index] = inv
         self.rows.append((pivot, v, row_coords))
-        return True
+        return {index: 1}
 
     def coordinates(self, e):
         """Coordinates of e in the offered elements, as ints and Fractions,
-        or None when it lies outside their span.  Needs ``track``."""
-        v, coords = self.covering([e])._reduce(e)
+        or None when it lies outside their span."""
+        v, coords = self.covering([e]).reduce(e)
         if v:
             return None
         zero = Fraction(0)
@@ -330,50 +374,49 @@ class SpanBasis:
 
 def rational_span_solve(basis_elems, target):
     """Coordinates of ``target`` in the Q-span of ``basis_elems`` (or None)."""
-    return SpanBasis(basis_elems, track=True).coordinates(target)
+    return SpanBasis(basis_elems).coordinates(target)
 
 
 def integer_coordinates(elems):
     """Each element's coordinates in the greedy independent ones, each
     coordinate cleared of denominators: integer rows with their relations."""
-    basis = SpanBasis(elems, track=True)
+    basis = SpanBasis(elems)
     return _integer_columns(list(zip(*map(basis.coordinates, elems))))
 
 
 # -- rank over the function field ------------------------------------------
 
 
-def ff_rank(matrix) -> int:
-    """Rank of a FieldElem matrix over the rational-function field.
+def ff_rank(rows) -> int:
+    """Rank of a FieldElem matrix over the rational-function field.  The
+    rows are all sequences of one length, or all sparse dicts {column:
+    entry}, where an absent column is zero; ragged sequences raise
+    DimensionMismatch.
 
-    Forward elimination, dividing by each pivot.  On the amalg-n benchmark's
-    Jacobians (single-term numerators and denominators) this took 0.55-0.6x
-    the time of fraction-free Bareiss elimination on denominator-cleared
-    rows, which also needed a second path for entries carrying zeta.  Full
-    Gauss-Jordan (``_rref``) took 1.6x Bareiss there, so rows above each
-    pivot are left alone.  Updating only the pivot row's nonzero columns, as
-    ``_rref`` does, was no faster on those Jacobians: few rows below a pivot
-    need updating, and finding the nonzero columns costs what it saves.
+    Each row is reduced in turn against the pivot rows before it, in
+    insertion order, and becomes a pivot row, at its first nonzero column,
+    when anything is left.  A pivot row lacks the pivots of the rows before
+    it, so subtracting it never brings one back.  An entry is divided only
+    to eliminate it: the row gets the multiple entry / pivot of the pivot
+    row, and a pivot row is never scaled.  Only a row's nonzero entries are
+    touched, so a Jacobian row of a generator costs its own symbols, and
+    the pivot column is dropped rather than computed to zero.
     """
-    if not matrix:
-        return 0
-    _check_rect(matrix)
-    m = [list(row) for row in matrix]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, nrows):
-            if m[i][c]:
-                f = m[i][c] / m[r][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    rows = list(rows)
+    if rows and not isinstance(rows[0], dict):
+        _check_rect(rows)
+        rows = [dict(enumerate(row)) for row in rows]
+    pivots = []  # (column, entry there, the row's other entries)
+    for row in rows:
+        v = {j: x for j, x in row.items() if x}
+        for c, p, rest in pivots:
+            x = v.pop(c, None)
+            if x is not None:
+                _add_multiple(v, -(x / p), rest)
+        if v:
+            c = next(iter(v))
+            pivots.append((c, v.pop(c), v))
+    return len(pivots)
 
 
 def jacobian(elems, params):
@@ -381,7 +424,13 @@ def jacobian(elems, params):
     return [[e.derivative(p) for p in params] for e in elems]
 
 
+def jacobian_row(e, params) -> dict:
+    """The row of e in ``jacobian`` as a sparse dict {column: derivative},
+    over the symbols e has: every other derivative is zero."""
+    syms = e.symbols()
+    return {j: e.derivative(p) for j, p in enumerate(params) if p in syms}
+
+
 def jacobian_rank(elems, params) -> int:
-    if not params:
-        return 0
-    return ff_rank(jacobian(list(elems), list(params)))
+    params = list(params)
+    return ff_rank([jacobian_row(e, params) for e in elems])

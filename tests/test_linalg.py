@@ -74,6 +74,15 @@ def test_ff_rank_examples():
     assert ff_rank([[z, one3], [z * z, z]]) == 1
 
 
+def test_ff_rank_sparse_rows_and_ragged_rows():
+    t1, t2 = S("t1"), S("t2")
+    assert ff_rank([{1: t2}, {0: t1, 1: t2}, {0: 2 * t1}]) == 2
+    with pytest.raises(DimensionMismatch):
+        ff_rank([[t1, t2], [t1]])
+    with pytest.raises(DimensionMismatch):
+        ff_rank([[t1], [t1, FieldElem.zero()]])
+
+
 def test_rank_determinant_identity():
     # det(t1^2 - t2^2) is a nonzero polynomial, so the rank is full
     t1, t2 = S("t1"), S("t2")
@@ -166,7 +175,7 @@ def test_int_coefficients_never_become_floats(elems, zs, k):
     rows, _ = _rref(coordinate_matrix(elems))
     assert all(_exact(x) for row in rows for x in row)
     target = sum((z * e for z, e in zip(zs, elems)), FieldElem.zero()) / k
-    coords = SpanBasis(elems, track=True).coordinates(target)
+    coords = SpanBasis(elems).coordinates(target)
     assert coords is not None and all(_exact(q) for q in coords)
     t1, t2 = S("t1"), S("t2")
     f = presentation("F", transcendentals=("t1", "t2"),

@@ -15,8 +15,11 @@ four Jacobian ranks from scratch for every pair, and must give the same
 verdicts and failures, in the same order.  The sharing keys a hull by the set
 of its inputs, which is exact because ``hull`` returns the same generators
 for any order of its input and for repeats, and builds each Jacobian row
-from the derivatives by the generator's own symbols only, which must equal
-the dense row of ``jacobian``.
+from the derivatives by the generator's own symbols only, whose entries must
+equal those of the dense row of ``jacobian``.  All hulls of one call or node
+come from one ``HullBasis``, which reduces the graph arguments once: each of
+its hulls must equal the rebuild oracle's, or a fresh ``hull``, whatever
+hulls the basis closed before.
 
 ``_rref`` skips the arithmetic by zero and one; its oracle is the dense
 Gauss-Jordan loop that scales every pivot row and updates every entry, and
@@ -29,8 +32,10 @@ coordinate matrices every round, and ``e_eval`` that solved for the
 coordinates on a dense coordinate matrix on every call."""
 
 import random
+import types
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -40,14 +45,21 @@ from expofield import (EEvalResult, FieldElem, IndepSystem, LinearDependence,
                        extend_graph, hull, indep, merge_graphs, presentation,
                        qlin_solve, reduce, verify_independent_system)
 from expofield.amalg import _IndepChecks, subset_label, validate_system
-from expofield.efield import adjoin_transcendentals, build_unchecked
+from expofield.efield import (HullBasis, adjoin_transcendentals,
+                              build_unchecked)
 from expofield.exprlang import parse_element
 from expofield.fieldelem import cyclotomic_root, power_product
-from expofield.linalg import (_rref, coordinate_matrix, ff_rank,
+from expofield.linalg import (SpanBasis, _rref, coordinate_matrix, ff_rank,
                               integer_kernel_basis, jacobian, kernel_basis)
 from gen import (conflicting_system, rand_extension, rand_pminus_system,
                  rand_presentation, rand_variety, reused_transcendental_system,
                  shared_sibling_system, zspan_pair)
+
+# the benchmark's input generator, executed from its source, so that no
+# bytecode is written under bench/
+BENCHGEN = Path(__file__).resolve().parents[1] / "bench" / "benchgen.py"
+benchgen = types.ModuleType("expofield_benchgen")
+exec(compile(BENCHGEN.read_text(), str(BENCHGEN), "exec"), benchgen.__dict__)
 
 S = FieldElem.from_symbol
 SEEDS = range(30)
@@ -361,16 +373,17 @@ def growing_system():
 
 def test_verify_matches_per_pair_indep_where_a_hull_grows(monkeypatch):
     grew = []
+    shared_hull = HullBasis.hull
 
-    def spy(f, elems):
+    def spy(basis, elems):
         elems = list(elems)
-        out = hull(f, elems)
+        out = shared_hull(basis, elems)
         grew.append(len(out.generators) > len({e.key() for e in elems}))
         return out
 
     s = growing_system()
     validate_system(s)
-    monkeypatch.setattr(amalg, "hull", spy)
+    monkeypatch.setattr(HullBasis, "hull", spy)
     assert verdict(s) == verify_oracle(s) == (True, ())
     assert any(grew)
 
@@ -405,14 +418,19 @@ def test_indep_matches_hull_and_acf_indep():
 
 
 def same_sparse_rows(f, elems):
-    """The rows ``_IndepChecks`` builds for the hull of ``elems`` are the
-    dense ``jacobian`` rows of its generators, by value and by text."""
+    """The sparse rows ``_IndepChecks`` builds for the hull of ``elems``
+    hold the dense ``jacobian`` rows of its generators: each stored entry
+    equals the dense one, by value and by text, and each absent column is
+    zero there."""
     checks = _IndepChecks(f)
-    keys = checks.hull(elems)
+    keys = checks.hull(frozenset(e.key() for e in elems), elems)
     gens = hull(f, elems).generators
     assert keys == tuple(g.key() for g in gens)
     for g, want in zip(gens, jacobian(gens, f.transcendentals)):
-        same(checks.rows[g.key()], want)
+        row = checks.rows[g.key()]
+        assert set(row) <= set(range(len(want)))
+        same([row[j] for j in sorted(row)], [want[j] for j in sorted(row)])
+        assert all(x.is_zero() for j, x in enumerate(want) if j not in row)
     return gens
 
 
@@ -727,6 +745,135 @@ def test_hull_generators_ignore_input_order_and_repeats(case, rnd):
 @example(growing_pin())
 def test_sparse_jacobian_rows_equal_dense_rows_over_cyclotomic_fields(case):
     same_sparse_rows(*case)
+
+
+def rebuild_pin():
+    """E(t1) = t2 / (t2 + 1) and E(t2) = t3, and hulls on one basis in
+    this order: the second grows by a value whose denominator no argument
+    has, so the basis is rebuilt over it, and the third grows by both."""
+    t1, t2 = S("t1"), S("t2")
+    f = presentation("H", 1, ("t1", "t2", "t3"),
+                     [(t1, t2 / (t2 + 1)), (t2, S("t3"))])
+    return f, [[t2], [t1], [t1, t2]]
+
+
+def dependent_generator_pin():
+    """E(t1 + t2) = u, and the hull of t1 + t2 after that of t1 and t2:
+    on the shared basis t1 + t2 is no row, so its coordinates are not a
+    unit vector, and the argument lies in the span only modulo them."""
+    t1, t2 = S("t1"), S("t2")
+    f = presentation("D", 1, ("t1", "t2", "u"), [(t1 + t2, S("u"))])
+    return f, [[t1, t2], [t1 + t2]]
+
+
+@st.composite
+def shared_hull_calls(draw):
+    """A presentation and several generator lists, in a random order, for
+    hulls on one shared basis.  The lists draw on the arguments, values
+    and symbols, so a hull may come after others that offered its
+    generators, rows or denominators, or after ones that grew."""
+    f, elems = draw(hull_cases())
+    order = f.cyclotomic_order
+    pool = (list(f.args) + list(f.vals)
+            + [S(t, order) for t in f.transcendentals])
+    pool += [x + y for x, y in zip(pool, pool[1:])]
+    calls = draw(st.lists(st.lists(st.sampled_from(pool), max_size=3),
+                          min_size=1, max_size=4))
+    return f, draw(st.permutations(calls + [elems]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_hull_calls())
+@example((growing_pin()[0], [[S("t3")], growing_pin()[1], [S("t2"), S("t1")],
+                             growing_pin()[1]]))
+@example(rebuild_pin())
+@example(dependent_generator_pin())
+def test_shared_hull_basis_is_history_independent(case):
+    """Each hull on one ``HullBasis`` is the hull its rebuild oracle
+    gives, whatever the same basis closed before it."""
+    f, calls = case
+    basis = HullBasis(f)
+    for elems in calls:
+        same(basis.hull(elems).generators, hull_rebuild_oracle(f, elems))
+
+
+def test_rebuild_pin_rebuilds_the_shared_basis():
+    f, calls = rebuild_pin()
+    basis = HullBasis(f)
+    grown = [len(basis.hull(elems).generators) - len(elems)
+             for elems in calls]
+    assert grown == [1, 1, 2]
+    assert [str(d) for d in basis.span.dens] == ["1", "t2 + 1"]
+
+
+def verify_symbol_sets(s, b):
+    """The symbol sets whose hulls ``verify_independent_system`` takes at
+    node b, in its order."""
+    subsets = sorted(s.nodes, key=lambda x: (len(x), sorted(x)))
+    syms = {a: frozenset(s.nodes[a].transcendentals) for a in subsets}
+    out = {}
+    for a in subsets:
+        if not (a < b) or not a:
+            continue
+        c = frozenset().union(*(syms[x] for x in subsets if x < a))
+        d = frozenset().union(*(syms[x] for x in subsets
+                                if x <= b and not (a <= x)))
+        if d:
+            out.update(dict.fromkeys([syms[a] | c, d | c, c]))
+    return list(out)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_shared_hulls_match_fresh_hulls_on_benchmark_systems(n):
+    """At every node of the benchmark's P^-(n) systems, the symbol sets
+    ``verify_independent_system`` closes, mixed with random ones, which
+    grow more often, closed in turn on one shared basis give the
+    generators of a fresh ``hull``."""
+    checked = grew = 0
+    for seed in range(1, 30):
+        rng = random.Random(seed)
+        s = benchgen.pminus_system(rng, n, seed % 2 == 0)
+        for b in sorted(s.nodes, key=lambda x: (len(x), sorted(x))):
+            f = s.nodes[b]
+            sets = verify_symbol_sets(s, b)
+            sets += [frozenset(rng.sample(f.transcendentals, k))
+                     for k in range(len(f.transcendentals) + 1)]
+            rng.shuffle(sets)
+            basis = HullBasis(f)
+            for names in sets:
+                elems = [f.elem(t) for t in sorted(names)]
+                got = basis.hull(elems).generators
+                same(got, hull(f, elems).generators)
+                checked += 1
+                grew += len(got) > len(elems)
+    assert checked - grew > 500 and grew > 200
+
+
+def test_verify_reduces_each_graph_argument_once_per_node(monkeypatch):
+    """On a P^-(4) system, each node's graph arguments are reduced against
+    its hull basis once, however many hulls the node closes."""
+    s = benchgen.pminus_system(random.Random(3), 4, shared_pair=False)
+    reduced, hulls = [], []
+    span_reduce, shared_hull = SpanBasis.reduce, HullBasis.hull
+
+    def reduce_spy(basis, e):
+        reduced.append(id(e))
+        return span_reduce(basis, e)
+
+    def hull_spy(basis, elems):
+        hulls.append(basis)
+        return shared_hull(basis, elems)
+
+    monkeypatch.setattr(SpanBasis, "reduce", reduce_spy)
+    monkeypatch.setattr(HullBasis, "hull", hull_spy)
+    assert verify_independent_system(s).ok
+    bases = list({id(b): b for b in hulls}.values())
+    # one basis for each node that checks a pair: all but {} and singletons
+    assert len(bases) == len(s.nodes) - 5
+    assert len(hulls) > 4 * len(bases)
+    args = [id(a) for b in bases for a in b.args]
+    assert len(args) > len(bases) and len(set(args)) == len(args)
+    assert sorted(i for i in reduced if i in set(args)) == sorted(args)
 
 
 def test_growing_pin_grows_over_two_rounds():

@@ -11,11 +11,17 @@ printed text, so the oracle reads no internals of the kernel.
 ``integer_kernel_basis`` must give a saturated Z-basis of sympy's rational
 null space: it annihilates the rows, has n - rank vectors, its Smith normal
 form has only unit invariants, and it and sympy's ``nullspace`` span the
-same lattice.  ``ff_rank`` must agree with ``DomainMatrix.rank`` over the
-fraction field ``QQ(t1, t2, t3)``.  ``hermite_form`` must give the same H
-for every basis of a lattice.  Skipped where sympy does not import.
+same lattice.  ``ff_rank`` must agree, on dense rows and on the same rows
+as sparse dicts, with the rank over ``QQ(zeta_m)(t1, t2, t3)`` for m = 1,
+3, 4 and 6, where zeta_m is ``exp(2*pi*I/m)`` in sympy's algebraic field.
+Each row is cleared of denominators into ``QQ(zeta_m)[t1, t2, t3]`` and
+ranked by the fraction-free ``DomainMatrix.rref_den``; ``rank`` over the
+fraction field gives the same ranks, but spent up to a minute on single
+examples.  ``hermite_form`` must give the same H for every basis of a
+lattice.  Skipped where sympy does not import.
 """
 
+import functools
 from fractions import Fraction
 from math import lcm
 
@@ -301,18 +307,58 @@ def test_hermite_form_depends_only_on_the_lattice(case):
     assert len(h) == sympy.Matrix(rows).rank()
 
 
-RANK_FIELD = sympy.QQ.frac_field(*T)
+@functools.lru_cache(maxsize=None)
+def _rank_ring(m):
+    """Q(zeta_m)[t1, t2, t3], with zeta_m the complex number
+    exp(2 pi i / m), and zeta_m in its coefficient field."""
+    if m == 1:
+        return sympy.QQ[T], sympy.QQ.one
+    root = sympy.exp(2 * sympy.pi * sympy.I / m)
+    coeffs = sympy.QQ.algebraic_field(root)
+    return coeffs[T], coeffs.from_sympy(root)
+
+
+def _in_rank_ring(expr, m):
+    """A polynomial in zeta, t1, t2 and t3 as an element of
+    ``_rank_ring(m)``."""
+    ring, zeta = _rank_ring(m)
+    coeffs = ring.domain
+    out = {}
+    for (k, *exps), c in sympy.Poly(expr, Z, *T).terms():
+        key = tuple(map(int, exps))
+        out[key] = out.get(key, coeffs.zero) + coeffs.convert(c) * zeta ** k
+    return ring.ring.from_dict(out)
+
+
+def _cleared_rows(rows, m):
+    """Each row times the product of its entries' denominators, as
+    polynomials in ``_rank_ring(m)``: scaling a row by a nonzero element
+    keeps the rank."""
+    ring = _rank_ring(m)[0]
+    out = []
+    for row in rows:
+        parts = [sympy.fraction(sympy.together(_text_to_sympy(str(e))))
+                 for e in row]
+        nums = [_in_rank_ring(n, m) for n, _ in parts]
+        dens = [_in_rank_ring(d, m) for _, d in parts]
+        out.append([functools.reduce(ring.mul, dens[:j] + dens[j + 1:], num)
+                    for j, num in enumerate(nums)])
+    return out
 
 
 @st.composite
 def function_matrices(draw):
-    """Matrices of small quotients in t1..t3, often of lower rank: some
-    rows are sums of multiples of the ones before them by field elements."""
+    """(m, rows): matrices of small quotients in t1, t2, t3 and zeta_m,
+    often of lower rank: some rows are sums of multiples of the ones before
+    them by field elements."""
+    m = draw(orders)
     n = draw(st.integers(1, 4))
 
+    def poly(zeta):
+        return build(draw(terms(m, zeta=zeta, max_terms=2)), m)[0]
+
     def entry():
-        num, _ = build(draw(terms(1, zeta=False, max_terms=2)), 1)
-        den, _ = build(draw(terms(1, zeta=False, max_terms=2)), 1)
+        num, den = poly(True), poly(False)
         return FieldElem(num) if den.is_zero() else FieldElem(num, den)
 
     rows = [[entry() for _ in range(n)]]
@@ -320,16 +366,18 @@ def function_matrices(draw):
         if draw(st.booleans()):
             k = [entry() for _ in rows]
             rows.append([sum((c * r[j] for c, r in zip(k, rows)),
-                             FieldElem.zero()) for j in range(n)])
+                             FieldElem.zero(m)) for j in range(n)])
         else:
             rows.append([entry() for _ in range(n)])
-    return rows
+    return m, rows
 
 
 @settings(max_examples=60, deadline=None)
 @given(function_matrices())
-def test_ff_rank_matches_domain_matrix_rank(rows):
-    dm = DomainMatrix(
-        [[RANK_FIELD.from_sympy(_text_to_sympy(str(e))) for e in row]
-         for row in rows], (len(rows), len(rows[0])), RANK_FIELD)
-    assert ff_rank(rows) == dm.rank()
+def test_ff_rank_matches_domain_matrix_rank(case):
+    """On dense rows, and on the same rows as sparse dicts."""
+    m, rows = case
+    dm = DomainMatrix(_cleared_rows(rows, m), (len(rows), len(rows[0])),
+                      _rank_ring(m)[0])
+    sparse = [{j: e for j, e in enumerate(row) if e} for row in rows]
+    assert ff_rank(rows) == ff_rank(sparse) == len(dm.rref_den()[2])
