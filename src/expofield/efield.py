@@ -8,8 +8,8 @@ transcendentals (injectivity of divisible groups lets every choice be free),
 so the regime is closed under all constructions here.
 
 A presentation's linear structure is computed once: its ``arg_basis`` is a
-semi-echelon basis of the arguments (``linalg.SpanBasis``), built on the
-first ``e_eval`` and kept with the presentation, which is immutable.
+semi-echelon basis of the arguments (``linalg.SpanBasis``), built when the
+graph is validated and kept with the presentation, which is immutable.
 ``e_eval`` has one path: it asks that basis for the coordinates of its
 target.  Every hull comes from a ``HullBasis``: one basis of 1 and of the
 elements offered to it, against which the arguments are reduced once and
@@ -34,8 +34,8 @@ from .errors import (ExponentialConflict, LinearDependence, MissingExponential,
 from . import exprlang
 from .exprlang import ETerm, Exp, fresh_name
 from .fieldelem import FieldElem, coerce, int_combination, power_product
-from .linalg import (SpanBasis, coordinate_matrix, extend_basis, hermite_form,
-                     integer_coordinates, integer_kernel_basis, reduce_mod)
+from .linalg import (SpanBasis, _integer_columns, extend_basis, hermite_form,
+                     integer_kernel_basis, reduce_mod, span_matrix)
 from .variety import (ParametricVariety, ReductionResult, additive_freeness,
                       pullback, reduce as variety_reduce)
 
@@ -48,7 +48,7 @@ class EFieldPresentation:
     egraph: tuple = ()  # ((arg, val) FieldElem pairs)
 
     def __post_init__(self):
-        _validate_graph(self.egraph, self.cyclotomic_order)
+        _validate_graph(self)
 
     @property
     def args(self) -> tuple:
@@ -66,40 +66,39 @@ class EFieldPresentation:
 
     @cached_property
     def arg_basis(self) -> SpanBasis:
-        """Semi-echelon basis of the arguments, each row with its
-        coordinates in them.  Built on the first ``e_eval``; a presentation
-        is immutable, and every constructor returns a new one, so it is
-        never stale, and ``coordinates`` never grows it."""
+        """Semi-echelon basis of the arguments, each row with its coordinates
+        in them, built when the graph is validated (``build_unchecked``: on
+        first use).  Every constructor returns a new, immutable presentation,
+        so it is never stale, and ``coordinates`` never grows it."""
         return SpanBasis(self.args)
 
 
-def _graph_violations(egraph):
+def _graph_violations(f):
     """Yield the graph's invariant violations, lazily and in a fixed order:
     zero values and zero arguments by index, then one integer relation among
     the nonzero arguments, as a certificate over all graph indices."""
-    for i, (a, v) in enumerate(egraph):
+    for i, (a, v) in enumerate(f.egraph):
         if v.is_zero():
             yield {"kind": "zero_value", "index": i}
         if a.is_zero():
             yield {"kind": "zero_argument", "index": i}
-    idx = [i for i, (a, _) in enumerate(egraph) if not a.is_zero()]
-    if idx:
-        rel = integer_kernel_basis(coordinate_matrix([egraph[i][0] for i in idx]))
-        if rel:
-            cert = [0] * len(egraph)
-            for i, z in zip(idx, rel[0]):
-                cert[i] = z
-            yield {"kind": "dependent_arguments", "certificate": cert}
+    idx = [i for i, (a, _) in enumerate(f.egraph) if not a.is_zero()]
+    if len(f.arg_basis.rows) < len(idx):  # a nonzero argument added no row
+        rel = integer_kernel_basis(span_matrix([f.egraph[i][0] for i in idx]))
+        cert = [0] * len(f.egraph)
+        for i, z in zip(idx, rel[0]):
+            cert[i] = z
+        yield {"kind": "dependent_arguments", "certificate": cert}
 
 
-def _validate_graph(egraph, order: int) -> None:
-    bad = next(_graph_violations(egraph), None)
+def _validate_graph(f: EFieldPresentation) -> None:
+    bad = next(_graph_violations(f), None)
     if bad is None:
         return
     if bad["kind"] == "zero_value":
         raise ZeroValue(f"graph value {bad['index']} is zero")
     if bad["kind"] == "zero_argument":
-        unit = [int(j == bad["index"]) for j in range(len(egraph))]
+        unit = [int(j == bad["index"]) for j in range(len(f.egraph))]
         raise LinearDependence(
             unit, "E(0)=1 is implicit; 0 cannot be a graph argument")
     raise LinearDependence(bad["certificate"])
@@ -250,7 +249,8 @@ def merge_graphs(pairs, order: int):
         return (), WellDefCheck((), ())
     args = [a for a, _ in pairs]
     vals = [v for _, v in pairs]
-    h, t = hermite_form(integer_coordinates(args))
+    # each argument's integer coordinates: none at all when every one is 0
+    h, t = hermite_form(_integer_columns(span_matrix(args)) or [[]] * len(args))
     kernel = hermite_form(t[len(h):])[0]
     for vec in kernel:
         prod = power_product(vals, vec, order)
@@ -555,7 +555,7 @@ SPOT_CHECKS = 10  # homomorphism-law samples of check_presentation
 
 def check_presentation(f: EFieldPresentation, seed: int = 0) -> dict:
     """Validate the invariants and spot-check the homomorphism law."""
-    violations = list(_graph_violations(f.egraph))
+    violations = list(_graph_violations(f))
     checks = 0
     if not violations and f.egraph:
         rng = random.Random(seed)

@@ -16,17 +16,18 @@ pivot is not scaled.  The reduced form is unique, so this changes the cost,
 not the rows or pivots; the dense loop lives on as a test oracle.
 
 Field elements enter linear algebra over one common denominator D, the
-product of their distinct denominators: ``coordinate_matrix`` lays the
-cleared numerators out as a dense matrix, and ``SpanBasis`` keeps their
-span as a sparse semi-echelon basis (rows of monomial -> rational dicts,
-each 1 at a pivot that no later row has) and reduces one element at a time
-against it.  Only this module knows D: ``SpanBasis`` takes field elements,
-clears them itself, and rebuilds over a larger D when an element needs it.
-Each ``efield.HullBasis`` builds one; every presentation builds one of its
-graph arguments on its first ``e_eval`` and keeps it.  ``reduce_mod`` and
-``extend_basis`` keep a small reduced basis of sparse coordinate vectors,
-and ``ff_rank`` eliminates over sparse rows, all through one update,
-``_add_multiple``.
+product of their distinct ``denominators``, which also rejects mixed
+cyclotomic orders.  ``SpanBasis`` keeps their span as a sparse
+semi-echelon basis (rows of monomial -> rational dicts, each 1 at a pivot
+that no later row has) and reduces one element at a time against it.
+Only this module knows D: ``SpanBasis`` clears field elements itself, and
+rebuilds over a larger D when an element needs it.  ``span_matrix`` reads
+coordinates off one; each ``efield.HullBasis`` and each presentation's
+validation builds one.  ``coordinate_matrix``, the cleared numerators as a
+dense matrix, is the reference path: ``variety.freeness_oracle`` alone
+reads it.  ``reduce_mod`` and ``extend_basis`` keep a small reduced basis
+of sparse coordinate vectors, and ``ff_rank`` eliminates over sparse rows,
+all through one update, ``_add_multiple``.
 """
 
 from __future__ import annotations
@@ -192,9 +193,11 @@ def integer_kernel_basis(rows):
 def denominators(elems, dens=()) -> list:
     """``dens`` and then the distinct denominators of field elements that
     it lacks, in order of appearance.  Their product is the common
-    denominator D that ``coordinate_matrix`` and ``SpanBasis`` clear by."""
+    denominator D that ``coordinate_matrix`` and ``SpanBasis`` clear by;
+    two cyclotomic orders other than 1 raise CyclotomicOrderMismatch."""
     dens = list(dens)
     seen = {d.key() for d in dens}
+    reduce(_join_order, (e.order for e in elems), 1)  # mixed orders raise
     for e in elems:
         key = e.den.key()
         if key not in seen:
@@ -222,9 +225,6 @@ def coordinate_matrix(elems):
     numerators, in a deterministic order.  Q-linear relations among the
     elements are exactly the kernel vectors of this matrix.
     """
-    if not elems:
-        return []
-    reduce(_join_order, (e.order for e in elems))  # mixed orders raise
     dens = denominators(elems)
     cleared = [_clear(e, dens) for e in elems]
     support = sorted_monomials({mono for p in cleared for mono in p.terms})
@@ -377,11 +377,11 @@ def rational_span_solve(basis_elems, target):
     return SpanBasis(basis_elems).coordinates(target)
 
 
-def integer_coordinates(elems):
-    """Each element's coordinates in the greedy independent ones, each
-    coordinate cleared of denominators: integer rows with their relations."""
-    basis = SpanBasis(elems)
-    return _integer_columns(list(zip(*map(basis.coordinates, elems))))
+def span_matrix(elems):
+    """``coordinate_matrix`` in span coordinates, one ``SpanBasis.add`` per
+    element: a row per greedy independent element, so the same kernel."""
+    cols = list(map(SpanBasis().covering(elems).add, elems))
+    return [[c.get(i, 0) for c in cols] for i, x in enumerate(cols) if i in x]
 
 
 # -- rank over the function field ------------------------------------------

@@ -34,7 +34,7 @@ only ``exact_divide`` uses it, because an exact quotient, and whether there
 is one, does not depend on the monomial order.  Everything a reader can see
 keeps graded-lex order over the alphabetically sorted occurring symbols, by
 decoding: printing, ``leading()``, which fixes the sign of every FieldElem
-denominator, and ``sorted_monomials``, the row order of
+denominator, and ``sorted_monomials``, the row order of the reference path
 ``linalg.coordinate_matrix``.  Every terms dict is built in a fixed order
 from its operands' dicts, and a quotient lists its terms in descending
 graded-lex order, because FieldElem normal forms are not canonical: the

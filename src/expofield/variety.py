@@ -17,7 +17,7 @@ from .errors import Inconsistent, UnsupportedShape, MissingExponential
 from .exprlang import FlatSystem, fresh_name
 from .fieldelem import (FieldElem, coerce, eliminate_symbols, int_combination,
                         power_product)
-from .linalg import _rref, coordinate_matrix, integer_kernel_basis
+from .linalg import _rref, coordinate_matrix, integer_kernel_basis, span_matrix
 from .mpoly import MPoly, ZETA, decode, encode
 
 
@@ -98,12 +98,12 @@ class ReductionResult:
 # -- the derivative criterion -------------------------------------------------
 
 
-def _derivative_rows(elems, params):
+def _derivative_rows(elems, params, matrix=span_matrix):
     """Stacked Q-rows whose kernel is {m : sum m_i elems_i is base-valued}."""
     rows = []
     for u in params:
         derivs = [e.derivative(u) for e in elems]
-        rows.extend(coordinate_matrix(derivs))
+        rows.extend(matrix(derivs))
     return rows
 
 
@@ -131,12 +131,12 @@ def freeness_oracle(v: ParametricVariety, bound: int) -> FreenessCertificate:
     """Brute-force check over all integer vectors with |m_i| <= bound.
 
     Independent of the kernel computation: enumerates vectors and tests the
-    locus-parameter derivatives of sum(m_i X_i) directly.
+    locus-parameter derivatives of sum(m_i X_i) on a dense coordinate matrix.
     """
     if bound < 0:
         raise UnsupportedShape(f"oracle bound must be >= 0, got {bound}")
     int_rows = []
-    for row in _derivative_rows(list(v.X), v.locus_params):
+    for row in _derivative_rows(list(v.X), v.locus_params, coordinate_matrix):
         den = lcm(*(q.denominator for q in row))
         int_rows.append([int(q * den) for q in row])
     n = v.n

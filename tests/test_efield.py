@@ -10,7 +10,7 @@ from expofield import (FieldElem, ParametricVariety,
                        check_presentation, coerce, e_eval, eval_system,
                        extend_graph, hull, merge_graphs, minimal_ea_family,
                        presentation, solve)
-from expofield import efield
+from expofield import linalg
 from expofield.efield import (adjoin_transcendentals, build_unchecked,
                               graph_conflicts)
 from expofield.errors import (ExponentialConflict, LinearDependence,
@@ -69,16 +69,21 @@ class TestExtendGraph:
 
 class TestAdjoinTranscendentals:
     def test_graph_is_not_validated_again(self, monkeypatch):
+        """Validation builds the argument basis, which clears every nonzero
+        argument of denominators; adjoining symbols clears none."""
         f = presentation("F", transcendentals=("a", "b"),
                          egraph=((S("a"), S("b")), (S("b"), 2 * ONE)))
         calls = []
 
-        def counted(rows):
-            calls.append(rows)
-            return original(rows)
+        def counted(e, dens):
+            calls.append(e)
+            return original(e, dens)
 
-        original = efield.integer_kernel_basis
-        monkeypatch.setattr(efield, "integer_kernel_basis", counted)
+        original = linalg._clear
+        monkeypatch.setattr(linalg, "_clear", counted)
+        presentation("F", transcendentals=("a", "b"), egraph=f.egraph)
+        assert calls == list(f.args)
+        calls.clear()
         g = adjoin_transcendentals(f, ["c", "d"])
         assert calls == []
         assert (g.name, g.cyclotomic_order, g.transcendentals, g.egraph) == (

@@ -29,7 +29,13 @@ Gauss-Jordan loop that scales every pivot row and updates every entry, and
 (``SpanBasis``), which alone decides the common denominator that clears
 them.  Their oracles are the loops they replaced: ``hull`` that rebuilt two
 coordinate matrices every round, and ``e_eval`` that solved for the
-coordinates on a dense coordinate matrix on every call."""
+coordinates on a dense coordinate matrix on every call.
+
+Graph validation reads the argument basis, and ``additive_freeness`` the
+span coordinates of ``linalg.span_matrix``.  Their oracle is the dense
+route they replaced: the first integer kernel vector of
+``coordinate_matrix``, which must equal the ``dependent_arguments``
+certificate and the ``not_free`` relation."""
 
 import random
 import types
@@ -40,15 +46,18 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from expofield import (EEvalResult, FieldElem, IndepSystem, LinearDependence,
-                       acf_indep, amalg, coerce, e_eval, eliminate_symbols,
-                       extend_graph, hull, indep, merge_graphs, presentation,
-                       qlin_solve, reduce, verify_independent_system)
+from expofield import (CyclotomicOrderMismatch, EEvalResult, FieldElem,
+                       IndepSystem, LinearDependence, ParametricVariety,
+                       acf_indep, additive_freeness, amalg,
+                       check_presentation, coerce, e_eval, eliminate_symbols,
+                       extend_graph, hull, indep, linalg, merge_graphs,
+                       presentation, qlin_solve, reduce,
+                       verify_independent_system)
 from expofield.amalg import _IndepChecks, subset_label, validate_system
 from expofield.efield import (HullBasis, adjoin_transcendentals,
                               build_unchecked)
 from expofield.exprlang import parse_element
-from expofield.fieldelem import cyclotomic_root, power_product
+from expofield.fieldelem import cyclotomic_root, int_combination, power_product
 from expofield.linalg import (SpanBasis, _rref, coordinate_matrix, ff_rank,
                               integer_kernel_basis, jacobian, kernel_basis)
 from gen import (conflicting_system, rand_extension, rand_pminus_system,
@@ -941,3 +950,94 @@ def test_each_presentation_evaluates_on_its_own_graph():
     k = build_unchecked("K", 1, ("s", "t", "u"), [(u, coerce(5))])
     assert e_eval(k, 2 * u).value == coerce(25)
     assert e_eval(k, s).outside_span
+
+
+# -- validation, certificates and freeness on span coordinates ---------------
+
+
+def test_presentation_clears_each_graph_argument_once(monkeypatch):
+    """Validating a graph builds the argument basis that ``e_eval`` reads:
+    from ``presentation`` through three evaluations whose targets need no
+    new denominator, each graph argument is cleared of denominators once."""
+    t1, t2 = S("t1"), S("t2")
+    pairs = [(t1 / (t2 + 1), S("w1")), (t2, S("w2")), (t1 * t2 + 1, S("w3"))]
+    cleared = []
+    clear = linalg._clear
+
+    def spy(e, dens):
+        cleared.append(id(e))
+        return clear(e, dens)
+
+    monkeypatch.setattr(linalg, "_clear", spy)
+    f = presentation("F", 1, ("t1", "t2", "w1", "w2", "w3"), pairs)
+    for z in ([1, 1, 0], [2, -1, 3], [0, 5, -2]):
+        got = e_eval(f, int_combination(z, f.args))
+        assert got.value == power_product(f.vals, z)
+    args = [id(a) for a in f.args]
+    assert sorted(i for i in cleared if i in args) == sorted(args)
+    assert len(cleared) == len(args) + 3
+
+
+def test_mixed_cyclotomic_orders_are_rejected():
+    """Orders 3 and 4 do not mix, also where every denominator is 1 and the
+    common denominator alone would not tell them apart."""
+    t, u, p = S("t"), S("u"), S("_p1")
+    z3, z4 = cyclotomic_root(3), cyclotomic_root(4)
+    with pytest.raises(CyclotomicOrderMismatch):
+        presentation("F", 1, ("t", "u"), [(t * z3, coerce(2)),
+                                          (u * z4, coerce(3))])
+    v = ParametricVariety(base_params=(), locus_params=("_p1",),
+                          X=(p * z3, p * z4), Y=(coerce(2), coerce(3)),
+                          free_Y=(False, False))
+    with pytest.raises(CyclotomicOrderMismatch):
+        additive_freeness(v)
+    with pytest.raises(CyclotomicOrderMismatch):
+        reduce(v)
+
+
+def dense_certificate(args):
+    """The first integer relation among the nonzero arguments, from their
+    dense coordinate matrix, placed by graph index; None when there is
+    none."""
+    idx = [i for i, a in enumerate(args) if not a.is_zero()]
+    rel = integer_kernel_basis(coordinate_matrix([args[i] for i in idx]))
+    if not rel:
+        return None
+    cert = [0] * len(args)
+    for i, z in zip(idx, rel[0]):
+        cert[i] = z
+    return cert
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dependence_certificates_match_the_dense_route(seed):
+    pairs = merge_family(random.Random(seed))
+    want = dense_certificate([a for a, _ in pairs])
+    report = check_presentation(build_unchecked("M", 1, (), pairs))
+    got = [v["certificate"] for v in report["violations"]
+           if v["kind"] == "dependent_arguments"]
+    if want is None:
+        presentation("M", 1, (), pairs)
+        assert got == []
+        return
+    with pytest.raises(LinearDependence) as exc:
+        presentation("M", 1, (), pairs)
+    assert exc.value.certificate == want
+    assert got == [want]
+
+
+def test_freeness_relations_match_the_dense_route():
+    """``additive_freeness`` takes its relation off the span coordinates of
+    the derivatives; the dense coordinate matrix gives the same first
+    kernel vector, or none."""
+    seen = set()
+    for seed in SEEDS:
+        v, _ = rand_variety(random.Random(seed))
+        rows = []
+        for u in v.locus_params:
+            rows.extend(coordinate_matrix([x.derivative(u) for x in v.X]))
+        kernel = integer_kernel_basis(rows or [[0] * v.n])
+        want = tuple(kernel[0]) if kernel else None
+        assert additive_freeness(v).relation == want
+        seen.add(want is None)
+    assert seen == {True, False}
