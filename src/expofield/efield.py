@@ -481,7 +481,7 @@ class HullBasis:
         that lattice: the value products of its basis outside the span of
         everything before them.
         """
-        local = {0: {}}  # reduced basis of the coordinates of 1 and gens
+        local = [(0, 1, {})]  # semi-echelon coordinates of 1 and gens
         gens, seen = [], set()
         for e in elems:
             e = coerce(e, self.order)

@@ -1,33 +1,33 @@
 """Exact linear algebra: rational solve/kernel, integer lattices, and rank
 over the rational-function field.
 
-Matrices are plain lists of lists.  ``_rref`` is Gauss-Jordan over any field
-whose elements support ``bool``, ``+``, ``-``, ``*`` and ``/``, and over Q
-with int and Fraction entries, which it keeps exact: no entry is ever a
-float.  The function-field rank is one exact elimination over sparse rows
-of FieldElem entries, dense rows included.
+Matrices are plain lists of lists, and their entries ints, Fractions or
+FieldElems; ``_divide`` keeps ints exact, so no entry is ever a float.
+There are three eliminations over fields, all through one sparse row
+update, ``_add_multiple``, which touches only the nonzero entries:
+
+- ``_rref``, Gauss-Jordan into sparse rows that are 1 at their pivots, for
+  the affine solve and the reduction in ``variety``.  It goes column by
+  column, as the dense loop that the tests keep as its oracle: a
+  FieldElem's printed form depends on how it was computed, and
+  eliminating row by row prints other forms of the same values.
+- ``reduce_mod`` and ``extend_basis``, a semi-echelon basis that divides
+  an entry only to eliminate it: ``ff_rank``, and each hull's basis of
+  coordinates in ``efield.HullBasis``.
+- ``SpanBasis``, the semi-echelon basis of the Q-span of field elements,
+  whose rows carry their coordinates in the elements offered to it.
 
 ``hermite_form`` is the one integer elimination.  Every lattice basis the
 library prints is a Hermite normal form, so it depends only on the lattice.
 
-Gauss-Jordan does no arithmetic by zero or one: a row update touches only
-the columns where the pivot row is nonzero, and a pivot row that is 1 at its
-pivot is not scaled.  The reduced form is unique, so this changes the cost,
-not the rows or pivots; the dense loop lives on as a test oracle.
-
 Field elements enter linear algebra over one common denominator D, the
 product of their distinct ``denominators``, which also rejects mixed
-cyclotomic orders.  ``SpanBasis`` keeps their span as a sparse
-semi-echelon basis (rows of monomial -> rational dicts, each 1 at a pivot
-that no later row has) and reduces one element at a time against it.
-Only this module knows D: ``SpanBasis`` clears field elements itself, and
-rebuilds over a larger D when an element needs it.  ``span_matrix`` reads
-coordinates off one; each ``efield.HullBasis`` and each presentation's
-validation builds one.  ``coordinate_matrix``, the cleared numerators as a
-dense matrix, is the reference path: ``variety.freeness_oracle`` alone
-reads it.  ``reduce_mod`` and ``extend_basis`` keep a small reduced basis
-of sparse coordinate vectors, and ``ff_rank`` eliminates over sparse rows,
-all through one update, ``_add_multiple``.
+cyclotomic orders.  Only this module knows D: ``SpanBasis`` clears field
+elements itself, and rebuilds over a larger D when an element needs it.
+``span_matrix`` reads coordinates off one; each ``efield.HullBasis`` and
+each presentation's validation builds one.  ``coordinate_matrix``, the
+cleared numerators as a dense matrix, is the reference path:
+``variety.freeness_oracle`` alone reads it.
 """
 
 from __future__ import annotations
@@ -55,52 +55,45 @@ def _fraction(x) -> Fraction:
     return x if x.__class__ is Fraction else Fraction(x)
 
 
-def _inverse(x):
-    """1 / x, exact for an int x too, where ``1 / x`` would be a float; the
-    inverse of 1 or -1 stays an int."""
-    if x.__class__ is int:
-        return x if x * x == 1 else Fraction(1, x)
-    return 1 / x
+def _divide(x, y):
+    """x / y, exact for ints too, where ``/`` would give a float: an int
+    when y divides x, else a Fraction."""
+    if x.__class__ is int and y.__class__ is int:
+        q, r = divmod(x, y)
+        return Fraction(x, y) if r else q
+    return x / y
 
 
 def _rref(rows):
     """Reduced row echelon form over the entries' field; returns
-    (rref_rows, pivot_cols).  Entries are ints, Fractions or FieldElems;
-    a pivot is inverted exactly, as a Fraction for an int.
+    (rows, pivot_cols), one sparse row {column: nonzero entry} per pivot,
+    1 there.  Entries are ints, Fractions or FieldElems.
 
     The pivots are the greedy independent columns, leftmost first: column j
     is a pivot exactly when it is not in the span of the columns before it.
-    Every column j is the sum of ``m[r][j]`` times pivot column r, for r
-    below the rank; for a non-pivot column these are its coordinates in the
-    pivot columns to its left, and ``m[r][j]`` is zero when pivot r lies to
-    its right."""
-    m = [list(row) for row in rows]
-    ncols = _check_rect(m)
+    Every column j is the sum of ``m[r].get(j, 0)`` times pivot column r,
+    for r below the rank; for a non-pivot column these are its coordinates
+    in the pivot columns to its left, and row r lacks j when pivot r lies
+    to its right.  Columns are eliminated in order, with the dense loop's
+    row swaps, so that each entry is computed as there."""
+    ncols = _check_rect(rows)
+    m = [{j: x for j, x in enumerate(row) if x} for row in rows]
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if c in m[i]), None)
+        if i is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        m[r], m[i] = m[i], m[r]
         row = m[r]
-        # entries left of c are zero in every row from r on
-        nz = [j for j in range(c, ncols) if row[j]]
         if row[c] != 1:
-            inv = _inverse(row[c])
-            for j in nz:
-                row[j] = row[j] * inv
-        for i in range(len(m)):
-            f = m[i][c]
-            if i != r and f:
-                other = m[i]
-                for j in nz:
-                    other[j] = other[j] - f * row[j]
+            inv = _divide(1, row[c])
+            row = m[r] = {j: x * inv for j, x in row.items()}
+        for other in m:
+            if other is not row and c in other:
+                _add_multiple(other, -other[c], row)
         pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    return m[:len(pivots)], pivots
 
 
 def qlin_solve(rows, target):
@@ -114,8 +107,8 @@ def qlin_solve(rows, target):
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][ncols]
+    for row, c in zip(m, pivots):
+        x[c] = row.get(ncols, Fraction(0))
     return x
 
 
@@ -128,8 +121,8 @@ def kernel_basis(rows):
     for f in free:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -m[r][f]
+        for row, c in zip(m, pivots):
+            v[c] = -row.get(f, Fraction(0))
         basis.append(v)
     return basis
 
@@ -246,29 +239,26 @@ def _add_multiple(v, c, row) -> None:
                 del v[k]
 
 
-def reduce_mod(basis: dict, v: dict) -> dict:
+def reduce_mod(basis: list, v: dict) -> dict:
     """v modulo the span of ``basis``, in place, and returned.  ``basis``
-    maps each pivot to the other entries of a row that is 1 there, and no
-    row has the pivot of another, so v loses exactly its pivot entries."""
-    for p in [k for k in v if k in basis]:
-        _add_multiple(v, -v.pop(p), basis[p])
+    lists rows (pivot, entry there, other entries), none with the pivot of
+    a row before it, so reducing v against them in order, by entry / pivot
+    entry times the row, leaves no pivot entry in v."""
+    for c, p, rest in basis:
+        x = v.pop(c, None)
+        if x is not None:
+            _add_multiple(v, -_divide(x, p), rest)
     return v
 
 
-def extend_basis(basis: dict, v: dict) -> bool:
-    """Add the sparse vector v to ``basis`` (see ``reduce_mod``), keeping
-    it reduced; True when v was outside its span."""
+def extend_basis(basis: list, v: dict) -> bool:
+    """Add the sparse vector v to ``basis`` (see ``reduce_mod``), as a row
+    at the first column of its residue; True when v was outside its span."""
     v = reduce_mod(basis, v)
     if not v:
         return False
-    pivot = next(iter(v))
-    inv = _inverse(v.pop(pivot))
-    row = v if inv == 1 else {k: x * inv for k, x in v.items()}
-    for rest in basis.values():
-        c = rest.pop(pivot, None)
-        if c is not None:
-            _add_multiple(rest, -c, row)
-    basis[pivot] = row
+    c = next(iter(v))
+    basis.append((c, v.pop(c), v))
     return True
 
 
@@ -353,7 +343,7 @@ class SpanBasis:
         if not v:
             return coords
         pivot = next(iter(v))
-        inv = _inverse(v[pivot])
+        inv = _divide(1, v[pivot])
         if inv != 1:
             v = {mono: x * inv for mono, x in v.items()}
         # row = (e * D - sum coords[i] * offered_i * D) * inv
@@ -393,30 +383,18 @@ def ff_rank(rows) -> int:
     entry}, where an absent column is zero; ragged sequences raise
     DimensionMismatch.
 
-    Each row is reduced in turn against the pivot rows before it, in
-    insertion order, and becomes a pivot row, at its first nonzero column,
-    when anything is left.  A pivot row lacks the pivots of the rows before
-    it, so subtracting it never brings one back.  An entry is divided only
-    to eliminate it: the row gets the multiple entry / pivot of the pivot
-    row, and a pivot row is never scaled.  Only a row's nonzero entries are
-    touched, so a Jacobian row of a generator costs its own symbols, and
-    the pivot column is dropped rather than computed to zero.
+    Each row in turn extends one semi-echelon basis (``extend_basis``).
+    Only a row's nonzero entries are touched, so a Jacobian row of a
+    generator costs its own symbols, and the pivot column is dropped
+    rather than computed to zero.
     """
     rows = list(rows)
     if rows and not isinstance(rows[0], dict):
         _check_rect(rows)
         rows = [dict(enumerate(row)) for row in rows]
-    pivots = []  # (column, entry there, the row's other entries)
-    for row in rows:
-        v = {j: x for j, x in row.items() if x}
-        for c, p, rest in pivots:
-            x = v.pop(c, None)
-            if x is not None:
-                _add_multiple(v, -(x / p), rest)
-        if v:
-            c = next(iter(v))
-            pivots.append((c, v.pop(c), v))
-    return len(pivots)
+    basis = []
+    return sum(extend_basis(basis, {j: x for j, x in row.items() if x})
+               for row in rows)
 
 
 def jacobian(elems, params):

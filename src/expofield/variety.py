@@ -175,7 +175,7 @@ def reduce(v: ParametricVariety) -> ReductionResult:
     order = v.cyclotomic_order
     m, selected = _rref(_derivative_rows(list(v.X), v.locus_params))
     k = len(selected)
-    A = [tuple(m[r][i] for r in range(k)) for i in range(v.n)]
+    A = [tuple(row.get(i, 0) for row in m) for i in range(v.n)]
     x_selected = [v.X[j] for j in selected]
     b_vals = []
     for i in range(v.n):
@@ -354,11 +354,11 @@ def from_flat(fs: FlatSystem, base_params,
     assignment: dict = {}
     for c in free_cols:
         assignment[unknowns[c]] = FieldElem.from_symbol(params[c], order)
-    for rr_, c in reversed(list(enumerate(pivots))):
-        val = rows[rr_][-1]
+    for row, c in reversed(list(zip(rows, pivots))):
+        val = row.get(len(unknowns), FieldElem.zero(order))
         for fc in free_cols:
-            if not rows[rr_][fc].is_zero():
-                val = val - rows[rr_][fc] * assignment[unknowns[fc]]
+            if fc in row:
+                val = val - row[fc] * assignment[unknowns[fc]]
         assignment[unknowns[c]] = val
 
     y_constraints: dict = {}

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from expofield import FieldElem, ff_rank, integer_kernel_basis, kernel_basis, qlin_solve
 from expofield.errors import DimensionMismatch
 from expofield.fieldelem import cyclotomic_root
-from expofield.linalg import coordinate_matrix, rational_span_solve
+from expofield.linalg import SpanBasis, coordinate_matrix, rational_span_solve
 
 S = FieldElem.from_symbol
 
@@ -132,6 +132,12 @@ def test_rank_transpose(seed):
     assert ff_rank(m + [combination]) == rank
 
 
+def test_span_basis_reduce_rejects_an_uncleared_element():
+    t = S("t")
+    with pytest.raises(ValueError):
+        SpanBasis([t]).reduce(1 / (t + 1))
+
+
 def test_rational_span_solve():
     t1, t2 = S("t1"), S("t2")
     sol = rational_span_solve([t1, t2], 2 * t1 - 3 * t2)
@@ -169,11 +175,14 @@ def integral_elems(draw):
        st.lists(small_ints, min_size=4, max_size=4), st.integers(1, 4))
 def test_int_coefficients_never_become_floats(elems, zs, k):
     """Integral coefficients are ints, and 1 / int is a float: every pivot
-    inversion and every coordinate stays an int or a Fraction."""
+    inversion, every quotient and every coordinate stays an int or a
+    Fraction, and an integral quotient of ints stays an int."""
     from expofield import e_eval, presentation
-    from expofield.linalg import SpanBasis, _rref
+    from expofield.linalg import _divide, _rref
     rows, _ = _rref(coordinate_matrix(elems))
-    assert all(_exact(x) for row in rows for x in row)
+    assert all(_exact(x) for row in rows for x in row.values())
+    assert _divide(zs[0] * k, k).__class__ is int
+    assert _divide(2 * zs[0] + 1, 2 * k).__class__ is Fraction
     target = sum((z * e for z, e in zip(zs, elems)), FieldElem.zero()) / k
     coords = SpanBasis(elems).coordinates(target)
     assert coords is not None and all(_exact(q) for q in coords)

@@ -21,9 +21,12 @@ come from one ``HullBasis``, which reduces the graph arguments once: each of
 its hulls must equal the rebuild oracle's, or a fresh ``hull``, whatever
 hulls the basis closed before.
 
-``_rref`` skips the arithmetic by zero and one; its oracle is the dense
-Gauss-Jordan loop that scales every pivot row and updates every entry, and
-``ff_rank`` must find the oracle's number of pivots.
+``_rref`` is Gauss-Jordan on sparse rows; its oracle is the dense loop
+that scales every pivot row and updates every entry.  Its rows, made dense,
+must equal the oracle's nonzero rows by value and by printed text, which
+holds because both eliminate column by column: eliminating row by row
+prints another form of an entry of one pinned example.  ``ff_rank`` must
+find the oracle's number of pivots.
 
 ``hull`` and ``e_eval`` reduce against one semi-echelon basis
 (``SpanBasis``), which alone decides the common denominator that clears
@@ -507,10 +510,16 @@ def field_entries(draw):
 
 
 def same_rref(rows):
+    """``_rref``'s sparse rows, made dense, equal the oracle's nonzero rows
+    by value and by printed text."""
     got, got_pivots = _rref(rows)
     want, want_pivots = dense_rref(rows)
     assert got_pivots == want_pivots
     assert ff_rank(rows) == len(want_pivots)
+    want = want[:len(want_pivots)]
+    assert all(got_row[c] == 1 for got_row, c in zip(got, got_pivots))
+    assert all(x for row in got for x in row.values())
+    got = [[row.get(j, 0) for j in range(len(rows[0]))] for row in got]
     assert got == want
     assert [[str(x) for x in row] for row in got] == \
         [[str(x) for x in row] for row in want]
@@ -536,9 +545,18 @@ def rational_multiple_rows():
             row[:4] + [FieldElem.one(3)]]
 
 
+def row_order_rows():
+    """Eliminating row by row, leftmost pivot first, prints entry (0, 3)
+    in another form of the same value than the column-by-column loop."""
+    return [[parse_element(t, 3) for t in row] for row in (
+        ("0", "0", "1", "1"),
+        ("0", "(t1 + 1)/(t1)", "1", "(-1)/(t1*zeta + t1)"))]
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices(field_entries(), 4, 5))
 @example(rational_multiple_rows())
+@example(row_order_rows())
 def test_sparse_rref_matches_dense_on_field_elements(rows):
     same_rref(rows)
 

@@ -196,6 +196,13 @@ class TestFromFlat:
         # w is solved in the affine part, never exponentiated
         assert (res.assignments["x"] - 3 * res.assignments["w"]).is_zero()
 
+    def test_unconstrained_exponential_gets_a_fresh_parameter(self):
+        # no equation pins E(x), so its value is a new locus parameter
+        res = from_flat(flatten(parse("E(x) = E(x)")), ())
+        v = res.variety
+        assert v.X == (S("_p1"),) and v.Y == (S("_q1"),)
+        assert v.free_Y == (True,)
+
     def test_scaled_argument_coordinates(self):
         # E(2x) pins only the doubled point; no root of v is ever needed
         res = from_flat(flatten(parse("E(2*x) = d")), base_params=("d",))
