@@ -11,9 +11,8 @@ batch CLI (cli).
 from .errors import (CyclotomicOrderMismatch, DimensionMismatch, DomainError,
                      ExponentialConflict, ExprSyntaxError, IllFormedExtension,
                      Inconsistent, LinearDependence, MissingExponential,
-                     NotAdditivelyFree, NotTranscendental, SchemaError,
-                     UnknownVariable, UnsupportedShape, WellDefFailure,
-                     ZeroValue)
+                     NotTranscendental, SchemaError, UnknownVariable,
+                     UnsupportedShape, WellDefFailure, ZeroValue)
 from .mpoly import MPoly, cyclotomic_polynomial, euler_phi
 from .fieldelem import FieldElem, coerce, cyclotomic_root, eliminate_symbols
 from .linalg import (ff_rank, integer_kernel_basis, jacobian_rank,

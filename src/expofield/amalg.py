@@ -11,11 +11,12 @@ on the integer kernel of the concatenated graph arguments.
 The independence checks made inside one field share their work through
 ``_IndepChecks``: all its hulls come from one ``efield.HullBasis``, which
 reduces the graph arguments once, each distinct set of generators is closed
-to its hull once, each distinct hull generator is differentiated once, by
-the symbols it has, into a sparse Jacobian row, and each distinct set of
-rows is ranked once.  One ``_IndepChecks`` serves one ``indep`` call or one
-node of ``verify_independent_system`` and is dropped when that call
-returns; nothing is kept between calls.
+to its hull once, each hull generator is differentiated once per value,
+keyed by its coordinates in that basis, by the symbols it has, into a sparse
+Jacobian row, and each distinct set of rows is ranked once.  One
+``_IndepChecks`` serves one ``indep`` call or one node of
+``verify_independent_system`` and is dropped when that call returns; nothing
+is kept between calls.
 """
 
 from __future__ import annotations
@@ -63,17 +64,17 @@ class _IndepChecks:
     built on the first, so the graph arguments are reduced once.  A hull is
     keyed by a set its caller names, which must fix the set of its inputs,
     since its generators, as a set, do not depend on the order of the
-    inputs or on repeats.  A row is keyed by its generator's ``key()``,
-    equal exactly when the printed texts are; it is a sparse dict {column:
-    derivative} over the symbols the generator has, every other column
-    zero.  A rank, which ignores row order and repeats, is keyed by its set
-    of row keys."""
+    inputs or on repeats.  A row is keyed by the key ``HullBasis.hull``
+    gives its generator, its coordinates in the shared basis, equal exactly
+    when the values are; it is a sparse dict {column: derivative} over the
+    symbols the generator has, every other column zero.  A rank, which
+    ignores row order and repeats, is keyed by its set of row keys."""
 
     def __init__(self, f: EFieldPresentation):
         self.f = f
         self.params = list(f.transcendentals)
         self.hulls: dict = {}  # caller's key -> hull row keys
-        self.rows: dict = {}  # generator key() -> Jacobian row
+        self.rows: dict = {}  # generator's coordinate key -> Jacobian row
         self.ranks: dict = {}  # frozenset of row keys -> rank
 
     @cached_property
@@ -84,9 +85,9 @@ class _IndepChecks:
         """Row keys of the hull of ``elems``, computed once per ``key``."""
         keys = self.hulls.get(key)
         if keys is None:
-            gens = self.basis.hull(elems).generators
-            keys = self.hulls[key] = tuple(g.key() for g in gens)
-            for k, g in zip(keys, gens):
+            gens = self.basis.hull(elems)
+            keys = self.hulls[key] = tuple(gens)
+            for k, g in gens.items():
                 if k not in self.rows:
                     self.rows[k] = jacobian_row(g, self.params)
         return keys
@@ -122,9 +123,7 @@ def indep(f: EFieldPresentation, a, b, c) -> bool:
 
 @dataclass(frozen=True)
 class EmbeddedPresentation:
-    amb: EFieldPresentation
-    base_name: str
-    inclusion: dict  # base symbol -> FieldElem of amb
+    inclusion: dict  # side's symbol -> FieldElem of the composite
 
     def apply(self, e: FieldElem) -> FieldElem:
         ren = {}
@@ -208,9 +207,8 @@ def amalgamate2(base: EFieldPresentation, f1: EFieldPresentation,
     comp = presentation(f"{base.name}({name1},{name2})", order, trans, merged)
     inc1 = {s: comp.elem(m1[s]) for s in f1.transcendentals}
     inc2 = {s: comp.elem(m2[s]) for s in f2.transcendentals}
-    g1 = EmbeddedPresentation(amb=comp, base_name=f1.name, inclusion=inc1)
-    g2 = EmbeddedPresentation(amb=comp, base_name=f2.name, inclusion=inc2)
-    return Amalgam(composite=comp, g1=g1, g2=g2, check=check)
+    return Amalgam(composite=comp, g1=EmbeddedPresentation(inc1),
+                   g2=EmbeddedPresentation(inc2), check=check)
 
 
 # -- independent systems ---------------------------------------------------------

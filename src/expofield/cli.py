@@ -2,9 +2,10 @@
 
 Every subcommand reads JSON documents (and/or system text), runs one
 pipeline stage, and writes one canonical JSON result.  Exit codes: 0 on
-success, 2 on domain rejections (the payload carries the certificate),
-1 on usage, IO, or schema errors.  EXPOFIELD_SEED, an integer, fixes the
-seed of efield-check's spot-check sampler; roundtrip always uses seed 0.
+success, 2 on domain rejections (the payload carries the certificate), 1 on
+usage, IO, schema or syntax errors (a message on stderr).  EXPOFIELD_SEED, an
+integer, fixes the seed of efield-check's spot-check sampler; roundtrip
+always uses seed 0.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ target.  Every hull comes from a ``HullBasis``: one basis of 1 and of the
 elements offered to it, against which the arguments are reduced once and
 then kept reduced, so the hulls made inside one ``indep`` call or one node
 of an independent system share that work; ``hull`` is one such hull on a
-basis of its own.  Each round's lattice is the integer kernel of the
-arguments' residues and coordinates modulo the generators.  ``SpanBasis``
+basis of its own.  A hull keys each generator by its coordinates in the
+basis.  Each round's lattice is the integer kernel of the arguments'
+residues and coordinates modulo the generators.  ``SpanBasis``
 decides how elements are cleared of denominators.  No result is cached
 between calls, nor on the presentation beyond ``arg_basis``.  Every lattice
 basis here is a Hermite normal form (``linalg.hermite_form``).
@@ -30,14 +31,13 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import (ExponentialConflict, LinearDependence, MissingExponential,
-                     NotAdditivelyFree, WellDefFailure, ZeroValue)
+                     WellDefFailure, ZeroValue)
 from . import exprlang
 from .exprlang import ETerm, Exp, fresh_name
 from .fieldelem import FieldElem, coerce, int_combination, power_product
 from .linalg import (SpanBasis, _integer_columns, extend_basis, hermite_form,
                      integer_kernel_basis, reduce_mod, span_matrix)
-from .variety import (ParametricVariety, ReductionResult, additive_freeness,
-                      pullback, reduce as variety_reduce)
+from .variety import ParametricVariety, pullback, reduce as variety_reduce
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,6 @@ class EFieldPresentation:
 
     def elem(self, name: str) -> FieldElem:
         return FieldElem.from_symbol(name, self.cyclotomic_order)
-
-    def fresh(self, prefix: str) -> str:
-        return fresh_name(prefix, set(self.transcendentals))
 
     @cached_property
     def arg_basis(self) -> SpanBasis:
@@ -274,7 +271,6 @@ class SolveResult:
     point_y: tuple
     param_values: dict  # locus parameter -> FieldElem
     adjoined: tuple  # ((symbol, role), ...) in adjunction order
-    reduction: ReductionResult
 
 
 def solve(f: EFieldPresentation, v: ParametricVariety,
@@ -283,6 +279,8 @@ def solve(f: EFieldPresentation, v: ParametricVariety,
 
     Reduces to additively free form, adjoins a fresh generic point for the
     reduced variety with freely chosen exponentials, and pulls back.  The
+    reduced variety needs no freeness check: its coordinates are ``reduce``'s
+    pivots, independent modulo base-valued elements by construction.  The
     returned point satisfies every defining relation of ``v`` and agrees
     with e_eval on the extended presentation.
     """
@@ -292,10 +290,6 @@ def solve(f: EFieldPresentation, v: ParametricVariety,
             f"variety uses cyclotomic order {v.cyclotomic_order}, "
             f"presentation has {order}")
     rr = variety_reduce(v)
-    if rr.vprime is not None:
-        cert = additive_freeness(rr.vprime)
-        if not cert.is_free:
-            raise NotAdditivelyFree(cert.relation, cert.value)
 
     adjoined: list = []
     current = f
@@ -398,8 +392,7 @@ def solve(f: EFieldPresentation, v: ParametricVariety,
             "point must agree with e_eval"
 
     return SolveResult(presentation=current, point_x=point_x, point_y=point_y,
-                       param_values=param_values, adjoined=tuple(adjoined),
-                       reduction=rr)
+                       param_values=param_values, adjoined=tuple(adjoined))
 
 
 # -- hull extraction -----------------------------------------------------------
@@ -470,7 +463,7 @@ class HullBasis:
             out = self.products[z] = (c, self._coordinates(c))
         return out
 
-    def hull(self, elems) -> HullPresentation:
+    def hull(self, elems) -> dict:
         """Close a generator list under detectable graph application.
 
         A combination sum(z_i arg_i) with integer z lands in the Q-span of
@@ -480,20 +473,22 @@ class HullBasis:
         it in Hermite normal form, so the generators added depend only on
         that lattice: the value products of its basis outside the span of
         everything before them.
+
+        Returns the generators in order, each keyed by its coordinates in
+        this basis as ``frozenset(coordinates.items())``: equal elements
+        have equal coordinates, and only they do.
         """
         local = [(0, 1, {})]  # semi-echelon coordinates of 1 and gens
-        gens, seen = [], set()
+        gens: dict = {}  # coordinate key -> generator
         for e in elems:
             e = coerce(e, self.order)
-            # equal elements have equal coordinates, and only they do
             x = self._coordinates(e)
             key = frozenset(x.items())
-            if key not in seen:
-                seen.add(key)
-                gens.append(e)
+            if key not in gens:
+                gens[key] = e
                 extend_basis(local, dict(x))
         if not self.args:
-            return HullPresentation(tuple(gens), True)
+            return gens
         for _ in range(len(self.args) + 1):
             parts = ([res for res, _ in self.reductions],
                      [reduce_mod(local, dict(y)) for _, y in self.reductions])
@@ -504,18 +499,19 @@ class HullBasis:
                 or [[0] * len(self.args)])
             if not lattice:
                 break
-            new = [c for c, x in map(self._product, lattice)
-                   if extend_basis(local, dict(x))]
+            new = {frozenset(x.items()): c
+                   for c, x in map(self._product, lattice)
+                   if extend_basis(local, dict(x))}
             if not new:
                 break
-            gens += new
-        return HullPresentation(tuple(gens), True)
+            gens.update(new)
+        return gens
 
 
 def hull(f: EFieldPresentation, elems) -> HullPresentation:
     """Close a generator list under detectable graph application inside
     ``f``: ``HullBasis.hull`` on a basis of its own."""
-    return HullBasis(f).hull(elems)
+    return HullPresentation(tuple(HullBasis(f).hull(elems).values()), True)
 
 
 # -- generator families ---------------------------------------------------------

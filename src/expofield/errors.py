@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the library.
 
-Domain errors carry machine-readable certificates (``payload()``) so the CLI
-can emit them on exit code 2.
+Domain errors, and only they, carry machine-readable certificates
+(``payload()``), which the CLI emits on exit code 2.  Every other error is
+bad input: the CLI writes its message to stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -10,12 +11,12 @@ from __future__ import annotations
 class ExpoFieldError(Exception):
     """Base class for all library errors."""
 
-    def payload(self) -> dict:
-        return {"error": type(self).__name__, "detail": str(self)}
-
 
 class DomainError(ExpoFieldError):
     """An input was well-formed but mathematically rejected."""
+
+    def payload(self) -> dict:
+        return {"error": type(self).__name__, "detail": str(self)}
 
 
 class DimensionMismatch(ExpoFieldError):
@@ -39,14 +40,6 @@ class ExprSyntaxError(ExpoFieldError):
         self.expected = expected
         super().__init__(f"line {line}, col {col}: expected {expected}")
 
-    def payload(self) -> dict:
-        return {
-            "error": "SyntaxError",
-            "line": self.line,
-            "col": self.col,
-            "expected": self.expected,
-        }
-
 
 class UnsupportedShape(DomainError):
     pass
@@ -65,20 +58,6 @@ class LinearDependence(DomainError):
 
     def payload(self) -> dict:
         return {"error": "LinearDependence", "certificate": self.certificate}
-
-
-class NotAdditivelyFree(DomainError):
-    def __init__(self, relation, value):
-        self.relation = relation
-        self.value = value
-        super().__init__(f"variety is not additively free: m={list(relation)}, a={value}")
-
-    def payload(self) -> dict:
-        return {
-            "error": "NotAdditivelyFree",
-            "relation": list(self.relation),
-            "a": str(self.value),
-        }
 
 
 class MissingExponential(DomainError):
@@ -143,6 +122,3 @@ class SchemaError(ExpoFieldError):
         self.path = path
         self.detail = detail
         super().__init__(f"{path}: {detail}")
-
-    def payload(self) -> dict:
-        return {"error": "SchemaError", "path": self.path, "detail": self.detail}

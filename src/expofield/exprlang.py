@@ -370,18 +370,14 @@ class FlatSystem:
     """Exponential-free polynomial system with a designated pairing.
 
     yvars[i] stands for E(xvars[i]); aux_count is the number of alias
-    variables introduced for compound or nested exponential arguments;
-    alias_defs records their defining terms so solutions pull back.
+    variables introduced for compound or nested exponential arguments, each
+    defined by a polynomial ``alias - argument`` at the head of ``polys``.
     """
 
     xvars: tuple
     yvars: tuple
     polys: tuple  # MPoly
     aux_count: int
-    alias_defs: tuple = ()  # ((alias, ETerm), ...)
-
-    def pairing(self) -> dict:
-        return dict(zip(self.xvars, self.yvars))
 
 
 def term_to_poly(t: ETerm, order: int = 1) -> MPoly:
@@ -418,8 +414,7 @@ def flatten(s: ESystem) -> FlatSystem:
     used = system_symbols(s)
     xvars: list = []
     yvars: list = []
-    alias_defs: list = []
-    extra_polys: list = []
+    extra_polys: list = []  # one alias definition per alias
     pair_by_key: dict = {}
 
     def pair_for(arg: ETerm) -> str:
@@ -434,7 +429,6 @@ def flatten(s: ESystem) -> FlatSystem:
             x = fresh_name("_u", used)
             used.add(x)
             xvars.append(x)
-            alias_defs.append((x, arg))
             extra_polys.append(Sub(left=Var(name=x), right=arg))
         y = fresh_name("_v", used)
         used.add(y)
@@ -464,8 +458,7 @@ def flatten(s: ESystem) -> FlatSystem:
         xvars=tuple(xvars),
         yvars=tuple(yvars),
         polys=tuple(polys),
-        aux_count=len(alias_defs),
-        alias_defs=tuple(alias_defs),
+        aux_count=len(extra_polys),
     )
 
 

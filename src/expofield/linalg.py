@@ -397,14 +397,9 @@ def ff_rank(rows) -> int:
                for row in rows)
 
 
-def jacobian(elems, params):
-    """Matrix of partial derivatives of ``elems`` by ``params``."""
-    return [[e.derivative(p) for p in params] for e in elems]
-
-
 def jacobian_row(e, params) -> dict:
-    """The row of e in ``jacobian`` as a sparse dict {column: derivative},
-    over the symbols e has: every other derivative is zero."""
+    """The partial derivatives of e by ``params`` as a sparse dict {column:
+    derivative}, over the symbols e has: every other derivative is zero."""
     syms = e.symbols()
     return {j: e.derivative(p) for j, p in enumerate(params) if p in syms}
 

@@ -10,15 +10,14 @@ strong order property are falsified by the same finite checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import product
 
 from .errors import (CyclotomicOrderMismatch, DomainError, NotTranscendental,
                      SchemaError, UnsupportedShape, ZeroValue)
 from .efield import (EFieldPresentation, SolveResult, adjoin_transcendentals,
                      e_eval, eval_system, extend_graph, presentation, solve)
-from .exprlang import (Atom, ESystem, Exp, Mul, Var, fresh_name, parse,
-                       print_system, flatten)
+from .exprlang import (Atom, ESystem, ETerm, Exp, IntLit, Mul, RatLit, Var,
+                       fresh_name, parse, print_system, flatten)
 from .fieldelem import FieldElem, coerce, cyclotomic_root
 from .linalg import span_matrix
 from .variety import (ParametricVariety, additive_freeness, from_flat)
@@ -73,7 +72,6 @@ class VerifyReport:
     condition_i: tuple  # BranchResult per checked branch
     condition_ii: str  # "structural" | "unverified"
     condition_iii: tuple  # ((indices, verdict), ...)
-    realizing_extension: EFieldPresentation | None = None
 
     @property
     def ok(self) -> bool:
@@ -94,33 +92,23 @@ def _psi_holds(psi: ESystem, f: EFieldPresentation, left, right) -> bool:
 
 def _branch_system(params) -> ESystem:
     """Conjunction of phi(x, y_i z_i) instances over one shared x."""
-    atoms = []
-    for y, z in params:
-        ysyms = sorted(y.symbols())
-        if y.is_rational():
-            ynode = _rat_node(y.as_fraction())
-        elif len(ysyms) == 1 and y == FieldElem.from_symbol(next(iter(ysyms)), y.order):
-            ynode = Var(name=next(iter(ysyms)))
-        else:
-            raise UnsupportedShape(
-                "witness multipliers must be symbols or rationals")
-        if not z.is_rational():
-            zsyms = sorted(z.symbols())
-            if len(zsyms) == 1 and z == FieldElem.from_symbol(zsyms[0], z.order):
-                znode = Var(name=zsyms[0])
-            else:
-                raise UnsupportedShape(
-                    "witness values must be symbols or rationals")
-        else:
-            znode = _rat_node(z.as_fraction())
-        atoms.append(Atom(Exp(arg=Mul(left=ynode, right=Var(name="x"))),
-                          "eq", znode))
-    return ESystem(tuple(atoms))
+    return ESystem(tuple(
+        Atom(Exp(arg=Mul(left=_param_node(y, "multipliers"),
+                         right=Var(name="x"))),
+             "eq", _param_node(z, "values"))
+        for y, z in params))
 
 
-def _rat_node(q: Fraction):
-    from .exprlang import IntLit, RatLit
-    return IntLit(value=int(q)) if q.denominator == 1 else RatLit(value=q)
+def _param_node(e: FieldElem, what: str) -> ETerm:
+    """The term of a witness parameter: a literal for a rational, a Var for
+    a lone symbol; any other element is refused."""
+    if e.is_rational():
+        q = e.as_fraction()
+        return IntLit(value=int(q)) if q.denominator == 1 else RatLit(value=q)
+    syms = e.symbols()
+    if len(syms) == 1 and e == FieldElem.from_symbol(min(syms), e.order):
+        return Var(name=min(syms))
+    raise UnsupportedShape(f"witness {what} must be symbols or rationals")
 
 
 def check_branch(f: EFieldPresentation, params) -> BranchResult:
@@ -222,14 +210,7 @@ def tp2_witness(n: int, J: int, sigma, c_values=None):
             branch = BranchResult(sigma, ok,
                                   "realized" if ok else "evaluation mismatch",
                                   solution=sol)
-    report = VerifyReport(
-        condition_i=(branch,),
-        condition_ii=report.condition_ii,
-        condition_iii=report.condition_iii,
-        realizing_extension=branch.solution.presentation
-        if branch.solution else None,
-    )
-    return witness, report
+    return witness, replace(report, condition_i=(branch,))
 
 
 def verify_finite_witness(cand, branches=()) -> VerifyReport:
@@ -292,7 +273,7 @@ def _verify_sop1(cand: SOP1Candidate, branches) -> VerifyReport:
 def _report(cand, labelled, cond_iii) -> VerifyReport:
     """The report of a TP2 witness or SOP1 candidate: condition (i) runs
     ``check_branch`` on each (label, params) branch (no params: vacuously
-    consistent), and the first realized branch gives the extension."""
+    consistent)."""
     cond_i = []
     for label, params in labelled:
         if not params:
@@ -300,13 +281,10 @@ def _report(cand, labelled, cond_iii) -> VerifyReport:
         else:
             cond_i.append(replace(check_branch(cand.base, params),
                                   branch=label))
-    extension = next((r.solution.presentation for r in cond_i
-                      if r.solution is not None), None)
     pair = _is_builtin_pair(cand.phi, cand.psi)
     return VerifyReport(condition_i=tuple(cond_i),
                         condition_ii="structural" if pair else "unverified",
-                        condition_iii=tuple(cond_iii),
-                        realizing_extension=extension)
+                        condition_iii=tuple(cond_iii))
 
 
 # -- definability witnesses -----------------------------------------------------

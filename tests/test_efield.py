@@ -57,6 +57,14 @@ class TestExtendGraph:
             extend_graph(f, [(2 * S("a"), S("c"))])
         assert exc.value.certificate in ([-2, 1], [2, -1])
 
+    def test_dependence_payload_is_the_certificate(self):
+        with pytest.raises(LinearDependence) as exc:
+            presentation("F", transcendentals=("a", "b", "c"),
+                         egraph=((S("a"), S("b")), (S("b"), S("c")),
+                                 (2 * S("a") - S("b"), S("c"))))
+        assert exc.value.payload() == {"error": "LinearDependence",
+                                       "certificate": [2, -1, -1]}
+
     def test_kernel_element(self):
         f = extend_graph(presentation("Q"), [(S("a"), ONE)])
         for z in (-3, 1, 5):

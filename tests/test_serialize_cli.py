@@ -8,7 +8,7 @@ from expofield import minimal_ea_family, presentation
 from expofield.cli import main
 from expofield.errors import SchemaError
 from expofield import serialize
-from gen import rand_pminus_system
+from gen import conflicting_system, rand_pminus_system
 
 import random
 
@@ -369,3 +369,51 @@ class TestCLI:
             _, out = run_cli(capsys, "solve", "-f", str(v))
             runs.append(out)
         assert runs[0] == runs[1]
+
+    def test_incoherent_system_exits_2_with_the_kernel_vector(self, capsys,
+                                                                tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(serialize.canonical_dumps(serialize.system_to_json(
+            conflicting_system(random.Random(1)))))
+        code, out = run_cli(capsys, "amalg-n", "-S", str(path))
+        assert code == 2
+        assert out == ('{"error":"WellDefFailure","product":"3",'
+                       '"vector":[0,0,0,0,0,0,1,0,0,0,-1]}\n')
+
+    @pytest.mark.parametrize("first, detail", [
+        ({"cyclotomic_order": 3},
+         "L: cyclotomic order 3 differs from the base's 1"),
+        ({"egraph": [{"arg": "t", "val": "2"}]},
+         "L does not preserve the base graph at t"),
+    ])
+    def test_ill_formed_extension_exits_2(self, capsys, tmp_path, first,
+                                          detail):
+        base = {"name": "B", "transcendentals": ["t", "s"],
+                "egraph": [{"arg": "t", "val": "s"}]}
+        paths = []
+        for name, doc in (("B", base), ("L", base | {"name": "L"} | first)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "amalg2", "--base", str(paths[0]),
+                            "-1", str(paths[1]), "-2", str(paths[0]))
+        assert code == 2
+        assert json.loads(out) == {"error": "IllFormedExtension",
+                                   "detail": detail}
+
+    @pytest.mark.parametrize("doc, detail", [
+        (SYSTEM | {"n": 2}, "systems need n >= 3"),
+        (SYSTEM | {"n": 7}, "n is capped at 6 (2^n nodes)"),
+        (SYSTEM | {"arrows": [], "nodes": {
+            k: v for k, v in SYSTEM["nodes"].items() if k != "{0,1}"}},
+         "nodes must cover P^-(n) or P(n)"),
+        (SYSTEM | {"nodes": SYSTEM["nodes"] | {
+            "{}": SYSTEM["nodes"]["{}"] | {"cyclotomic_order": 3}}},
+         "all nodes must share one cyclotomic order"),
+    ])
+    def test_system_shape_is_a_schema_error(self, capsys, tmp_path, doc,
+                                            detail):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["amalg-n", "-S", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"schema error: /: {detail}\n")

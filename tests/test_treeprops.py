@@ -1,6 +1,7 @@
 """Finite witnesses: the array construction, candidate falsification,
 kernel-stabilizer witnesses, type-counting families."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -98,6 +99,34 @@ class TestSOP1:
                              phi=parse(PHI_TEXT), psi=parse(PSI_TEXT))
         with pytest.raises(SchemaError, match="not a 0/1 string of length 2"):
             verify_finite_witness(cand, branches=[branch])
+
+    def test_rational_multiplier_and_symbol_value(self):
+        base = presentation("A", transcendentals=("s",))
+        y = coerce(Fraction(3, 2))
+        cand = SOP1Candidate(depth=1, tree={"": (y, S("s"))}, base=base,
+                             phi=parse(PHI_TEXT), psi=parse(PSI_TEXT))
+        (branch,) = verify_finite_witness(cand, branches=["0"]).condition_i
+        assert (branch.branch, branch.consistent, branch.detail) == \
+            (("0",), True, "realized")
+        # the one coordinate is the argument y*x of E, x a fresh generic
+        # value, and E of it is s
+        sol = branch.solution
+        (arg,) = sol.point_x
+        assert str(arg) == "3/2*_c1" and sol.point_y == (S("s"),)
+        assert e_eval(sol.presentation, arg).value == S("s")
+
+    @pytest.mark.parametrize("pair, what", [
+        ((S("t") + 1, ONE), "multipliers"),
+        ((S("t"), S("t") * S("t")), "values"),
+        ((S("t"), 2 * S("t")), "values"),
+    ])
+    def test_compound_parameter_rejected(self, pair, what):
+        cand = SOP1Candidate(depth=1, tree={"": pair},
+                             base=presentation("A", transcendentals=("t",)),
+                             phi=parse(PHI_TEXT), psi=parse(PSI_TEXT))
+        with pytest.raises(UnsupportedShape,
+                           match=f"witness {what} must be symbols or"):
+            verify_finite_witness(cand, branches="all")
 
     def test_branch_may_be_a_sequence_of_bits(self):
         cand = SOP1Candidate(depth=2, tree=self._tree(2, (S("t"), ONE)),
