@@ -3,9 +3,7 @@
 Every subcommand reads JSON documents (and/or system text), runs one
 pipeline stage, and writes one canonical JSON result.  Exit codes: 0 on
 success, 2 on domain rejections (the payload carries the certificate), 1 on
-usage, IO, schema or syntax errors (a message on stderr).  EXPOFIELD_SEED, an
-integer, fixes the seed of efield-check's spot-check sampler; roundtrip
-always uses seed 0.
+usage, IO, schema or syntax errors (a message on stderr).
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import serialize
@@ -127,12 +124,7 @@ def cmd_solve(args) -> int:
 
 def cmd_efield_check(args) -> int:
     fields = serialize.presentation_fields(_load_json(args.presentation))
-    seed = os.environ.get("EXPOFIELD_SEED", "0")
-    try:
-        seed = int(seed)
-    except ValueError:
-        raise SchemaError("EXPOFIELD_SEED", f"expected an integer, got {seed!r}")
-    return _emit(args, check_presentation(build_unchecked(*fields), seed=seed))
+    return _emit(args, check_presentation(build_unchecked(*fields)))
 
 
 def cmd_hull(args) -> int:

@@ -110,8 +110,6 @@ def presentation(name: str, cyclotomic_order: int = 1, transcendentals=(),
 
 def _int_nth_root(x: int, n: int):
     """Exact n-th root of a nonnegative integer, or None."""
-    if x < 0:
-        return None
     if x in (0, 1):
         return x
     lo, hi = 1, 1 << ((x.bit_length() + n - 1) // n + 1)
@@ -549,12 +547,14 @@ def graph_conflicts(f1: EFieldPresentation, f2: EFieldPresentation):
 SPOT_CHECKS = 10  # homomorphism-law samples of check_presentation
 
 
-def check_presentation(f: EFieldPresentation, seed: int = 0) -> dict:
-    """Validate the invariants and spot-check the homomorphism law."""
+def check_presentation(f: EFieldPresentation) -> dict:
+    """Validate the invariants and spot-check the homomorphism law at
+    SPOT_CHECKS integer combinations drawn by ``random.Random(0)``, so the
+    report of a presentation never varies."""
     violations = list(_graph_violations(f))
     checks = 0
     if not violations and f.egraph:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         order = f.cyclotomic_order
         for _ in range(SPOT_CHECKS):
             z = [rng.randint(-3, 3) for _ in range(len(f.egraph))]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import ExprSyntaxError, UnknownVariable, UnsupportedShape
 from .fieldelem import FieldElem
@@ -477,7 +478,12 @@ def term_to_element(t: ETerm, order: int = 1) -> FieldElem:
 
 
 def parse_element(text: str, order: int = 1) -> FieldElem:
-    """Parse the canonical element form: TERM or (TERM)/(TERM)."""
+    """Parse the canonical element form: TERM or (TERM)/(TERM).
+
+    A top-level ``/`` after a ``)`` divides only when both sides are single
+    parenthesized groups; any other is an ExprSyntaxError at its column, so
+    ``1 + (t)/(u)`` is refused rather than read as ``(t + 1)/(u)``.
+    """
     text = text.strip()
     depth = 0
     for i, ch in enumerate(text):
@@ -486,7 +492,16 @@ def parse_element(text: str, order: int = 1) -> FieldElem:
         elif ch == ")":
             depth -= 1
         elif ch == "/" and depth == 0 and i > 0 and text[i - 1] == ")":
-            num = parse(text[:i], kind="term")
-            den = parse(text[i + 1:], kind="term")
-            return term_to_element(num, order) / term_to_element(den, order)
+            num, den = text[:i], text[i + 1:]
+            if not (_one_group(num) and _one_group(den)):
+                raise ExprSyntaxError(1, i + 1, "a quotient (TERM)/(TERM)")
+            return (term_to_element(parse(num, kind="term"), order)
+                    / term_to_element(parse(den, kind="term"), order))
     return term_to_element(parse(text, kind="term"), order)
+
+
+def _one_group(text: str) -> bool:
+    """Whether text is one parenthesized group: its first ``(`` closes at
+    its last character."""
+    depth = list(accumulate((ch == "(") - (ch == ")") for ch in text))
+    return text[:1] == "(" and 0 not in depth[:-1] and depth[-1] == 0

@@ -491,9 +491,11 @@ class MPoly:
     def exact_divide(self, den: "MPoly"):
         """Return self/den when den divides self exactly, else None.
 
-        When den carries zeta with a non-unit part, only a rational multiple
-        of den is divided (divisibility of reduced representatives differs
-        from divisibility in the quotient).
+        A nonzero den in zeta alone is a unit of Q(zeta): self is multiplied
+        by its inverse, the product of its other Galois conjugates over its
+        norm.  When den carries zeta with a non-unit part, only a rational
+        multiple of den is divided (divisibility of reduced representatives
+        differs from divisibility in the quotient).
         Long division in the packed int order; the quotient lists its terms
         in descending graded-lex order.  An exact quotient's last term in
         the packed order is trail(self)/trail(den), so the division gives up
@@ -509,7 +511,16 @@ class MPoly:
             return MPoly(self.divide_scalar(den.terms[0]).terms, order,
                          _reduce=False)
         if den.is_constant():
-            return self * _constant_inverse(den)
+            # the conjugates are sigma_k: zeta -> zeta^k, 1 < k < m with
+            # gcd(k, m) = 1; every sigma_k fixes the norm, so it is a nonzero
+            # rational (Phi_m is irreducible).  Reducing jk mod m keeps
+            # _zeta_power's table below m entries.
+            conj = MPoly.const(1, order)
+            for k in range(2, order):
+                if gcd(k, order) == 1:
+                    conj = conj * MPoly({j * k % order: c
+                                         for j, c in den.terms.items()}, order)
+            return (self * conj).divide_scalar((den * conj).terms[0])
         if order > 1 and ZETA in den.symbols():
             mono, c = next(iter(den.terms.items()))
             q = _quotient(self.terms.get(mono, 0), c)
@@ -613,39 +624,3 @@ def _reduce_terms(terms: dict, order: int) -> dict:
     for mono, c in out.items():
         out[mono] = _coeff(c)
     return out
-
-
-def _constant_inverse(const: MPoly) -> MPoly:
-    """Inverse of a nonzero polynomial in zeta alone."""
-    # extended Euclid in Q[x] against Phi_m
-    m = const.order
-    phi = euler_phi(m)
-    a = [Fraction(0)] * phi
-    for mono, c in const.terms.items():
-        a[mono] = Fraction(c)
-    mod = [Fraction(c) for c in cyclotomic_polynomial(m)]
-    r0, r1 = mod, a
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-
-    def _deg(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i]:
-                return i
-        return -1
-
-    def _sub_scaled(p, q, c, shift):
-        p = list(p) + [Fraction(0)] * max(0, _deg(q) + shift + 1 - len(p))
-        for i in range(_deg(q) + 1):
-            p[i + shift] -= c * q[i]
-        return p
-
-    while _deg(r1) > 0:
-        while _deg(r0) >= _deg(r1):
-            d = _deg(r0) - _deg(r1)
-            c = r0[_deg(r0)] / r1[_deg(r1)]
-            r0 = _sub_scaled(r0, r1, c, d)
-            s0 = _sub_scaled(s0, s1, c, d)
-        r0, r1, s0, s1 = r1, r0, s1, s0
-    # r1 is a nonzero rational (Phi_m irreducible over Q); s1 * a = r1 mod Phi
-    unit = r1[0]
-    return MPoly({i: c / unit for i, c in enumerate(s1) if c}, m)

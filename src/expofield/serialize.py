@@ -278,9 +278,8 @@ def hull_to_json(h: HullPresentation) -> dict:
 def verify_report_to_json(rep: VerifyReport) -> dict:
     return {
         "condition_i": [
-            {"branch": list(r.branch) if not isinstance(r.branch, str)
-             else r.branch,
-             "consistent": r.consistent, "detail": r.detail}
+            {"branch": list(r.branch), "consistent": r.consistent,
+             "detail": r.detail}
             for r in rep.condition_i],
         "condition_ii": rep.condition_ii,
         "condition_iii": [{"indices": list(ix), "holds": v}

@@ -160,12 +160,14 @@ def branch_variety(w: "TP2Witness", sigma) -> ParametricVariety:
     )
 
 
-def tp2_witness(n: int, J: int, sigma, c_values=None):
+def tp2_witness(n: int, J: int, sigma):
     """Build the n x J array witness and verify it along one branch.
 
     sigma maps 1..n to 1..J; fresh transcendentals b_1..b_n are the
-    multipliers and c_j = j by default.  The branch is realized on the
-    variety {x_i = b_i x_0, y_i = c_sigma(i)} with y_0 free.
+    multipliers and c_j = j.  The branch is realized on the variety
+    {x_i = b_i x_0, y_i = c_sigma(i)} with y_0 free: it is additively free
+    because 1, b_1..b_n are Q-linearly independent, so ``solve`` realizes
+    it, and a failure there is a bug, raised rather than reported.
     """
     if n < 1 or J < 1:
         raise UnsupportedShape("need n, J >= 1")
@@ -174,42 +176,19 @@ def tp2_witness(n: int, J: int, sigma, c_values=None):
         raise UnsupportedShape("sigma must map 1..n into 1..J")
     base = presentation("A", transcendentals=tuple(f"b{i}" for i in range(1, n + 1)))
     b = tuple(base.elem(f"b{i}") for i in range(1, n + 1))
-    if c_values is None:
-        c = tuple(FieldElem.from_int(j) for j in range(1, J + 1))
-    else:
-        c = tuple(coerce(v) for v in c_values)
-        if len(c) != J:
-            raise UnsupportedShape("need J column values")
-    for j, cj in enumerate(c):
-        if cj.is_zero():
-            raise ZeroValue(f"c_{j + 1} must be nonzero")
-    for j in range(J):
-        for k in range(j + 1, J):
-            if c[j] == c[k]:
-                raise UnsupportedShape("column values must be distinct")
+    c = tuple(FieldElem.from_int(j) for j in range(1, J + 1))
     witness = TP2Witness(n=n, J=J, base=base, b=b, c=c,
                          phi=parse(PHI_TEXT), psi=parse(PSI_TEXT))
     assert len(span_matrix([FieldElem.one()] + list(b))) == n + 1, \
         "1, b_1..b_n must be Q-linearly independent"
 
     report = verify_finite_witness(witness, branches=[])
-    w_var = branch_variety(witness, sigma)
-    cert = additive_freeness(w_var)
-    if not cert.is_free:
-        branch = BranchResult(sigma, False,
-                              f"variety not additively free: {cert.relation}")
-    else:
-        try:
-            sol = solve(base, w_var)
-        except DomainError as exc:
-            branch = BranchResult(sigma, False, str(exc))
-        else:
-            x0 = sol.point_x[0]
-            ok = all(e_eval(sol.presentation, b[i] * x0).value
-                     == c[sigma[i] - 1] for i in range(n))
-            branch = BranchResult(sigma, ok,
-                                  "realized" if ok else "evaluation mismatch",
-                                  solution=sol)
+    sol = solve(base, branch_variety(witness, sigma))
+    x0 = sol.point_x[0]
+    ok = all(e_eval(sol.presentation, b[i] * x0).value == c[sigma[i] - 1]
+             for i in range(n))
+    branch = BranchResult(sigma, ok, "realized" if ok else "evaluation mismatch",
+                          solution=sol)
     return witness, replace(report, condition_i=(branch,))
 
 

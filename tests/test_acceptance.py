@@ -297,8 +297,7 @@ def test_criterion_9_generator_families():
            f"2x1000 spot-checked distinction certificates, {failures} failures")
 
 
-def test_criterion_10_cli_determinism(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EXPOFIELD_SEED", "0")
+def test_criterion_10_cli_determinism(tmp_path, capsys):
     variety = tmp_path / "v.json"
     variety.write_text(json.dumps({
         "base_params": [], "locus_params": ["_p1", "_q1", "_q2"],

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from expofield.exprlang import (Add, Atom, ESystem, Exp, IntLit, Mul, Pow,
                                 RatLit, Sub, Var, eliminate_inequations,
-                                flatten, parse, print_flat, print_system,
-                                print_term, system_symbols, term_to_poly)
+                                flatten, parse, parse_element, print_flat,
+                                print_system, print_term, system_symbols,
+                                term_to_poly)
+from expofield.fieldelem import FieldElem
 from expofield.errors import ExprSyntaxError, UnsupportedShape
 
 
@@ -39,6 +41,26 @@ def test_non_ascii_is_not_a_token(text, line, col):
     with pytest.raises(ExprSyntaxError) as exc:
         parse(text)
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("text, col", [
+    ("1 + (t)/(u)", 8),  # once read as (t + 1)/(u)
+    ("(t)/(u) + 1", 4),  # once read as (t)/(u + 1)
+    ("2*(t)/(u)", 6),
+    ("(t)/(u)/(v)", 4),
+    ("(t)/2", 4),
+])
+def test_quotient_needs_two_parenthesized_groups(text, col):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_element(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+
+
+def test_canonical_quotient_parses():
+    t, u = FieldElem.from_symbol("t"), FieldElem.from_symbol("u")
+    assert parse_element("(t + 1)/(u)") == (t + 1) / u
+    assert parse_element("((t))/(u*(t + 1))") == t / (u * (t + 1))
+    assert parse_element("1/2 + t") == t + Fraction(1, 2)
 
 
 def test_reserved_e():

@@ -7,6 +7,7 @@ import pytest
 from expofield import minimal_ea_family, presentation
 from expofield.cli import main
 from expofield.errors import SchemaError
+from expofield.exprlang import parse_element
 from expofield import serialize
 from gen import conflicting_system, rand_pminus_system
 
@@ -222,14 +223,89 @@ class TestCLI:
         assert code == 1
         assert "/cyclotomic_order" in capsys.readouterr().err
 
-    def test_efield_check_rejects_bad_seed(self, capsys, tmp_path,
-                                           monkeypatch):
-        monkeypatch.setenv("EXPOFIELD_SEED", "x")
+    def test_efield_check_ignores_the_seed_variable(self, capsys, tmp_path,
+                                                    monkeypatch):
+        """The spot checks always draw from seed 0, so EXPOFIELD_SEED, which
+        once chose the seed, changes no byte, valid integer or not."""
         path = tmp_path / "f.json"
-        path.write_text(json.dumps({"name": "F", "transcendentals": [],
-                                    "egraph": []}))
+        path.write_text(serialize.canonical_dumps(
+            serialize.presentation_to_json(minimal_ea_family([2, 3]))))
+        outs = []
+        for seed in (None, "0", "x"):
+            if seed is None:
+                monkeypatch.delenv("EXPOFIELD_SEED", raising=False)
+            else:
+                monkeypatch.setenv("EXPOFIELD_SEED", seed)
+            outs.append(run_cli(capsys, "efield-check", "-F", str(path)))
+        assert outs[0][0] == 0 and json.loads(outs[0][1])["spot_checks"] == 10
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    def test_output_file_gets_the_stdout_bytes(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "normalize", "-e", "E(E(x)) = x")
+        path = tmp_path / "out.json"
+        assert run_cli(capsys, "normalize", "-e", "E(E(x)) = x",
+                       "-o", str(path)) == (code, "")
+        assert code == 0 and path.read_text() == out
+
+    def test_invalid_json_is_schema_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"name": ')
         assert main(["efield-check", "-F", str(path)]) == 1
-        assert "EXPOFIELD_SEED" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"schema error: /: invalid JSON in {path}:")
+
+    def test_normalize_reads_system_text_from_a_file(self, capsys, tmp_path):
+        path = tmp_path / "system.txt"
+        path.write_text("E(E(x)) = x\ny != 0\n")
+        from_file = run_cli(capsys, "normalize", "-f", str(path))
+        assert from_file == run_cli(capsys, "normalize", "-e",
+                                    "E(E(x)) = x & y != 0")
+        assert from_file[0] == 0
+
+    def test_unknown_subcommand_exits_1(self, capsys):
+        assert main(["no-such-command"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_missing_file_is_io_error(self, capsys, tmp_path):
+        assert main(["reduce", "-f", str(tmp_path / "absent.json")]) == 1
+        assert capsys.readouterr().err.startswith("io error:")
+
+    @pytest.mark.parametrize("text", ["1 + (t1)/(t2)", "(t1)/(t2) + 1",
+                                      "2*(t1)/(t2)"])
+    def test_quotient_text_must_be_canonical(self, capsys, tmp_path, text):
+        """A ``/`` that does not separate two parenthesized groups is refused
+        with exit 1, not read as another quotient."""
+        pres = tmp_path / "f.json"
+        pres.write_text(json.dumps({"name": "F", "transcendentals": ["t1", "t2"],
+                                    "egraph": []}))
+        assert main(["hull", "-F", str(pres), "-g", text]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"schema error: -g: bad element {text!r}: line 1, col")
+        doc = tmp_path / "g.json"
+        doc.write_text(json.dumps({
+            "name": "F", "transcendentals": ["t1", "t2"],
+            "egraph": [{"arg": text, "val": "2"}]}))
+        assert main(["roundtrip", "-f", str(doc)]) == 1
+        assert "expected a quotient (TERM)/(TERM)" in capsys.readouterr().err
+
+    def test_eliminated_locus_parameter_certificates(self, capsys, tmp_path):
+        """The second coordinate is u + (t + 1)/(t + 2), written over a
+        denominator that keeps the factor u + 1: the relation's constant is
+        cleared of u by substitution (``eliminate_symbols``)."""
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({
+            "base_params": ["t"], "locus_params": ["u", "_q1", "_q2"],
+            "X": ["u", "(t*u^2 + 2*u^2 + 2*t*u + 3*u + t + 1)"
+                       "/(t*u + 2*u + t + 2)"],
+            "Y": ["_q1", "_q2"], "free_Y": [True, True]}))
+        code, out = run_cli(capsys, "free-check", "-f", str(path))
+        assert (code, out) == (2, '{"relation":{"a":"(-t - 1)/(t + 2)",'
+                                  '"m":[1,-1]},"verdict":"not_free"}\n')
+        a = parse_element(json.loads(out)["relation"]["a"])
+        assert a.symbols() == {"t"}
+        code, out = run_cli(capsys, "reduce", "-f", str(path))
+        assert code == 0
+        assert json.loads(out)["b"] == ["0", "(t + 1)/(t + 2)"]
 
     @pytest.mark.parametrize("doc, argv", [
         ([1, 2], ["efield-check", "-F"]),

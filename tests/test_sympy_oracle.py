@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -154,6 +154,30 @@ def test_exact_divide_matches_sympy(case):
         assert _as_poly(q) == ref_q
     else:
         assert q is None
+
+
+@st.composite
+def unit_cases(draw):
+    """(m, c, sc): a constant c in zeta alone that is not rational, at an
+    order whose unit group (Z/m)^x has four or more elements; those of
+    8 and 12 are not cyclic."""
+    m = draw(st.sampled_from([5, 7, 8, 12, 15]))
+    c, sc = build(draw(terms(m, symbols=False)), m)
+    assume(not c.is_rational())
+    return m, c, sc
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_cases())
+def test_constant_inverse_matches_sympy_at_larger_unit_groups(case):
+    """``exact_divide`` inverts c as the product of its other conjugates
+    over its norm; at orders 1, 3, 4 and 6 there is one other conjugate,
+    so only these orders tell a product that skips or repeats one."""
+    m, c, sc = case
+    inv = MPoly.const(1, m).exact_divide(c)
+    ref = sympy.invert(_reduced(sc, m).as_expr(), sympy.cyclotomic_poly(m, Z), Z)
+    assert inv is not None
+    assert _as_poly(inv) == _reduced(ref, m)
 
 
 def _elem(draw, m):

@@ -49,10 +49,6 @@ class TestTP2:
         assert len(rep.condition_i) == 8
         assert all(r.consistent for r in rep.condition_i)
 
-    def test_column_values_must_be_distinct(self):
-        with pytest.raises(UnsupportedShape):
-            tp2_witness(2, 2, (1, 1), c_values=[1, 1])
-
 
 class TestSOP1:
     def _tree(self, depth, value):
@@ -211,8 +207,8 @@ def test_branch_list_monotone():
 
 
 def test_witness_array_independence():
-    """1, b_1..b_n stay Q-linearly independent and every branch variety of
-    the array is additively free (checked in-pipeline by check_branch)."""
+    """1, b_1..b_n stay Q-linearly independent, so the branch variety of
+    the array is additively free and ``solve`` realizes it."""
     w, rep = tp2_witness(3, 3, (1, 2, 3))
     assert rep.ok
-    assert all("free" not in r.detail or r.consistent for r in rep.condition_i)
+    assert [r.detail for r in rep.condition_i] == ["realized"]
