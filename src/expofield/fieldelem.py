@@ -11,6 +11,20 @@ numerator is taken as it is, since an MPoly is always reduced modulo the
 cyclotomic polynomial and nothing cancels against 1.  Likewise ``x ** n``
 starts its square-and-multiply from ``x``, not from 1.
 
+Order-1 rule: over Q (order 1, where nothing is reduced modulo a
+cyclotomic polynomial) arithmetic keeps the normal form its operands have.
+``x ** n`` is ``num ** n / den ** n`` as it is, and ``x ** -n`` inverts
+first, by swapping num and den and rescaling once.  This holds by unique
+factorization, since a^n divides b^n exactly when a divides b, so no
+cancellation that failed on num/den succeeds on their powers; and by
+Gauss's lemma, since a product of primitive polynomials is primitive, with
+the product of their leading coefficients leading.  A product ``a * b``
+still tries both divisions, but rescales only after one went through.  At a
+higher order the reduction breaks both lemmas: at order 3,
+(t1*zeta + 1)^2 leads with a negative coefficient, and (t1*zeta)^2 is
+-t1^2*zeta - t1^2, whose monomial factor is t1^2.  There every power and
+product is normalized in full.
+
 The exponential homomorphism E(sum z_i a_i) = prod E(a_i)^z_i is written with
 two folds: ``int_combination`` for the sum and ``power_product`` for the
 product.  Both skip zero entries and start from the first nonzero term or
@@ -49,35 +63,8 @@ class FieldElem:
             self.num = MPoly.zero(order)
             self.den = MPoly.const(1, order)
             return
-        # cancel the common monomial factor
-        mc_num = num.monomial_content()
-        if mc_num:
-            mc_den = den.monomial_content()
-            if mc_den:
-                common = monomial_gcd(mc_num, mc_den)
-                if common:
-                    num = num.divide_monomial(common)
-                    den = den.divide_monomial(common)
-        if den.is_constant():
-            num = num.exact_divide(den)
-            den = MPoly.const(1, order)
-        else:
-            q = num.exact_divide(den)
-            if q is not None:
-                num, den = q, MPoly.const(1, order)
-            else:
-                q = den.exact_divide(num)
-                if q is not None:
-                    num, den = MPoly.const(1, order), q
-        # scale so den is primitive with positive leading coefficient
-        c = den.content()
-        if den.leading()[1] < 0:
-            c = -c
-        if c != 1:
-            num = num.divide_scalar(c)
-            den = den.divide_scalar(c)
-        self.num = num
-        self.den = den
+        num, den, _ = _cancel(num, den, order)
+        self.num, self.den = _rescale(num, den)
 
     # -- constructors --------------------------------------------------
 
@@ -143,10 +130,7 @@ class FieldElem:
         return self.__add__(other)
 
     def __neg__(self) -> "FieldElem":
-        out = object.__new__(FieldElem)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return _elem(-self.num, self.den)
 
     def __sub__(self, other) -> "FieldElem":
         return self.__add__(coerce(other, self.order).__neg__())
@@ -156,7 +140,13 @@ class FieldElem:
 
     def __mul__(self, other) -> "FieldElem":
         other = coerce(other, self.order)
-        return FieldElem(self.num * other.num, self.den * other.den)
+        num, den = self.num * other.num, self.den * other.den
+        if num.order > 1 or den.terms == _ONE_TERMS or not num.terms:
+            return FieldElem(num, den)
+        # a product of primitive denominators with positive leading
+        # coefficients is one (Gauss's lemma): rescale only after a division
+        num, den, divided = _cancel(num, den, 1)
+        return _elem(*_rescale(num, den)) if divided else _elem(num, den)
 
     def __rmul__(self, other) -> "FieldElem":
         return self.__mul__(other)
@@ -171,15 +161,30 @@ class FieldElem:
         return coerce(other, self.order).__truediv__(self)
 
     def __pow__(self, n: int) -> "FieldElem":
+        """``x ** n``; a negative n inverts first.  At order 1 the power of a
+        normal form is one, so ``num ** n`` over ``den ** n`` is taken as it
+        is, and the inverse only rescales (the order-1 rule).  At a higher
+        order each square and product is normalized."""
+        x = self
         if n < 0:
-            return FieldElem.one(self.order).__truediv__(self) ** (-n)
-        out, base = None, self
+            x, n = self._inverse(), -n
+        if x.order == 1:
+            den = x.den if x.den.terms == _ONE_TERMS else x.den ** n
+            return _elem(x.num ** n, den)
+        out, base = None, x
         while n:
             if n & 1:
                 out = base if out is None else out * base
             n >>= 1
             base = base * base if n else base
         return FieldElem.one(self.order) if out is None else out
+
+    def _inverse(self) -> "FieldElem":
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero field element")
+        if self.order == 1:
+            return _elem(*_rescale(self.den, self.num))
+        return FieldElem(self.den, self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElem):
@@ -223,6 +228,49 @@ class FieldElem:
         return f"FieldElem({self})"
 
 
+def _elem(num: MPoly, den: MPoly) -> FieldElem:
+    """num/den taken as the normal form it already is."""
+    out = object.__new__(FieldElem)
+    out.num = num
+    out.den = den
+    return out
+
+
+def _cancel(num: MPoly, den: MPoly, order: int) -> tuple:
+    """(num, den, divided): num/den, for a nonzero num and a den other
+    than 1, with the common monomial factor cancelled and an exact division
+    tried each way; ``divided`` says whether one went through."""
+    mc_num = num.monomial_content()
+    if mc_num:
+        mc_den = den.monomial_content()
+        if mc_den:
+            common = monomial_gcd(mc_num, mc_den)
+            if common:
+                num = num.divide_monomial(common)
+                den = den.divide_monomial(common)
+    if den.is_constant():
+        return num.exact_divide(den), MPoly.const(1, order), True
+    q = num.exact_divide(den)
+    if q is not None:
+        return q, MPoly.const(1, order), True
+    q = den.exact_divide(num)
+    if q is not None:
+        return MPoly.const(1, order), q, True
+    return num, den, False
+
+
+def _rescale(num: MPoly, den: MPoly) -> tuple:
+    """num/den scaled so den is primitive with positive leading
+    coefficient."""
+    c = den.content()
+    if den.leading()[1] < 0:
+        c = -c
+    if c != 1:
+        num = num.divide_scalar(c)
+        den = den.divide_scalar(c)
+    return num, den
+
+
 def coerce(value, order: int = 1) -> FieldElem:
     if isinstance(value, FieldElem):
         return value
@@ -243,7 +291,9 @@ def int_combination(coeffs, elems, order: int = 1) -> FieldElem:
 
 def power_product(bases, exps, order: int = 1) -> FieldElem:
     """prod b_i ** z_i over the nonzero integer exponents z_i (a Fraction
-    with denominator 1 counts as an integer)."""
+    with denominator 1 counts as an integer).  At order 1 each power is
+    taken as it is and each product rescales only after a division (the
+    order-1 rule)."""
     out = None
     for b, z in zip(bases, exps):
         if z:

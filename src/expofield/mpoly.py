@@ -429,14 +429,13 @@ class MPoly:
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MPoly.const(1, self.order)
-        base = self
+        out, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                out = base if out is None else out * base
             n >>= 1
-        return result
+            base = base * base if n else base
+        return MPoly.const(1, self.order) if out is None else out
 
     def scale(self, c) -> "MPoly":
         """self times the rational c."""

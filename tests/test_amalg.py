@@ -8,7 +8,7 @@ import pytest
 from expofield import (FieldElem, IndepSystem, acf_indep, amalgamate2,
                        coerce, complete_system, e_eval, indep, presentation,
                        tdeg, verify_independent_system)
-from expofield.amalg import validate_system
+from expofield.amalg import EmbeddedPresentation, validate_system
 from expofield.efield import extend_graph
 from expofield.errors import (IllFormedExtension, UnsupportedShape,
                               WellDefFailure)
@@ -140,6 +140,15 @@ class TestAmalgamate2:
         stranger = presentation("S", transcendentals=("x",))
         with pytest.raises(IllFormedExtension):
             amalgamate2(base, stranger, base)
+
+    @pytest.mark.parametrize("target", [S("t") + 1, 2 * S("t"), ONE])
+    def test_embedding_must_be_a_renaming(self, target):
+        emb = EmbeddedPresentation({"s": S("u"), "a": target})
+        with pytest.raises(UnsupportedShape,
+                           match="only renaming inclusions are supported"):
+            emb.apply(S("s"))
+        assert EmbeddedPresentation({"s": S("u")}).apply(S("s") + 1) == \
+            S("u") + 1
 
 
 def _uniform_nodes(n, node):

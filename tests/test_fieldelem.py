@@ -35,6 +35,9 @@ def test_division_by_zero():
         S("t1") / FieldElem.zero()
     with pytest.raises(ZeroDivisionError):
         FieldElem(S("t1").num, FieldElem.zero().num)
+    for order in (1, 3):
+        with pytest.raises(ZeroDivisionError):
+            FieldElem.zero(order) ** -1
 
 
 def test_rational_multiple_over_a_zeta_denominator_is_that_rational():
@@ -173,6 +176,32 @@ def test_normalization_is_idempotent(e):
         assert str(FieldElem(p)) == str(FieldElem(p, MPoly.const(1, e.order)))
         assert str(FieldElem(p)) == str(FieldElem(p.scale(2),
                                                   MPoly.const(2, e.order)))
+
+
+T1, T2 = S("t1"), S("t2")
+
+
+@settings(max_examples=200, deadline=None)
+@given(normal_forms(), elems())
+@example(coerce(2), T1)
+@example(T1, coerce(2))
+@example(-T1 ** 2 + T2, T1)
+@example(Fraction(3, 2) + Fraction(2, 3) * T1 * T2, -T1 ** 2 + T2)
+@example((T1 + 1) / (T1 * T2 - 2), -3 / ((T1 + 1) * (T1 * T2 - 2)))
+@example(cyclotomic_root(3) * S("t1", 3) + 1, T1)
+def test_fast_paths_equal_the_full_normalization(e, b):
+    """At order 1 a power of a normal form is taken as it is, an inverse is
+    only rescaled, and a product is rescaled only after a division; each
+    gives the key the full constructor gives.  At order 3 the square of
+    t1*zeta + 1 has a negative leading coefficient, so there each power is
+    normalized."""
+    for k in (-3, -2, -1, 1, 2, 3):
+        if k < 0 and e.is_zero():
+            continue
+        x = e if k > 0 else FieldElem(e.den, e.num)
+        want = FieldElem(x.num ** abs(k), x.den ** abs(k))
+        assert (e ** k).key() == want.key()
+    assert (e * b).key() == FieldElem(e.num * b.num, e.den * b.den).key()
 
 
 def test_folds_skip_zero_entries():

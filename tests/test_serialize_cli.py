@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from expofield import minimal_ea_family, presentation
+from expofield import complete_system, minimal_ea_family, presentation
 from expofield.cli import main
 from expofield.errors import SchemaError
 from expofield.exprlang import parse_element
@@ -419,6 +419,30 @@ class TestCLI:
         assert [r["branch"] for r in json.loads(out)["condition_i"]] == \
             [["01"], ["10"]]
 
+    @pytest.mark.parametrize("tree, transcendentals, consistent, detail", [
+        # E(x) = 1 & E(2x) = 1 is not additively free; x = 0 satisfies it
+        ({"": ["1", "1"], "0": ["2", "1"], "1": ["2", "1"]}, [], True,
+         "realized"),
+        # E(0) = 1 & E(t*x) = 2
+        ({"": ["0", "1"], "0": ["t", "2"], "1": ["t", "2"]}, ["t"], True,
+         "realized"),
+        ({"": ["1", "2"], "0": ["2", "3"], "1": ["2", "3"]}, [], False,
+         "coordinate 1 forces E = 3 but the homomorphism gives 4"),
+    ])
+    def test_sop1_branch_that_is_not_additively_free(
+            self, capsys, tmp_path, tree, transcendentals, consistent,
+            detail):
+        """A branch variety that is not additively free is solved, not
+        refused: ``solve`` reduces it and raises only on a conflict."""
+        path = tmp_path / "sop1.json"
+        path.write_text(json.dumps(SOP1 | {"depth": 2, "tree": tree, "base": {
+            "name": "A", "transcendentals": transcendentals, "egraph": []}}))
+        code, out = run_cli(capsys, "sop1-verify", "-f", str(path),
+                            "--branches", "00")
+        assert code == 0
+        assert json.loads(out)["condition_i"] == [
+            {"branch": ["00"], "consistent": consistent, "detail": detail}]
+
     @pytest.mark.parametrize("argv", [
         ["hull", "-g", "b"],
         ["hull", "-g", "a, a + b"],
@@ -455,6 +479,15 @@ class TestCLI:
         assert code == 2
         assert out == ('{"error":"WellDefFailure","product":"3",'
                        '"vector":[0,0,0,0,0,0,1,0,0,0,-1]}\n')
+
+    def test_completed_system_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(serialize.canonical_dumps(serialize.system_to_json(
+            complete_system(rand_pminus_system(random.Random(4), 3)).system)))
+        code, out = run_cli(capsys, "amalg-n", "-S", str(path))
+        assert code == 2
+        assert out == ('{"detail":"system is already complete",'
+                       '"error":"UnsupportedShape"}\n')
 
     @pytest.mark.parametrize("first, detail", [
         ({"cyclotomic_order": 3},

@@ -1,12 +1,13 @@
 """Differential oracle: the polynomial kernel, field equality and exact
 linear algebra against sympy.
 
-``MPoly`` sums, products and exact quotients are compared with ``sympy.Poly``
-over ``QQ`` in the generators (zeta, t1, t2, t3), where zeta is a plain
-variable reduced modulo ``cyclotomic_poly(m)``; ``FieldElem`` equality is
-compared with ``sympy.cancel`` of the difference, whose numerator must
-vanish modulo the same polynomial.  Elements reach sympy only through their
-printed text, so the oracle reads no internals of the kernel.
+``MPoly`` sums, products, powers and exact quotients are compared with
+``sympy.Poly`` over ``QQ`` in the generators (zeta, t1, t2, t3), where zeta
+is a plain variable reduced modulo ``cyclotomic_poly(m)``; ``FieldElem``
+equality is compared with ``sympy.cancel`` of the difference, whose
+numerator must vanish modulo the same polynomial, and a power p/q of n/d
+must have p * d^k - q * n^k vanish there.  Elements reach sympy only
+through their printed text, so the oracle reads no internals of the kernel.
 
 ``integer_kernel_basis`` must give a saturated Z-basis of sympy's rational
 null space: it annihilates the rows, has n - rank vectors, its Smith normal
@@ -113,6 +114,10 @@ def test_add_and_mul_match_sympy(case):
     assert _as_poly(a + b) == _reduced(sa + sb, m)
     assert _as_poly(a - b) == _reduced(sa - sb, m)
     assert _as_poly(a * b) == _reduced(sa * sb, m)
+    pa = _reduced(sa, m)
+    for k in range(5):
+        want = pa ** k
+        assert _as_poly(a ** k) == (want.rem(_cyclo(m)) if m > 1 else want)
 
 
 @st.composite
@@ -217,6 +222,24 @@ def test_fieldelem_equality_matches_cancel(case):
         assert _reduced(sympy.expand(diff_num), m).is_zero
     num, _ = sympy.fraction(sympy.cancel(sx - sy))
     assert (x == y) == _reduced(sympy.expand(num), m).is_zero
+    # x prints as n/d, checked above; x ** k prints as p/q with
+    # p * d^k = q * n^k mod Phi_m.  Cross-multiplied in sympy's sparse
+    # polynomial ring: cancel takes a minute on the cubes.
+    ring = sympy.ring(GENS, sympy.QQ)[0]
+    cyclo = ring.from_expr(sympy.cyclotomic_poly(m, Z))
+
+    def num_den(elem):
+        return [ring.from_expr(f)
+                for f in sympy.fraction(_text_to_sympy(str(elem)))]
+
+    assert str(x ** 0) == "1"
+    n, d = num_den(x)
+    for k in (-3, -2, -1, 1, 2, 3):
+        if k < 0 and not x:
+            continue
+        p, q = num_den(x ** k)
+        a, b = (n, d) if k > 0 else (d, n)
+        assert not (p * b ** abs(k) - q * a ** abs(k)).rem(cyclo)
 
 
 # -- integer lattices and function-field rank ---------------------------------
