@@ -27,7 +27,7 @@ from functools import cached_property
 from .errors import IllFormedExtension, UnsupportedShape
 from .efield import (EFieldPresentation, HullBasis, WellDefCheck, e_eval,
                      merge_graphs, presentation)
-from .fieldelem import FieldElem, coerce
+from .fieldelem import FieldElem, coerce, lone_symbol
 from .linalg import ff_rank, jacobian_rank, jacobian_row
 
 
@@ -128,13 +128,11 @@ class EmbeddedPresentation:
     def apply(self, e: FieldElem) -> FieldElem:
         ren = {}
         for s, target in self.inclusion.items():
-            syms = target.symbols()
-            if len(syms) == 1 and target == FieldElem.from_symbol(
-                    next(iter(syms)), target.order):
-                ren[s] = next(iter(syms))
-            else:
+            sym = lone_symbol(target)
+            if sym is None:
                 raise UnsupportedShape(
                     "only renaming inclusions are supported")
+            ren[s] = sym
         return e.rename(ren)
 
 
@@ -238,11 +236,7 @@ class IndepSystem:
         full = frozenset(range(self.n))
         expected = _proper_subsets(self.n)
         have = set(self.nodes)
-        if have == expected | {full}:
-            pass
-        elif have == expected:
-            pass
-        else:
+        if have != expected and have != expected | {full}:
             raise UnsupportedShape("nodes must cover P^-(n) or P(n)")
         orders = {f.cyclotomic_order for f in self.nodes.values()}
         if len(orders) != 1:

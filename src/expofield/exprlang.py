@@ -23,7 +23,7 @@ form of field elements used in JSON payloads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -36,7 +36,7 @@ from .mpoly import MPoly, is_valid_symbol
 
 @dataclass(frozen=True)
 class ETerm:
-    pos: tuple = field(default=None, compare=False, repr=False)
+    """A term of the language; the subclasses are its node kinds."""
 
 
 @dataclass(frozen=True)
@@ -198,17 +198,15 @@ class _Parser:
         return node
 
     def parse_factor(self) -> ETerm:
-        kind, _, line, col = self.peek()
-        if kind != "-":
+        if self.peek()[0] != "-":
             return self.parse_pow()
         self.next()
-        pos = (line, col)
         inner = self.parse_factor()
         if isinstance(inner, IntLit):
-            return IntLit(pos=pos, value=-inner.value)
+            return IntLit(value=-inner.value)
         if isinstance(inner, RatLit):
-            return RatLit(pos=pos, value=-inner.value)
-        return Mul(pos=pos, left=IntLit(value=-1), right=inner)
+            return RatLit(value=-inner.value)
+        return Mul(left=IntLit(value=-1), right=inner)
 
     def parse_pow(self) -> ETerm:
         base = self.parse_unit()
@@ -219,25 +217,24 @@ class _Parser:
         return base
 
     def parse_unit(self) -> ETerm:
-        kind, val, line, col = self.peek()
-        pos = (line, col)
+        kind, val = self.peek()[:2]
         if kind == "INT":
             self.next()
-            return IntLit(pos=pos, value=int(val))
+            return IntLit(value=int(val))
         if kind == "RAT":
             num, den = map(int, val.split("/"))
             if not den:
                 self.fail("a nonzero denominator")
             self.next()
-            return RatLit(pos=pos, value=Fraction(num, den))
+            return RatLit(value=Fraction(num, den))
         if kind == "IDENT":
             self.next()
             if val == "E":
                 self.expect("(")
                 arg = self.parse_term()
                 self.expect(")")
-                return Exp(pos=pos, arg=arg)
-            return Var(pos=pos, name=val)
+                return Exp(arg=arg)
+            return Var(name=val)
         if kind == "(":
             self.next()
             node = self.parse_term()
@@ -334,9 +331,11 @@ def system_symbols(s: ESystem) -> set:
 
 
 def fresh_name(prefix: str, used: set) -> str:
+    """The first of prefix1, prefix2, ... not in ``used``, added to it."""
     k = 1
     while f"{prefix}{k}" in used:
         k += 1
+    used.add(f"{prefix}{k}")
     return f"{prefix}{k}"
 
 
@@ -352,7 +351,6 @@ def eliminate_inequations(s: ESystem) -> ESystem:
             atoms.append(a)
             continue
         w = fresh_name("_w", used)
-        used.add(w)
         if isinstance(a.rhs, IntLit) and a.rhs.value == 0:
             diff = a.lhs
         elif isinstance(a.lhs, IntLit) and a.lhs.value == 0:
@@ -428,11 +426,9 @@ def flatten(s: ESystem) -> FlatSystem:
                 xvars.append(x)
         else:
             x = fresh_name("_u", used)
-            used.add(x)
             xvars.append(x)
             extra_polys.append(Sub(left=Var(name=x), right=arg))
         y = fresh_name("_v", used)
-        used.add(y)
         yvars.append(y)
         pair_by_key[key] = y
         return y

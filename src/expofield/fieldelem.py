@@ -9,7 +9,7 @@ is never required.
 Unit-denominator rule: over the denominator 1, given or left out, the
 numerator is taken as it is, since an MPoly is always reduced modulo the
 cyclotomic polynomial and nothing cancels against 1.  Likewise ``x ** n``
-starts its square-and-multiply from ``x``, not from 1.
+keeps the denominator 1 rather than raising it to the n-th power.
 
 Order-1 rule: over Q (order 1, where nothing is reduced modulo a
 cyclotomic polynomial) arithmetic keeps the normal form its operands have.
@@ -22,8 +22,9 @@ the product of their leading coefficients leading.  A product ``a * b``
 still tries both divisions, but rescales only after one went through.  At a
 higher order the reduction breaks both lemmas: at order 3,
 (t1*zeta + 1)^2 leads with a negative coefficient, and (t1*zeta)^2 is
--t1^2*zeta - t1^2, whose monomial factor is t1^2.  There every power and
-product is normalized in full.
+-t1^2*zeta - t1^2, whose monomial factor is t1^2.  There ``x ** n`` is
+``num ** n / den ** n`` normalized once, and every product is normalized
+in full.
 
 The exponential homomorphism E(sum z_i a_i) = prod E(a_i)^z_i is written with
 two folds: ``int_combination`` for the sum and ``power_product`` for the
@@ -164,20 +165,14 @@ class FieldElem:
         """``x ** n``; a negative n inverts first.  At order 1 the power of a
         normal form is one, so ``num ** n`` over ``den ** n`` is taken as it
         is, and the inverse only rescales (the order-1 rule).  At a higher
-        order each square and product is normalized."""
+        order ``num ** n`` over ``den ** n`` is normalized once."""
         x = self
         if n < 0:
             x, n = self._inverse(), -n
+        den = x.den if x.den.terms == _ONE_TERMS else x.den ** n
         if x.order == 1:
-            den = x.den if x.den.terms == _ONE_TERMS else x.den ** n
             return _elem(x.num ** n, den)
-        out, base = None, x
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            base = base * base if n else base
-        return FieldElem.one(self.order) if out is None else out
+        return FieldElem(x.num ** n, den)
 
     def _inverse(self) -> "FieldElem":
         if self.is_zero():
@@ -304,9 +299,15 @@ def power_product(bases, exps, order: int = 1) -> FieldElem:
 
 def cyclotomic_root(order: int, power: int = 1) -> FieldElem:
     """The constant zeta_order^power as a field element."""
-    if order == 1:
-        return FieldElem.one()
     return FieldElem(MPoly.zeta(order, power))
+
+
+def lone_symbol(e: FieldElem) -> str | None:
+    """The symbol s when e equals s, else None."""
+    syms = e.symbols()
+    if len(syms) == 1 and e == FieldElem.from_symbol(min(syms), e.order):
+        return min(syms)
+    return None
 
 
 def _poly_subs(poly: MPoly, mapping: dict) -> FieldElem:
@@ -334,15 +335,13 @@ def eliminate_symbols(elem: FieldElem, syms) -> FieldElem:
     for sym in sorted(set(syms)):
         if sym not in out.symbols():
             continue
-        k = 0
-        while True:
-            cand_den = _poly_subs(out.den, {sym: FieldElem.from_int(k, out.order)})
-            if not cand_den.is_zero():
-                num = _poly_subs(out.num, {sym: FieldElem.from_int(k, out.order)})
-                out = num / cand_den
+        for k in range(out.den.degree_in(sym) + 2):
+            try:
+                out = out.subs({sym: FieldElem.from_int(k, out.order)})
                 break
-            k += 1
-            if k > out.den.degree_in(sym) + 1:
-                raise ArithmeticError("could not eliminate symbol "
-                                      f"{sym!r} from {elem}")
+            except ZeroDivisionError:
+                pass
+        else:
+            raise ArithmeticError("could not eliminate symbol "
+                                  f"{sym!r} from {elem}")
     return out

@@ -437,14 +437,6 @@ class MPoly:
             base = base * base if n else base
         return MPoly.const(1, self.order) if out is None else out
 
-    def scale(self, c) -> "MPoly":
-        """self times the rational c."""
-        c = _coeff(c)
-        if not c:
-            return MPoly.zero(self.order)
-        return MPoly(_integral({m: k * c for m, k in self.terms.items()}),
-                     self.order, _reduce=False)
-
     def divide_scalar(self, c) -> "MPoly":
         """self divided by the nonzero rational c."""
         c = _coeff(c)

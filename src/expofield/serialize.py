@@ -208,8 +208,11 @@ def system_from_json(doc: dict, path: str = "") -> IndepSystem:
     n = _field(doc, "n", path, int)
     nodes = {}
     for label, nd in _field(doc, "nodes", path, dict).items():
-        subset = _label_to_subset(label, f"{path}/nodes/{label}")
-        nodes[subset] = presentation_from_json(nd, f"{path}/nodes/{label}")
+        at = f"{path}/nodes/{label}"
+        subset = _label_to_subset(label, at)
+        if subset in nodes:
+            raise SchemaError(at, f"repeated node {subset_label(subset)}")
+        nodes[subset] = presentation_from_json(nd, at)
     for i, arrow in enumerate(_field(doc, "arrows", path, list, [])):
         at = f"{path}/arrows/{i}"
         low, high = (_node_of(arrow, key, at, nodes) for key in ("from", "to"))

@@ -18,7 +18,7 @@ from .efield import (EFieldPresentation, SolveResult, adjoin_transcendentals,
                      e_eval, eval_system, extend_graph, presentation, solve)
 from .exprlang import (Atom, ESystem, ETerm, Exp, IntLit, Mul, RatLit, Var,
                        fresh_name, parse, print_system, flatten)
-from .fieldelem import FieldElem, coerce, cyclotomic_root
+from .fieldelem import FieldElem, coerce, cyclotomic_root, lone_symbol
 from .linalg import span_matrix
 from .variety import ParametricVariety, from_flat
 
@@ -105,9 +105,9 @@ def _param_node(e: FieldElem, what: str) -> ETerm:
     if e.is_rational():
         q = e.as_fraction()
         return IntLit(value=int(q)) if q.denominator == 1 else RatLit(value=q)
-    syms = e.symbols()
-    if len(syms) == 1 and e == FieldElem.from_symbol(min(syms), e.order):
-        return Var(name=min(syms))
+    sym = lone_symbol(e)
+    if sym is not None:
+        return Var(name=sym)
     raise UnsupportedShape(f"witness {what} must be symbols or rationals")
 
 

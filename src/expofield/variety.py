@@ -16,7 +16,7 @@ from math import lcm
 from .errors import Inconsistent, UnsupportedShape, MissingExponential
 from .exprlang import FlatSystem, fresh_name
 from .fieldelem import (FieldElem, coerce, eliminate_symbols, int_combination,
-                        power_product)
+                        lone_symbol, power_product)
 from .linalg import _rref, coordinate_matrix, integer_kernel_basis, span_matrix
 from .mpoly import MPoly, ZETA, decode, encode
 
@@ -53,24 +53,14 @@ class ParametricVariety:
                 for j, yy in enumerate(self.Y):
                     if j != i:
                         others |= yy.symbols()
-                sym = _single_param(y, self.locus_params)
-                if sym is None or sym in others:
+                sym = lone_symbol(y)
+                if sym not in self.locus_params or sym in others:
                     raise UnsupportedShape(
                         f"free Y[{i}] must be a dedicated locus parameter")
 
     @property
     def n(self) -> int:
         return len(self.X)
-
-
-def _single_param(e: FieldElem, params) -> str | None:
-    syms = e.symbols()
-    if len(syms) != 1:
-        return None
-    sym = next(iter(syms))
-    if sym not in params:
-        return None
-    return sym if e == FieldElem.from_symbol(sym, e.order) else None
 
 
 @dataclass(frozen=True)
@@ -198,10 +188,8 @@ def reduce(v: ParametricVariety) -> ReductionResult:
             yprime.append(v.Y[i])
             flags.append(v.free_Y[i])
         else:
-            q = fresh_name("_q", used)
-            used.add(q)
-            fresh_params.append(q)
-            yprime.append(FieldElem.from_symbol(q, order))
+            fresh_params.append(fresh_name("_q", used))
+            yprime.append(FieldElem.from_symbol(fresh_params[-1], order))
             flags.append(True)
     if k == 0:
         vprime = None
@@ -288,82 +276,71 @@ def from_flat(fs: FlatSystem, base_params,
             if s not in coeff_syms and s not in yset and s not in unknowns:
                 unknowns.append(s)
 
-    def affine_split(p: MPoly):
-        """p as sum(coeff_u * u) + const, coefficients over the base."""
-        cmap: dict = {}
-        const = MPoly.zero(order)
+    def split(p: MPoly, y) -> dict:
+        """p's coefficients over the base in one pass: each term filed under
+        the y-variable y, under its one unknown, or under None (constant)."""
+        parts: dict = {}
+        affine = True
         for mono, c in p.terms.items():
             d = dict(decode(mono))
             touched = [s for s in d if s in unknowns]
-            deg = sum(d[s] for s in touched)
-            if deg == 0:
-                const = const + MPoly({mono: c}, order)
-            elif deg == 1:
-                s = touched[0]
-                rest = encode((t, e) for t, e in d.items() if t != s)
-                cmap.setdefault(s, MPoly.zero(order))
-                cmap[s] = cmap[s] + MPoly({rest: c}, order)
-            else:
-                raise UnsupportedShape(f"not affine in the unknowns: {p}")
-        return ({s: FieldElem(q) for s, q in cmap.items() if not q.is_zero()},
-                FieldElem(const))
-
-    affine = []  # (coeff map unknown -> FieldElem, const FieldElem)
-    y_polys = []  # (yvar, coeff of y over base, affine rest)
-    for p in fs.polys:
-        psyms = p.symbols()
-        ys = sorted(psyms & yset)
-        if ys:
-            if len(ys) > 1:
-                raise UnsupportedShape(
-                    f"equation couples several exponential values: {p}")
-            y = ys[0]
-            if p.degree_in(y) > 1:
-                raise UnsupportedShape(f"nonlinear in exponential value: {p}")
-            coeff = MPoly.zero(order)
-            rest = MPoly.zero(order)
-            for mono, c in p.terms.items():
-                pairs = decode(mono)
-                if y in dict(pairs):
-                    coeff = coeff + MPoly({encode(
-                        (s, e) for s, e in pairs if s != y): c}, order)
-                else:
-                    rest = rest + MPoly({mono: c}, order)
-            if coeff.symbols() & set(unknowns):
+            if y in d and touched:
                 raise UnsupportedShape(
                     f"exponential value with unknown coefficient: {p}")
+            key = y if y in d else touched[0] if touched else None
+            if len(touched) > 1 or d.get(key, 1) > 1:
+                affine = False
+            else:
+                rest = encode((s, e) for s, e in d.items() if s != key)
+                parts.setdefault(key, {})[rest] = c
+        if not affine:
+            if y is not None:  # the message names the part without y
+                p = p - MPoly.var(y, order) * p.derivative(y)
+            raise UnsupportedShape(f"not affine in the unknowns: {p}")
+        return {k: FieldElem(MPoly(t, order, _reduce=False))
+                for k, t in parts.items()}
+
+    zero = FieldElem.zero(order)
+    affine = []  # coefficient maps: unknown or None (constant) -> FieldElem
+    y_polys = []  # (yvar, its equation's map, with y's coefficient under y)
+    for p in fs.polys:
+        ys = sorted(p.symbols() & yset)
+        if not ys:
+            affine.append(split(p, None))
+        elif len(ys) > 1:
+            raise UnsupportedShape(
+                f"equation couples several exponential values: {p}")
+        elif p.degree_in(ys[0]) > 1:
+            raise UnsupportedShape(f"nonlinear in exponential value: {p}")
+        else:
             # a*y + r(unknowns) = 0: the value is pinned after the affine
             # solve (this is how alias equations x_new = y_old come in)
-            y_polys.append((y, FieldElem(coeff), affine_split(rest)))
-            continue
-        affine.append(affine_split(p))
+            y_polys.append((ys[0], split(p, ys[0])))
 
     # Gauss-Jordan over the base function field on [coefficients | constant]
-    rows, pivots = _rref([[cm.get(u, FieldElem.zero(order)) for u in unknowns]
-                          + [-const] for cm, const in affine])
+    rows, pivots = _rref([[cm.get(u, zero) for u in unknowns]
+                          + [-cm.get(None, zero)] for cm in affine])
     if len(unknowns) in pivots:
         raise Inconsistent("affine part of the system has no solution")
 
     used = set(base) | set(unknowns) | yset
     free_cols = [c for c in range(len(unknowns)) if c not in pivots]
-    params = {}
-    for c in free_cols:
-        p = fresh_name("_p", used)
-        used.add(p)
-        params[c] = p
+    locus = []  # a parameter per free unknown, then one per free y
     assignment: dict = {}
     for c in free_cols:
-        assignment[unknowns[c]] = FieldElem.from_symbol(params[c], order)
+        locus.append(fresh_name("_p", used))
+        assignment[unknowns[c]] = FieldElem.from_symbol(locus[-1], order)
     for row, c in reversed(list(zip(rows, pivots))):
-        val = row.get(len(unknowns), FieldElem.zero(order))
+        val = row.get(len(unknowns), zero)
         for fc in free_cols:
             if fc in row:
                 val = val - row[fc] * assignment[unknowns[fc]]
         assignment[unknowns[c]] = val
 
     y_constraints: dict = {}
-    for y, coeff, (cmap, const) in y_polys:
-        rest = const
+    for y, cmap in y_polys:
+        coeff = cmap.pop(y)
+        rest = cmap.pop(None, zero)
         for u, cu in cmap.items():
             rest = rest + cu * assignment[u]
         val = -rest / coeff
@@ -374,7 +351,6 @@ def from_flat(fs: FlatSystem, base_params,
             raise Inconsistent(f"conflicting constraints on {y}")
         y_constraints[y] = val
 
-    locus = [params[c] for c in free_cols]
     X = []
     Y = []
     flags = []
@@ -384,10 +360,8 @@ def from_flat(fs: FlatSystem, base_params,
             Y.append(y_constraints[fs.yvars[i]])
             flags.append(False)
         else:
-            q = fresh_name("_q", used)
-            used.add(q)
-            locus.append(q)
-            Y.append(FieldElem.from_symbol(q, order))
+            locus.append(fresh_name("_q", used))
+            Y.append(FieldElem.from_symbol(locus[-1], order))
             flags.append(True)
     v = ParametricVariety(
         base_params=base,

@@ -65,6 +65,13 @@ class TestExtendGraph:
         assert exc.value.payload() == {"error": "LinearDependence",
                                        "certificate": [2, -1, -1]}
 
+    def test_zero_argument_payload_is_its_unit_vector(self):
+        with pytest.raises(LinearDependence) as exc:
+            presentation("G", 1, ("t",), [(S("t"), S("u")),
+                                          (FieldElem.zero(), S("v"))])
+        assert exc.value.payload() == {"error": "LinearDependence",
+                                       "certificate": [0, 1]}
+
     def test_kernel_element(self):
         f = extend_graph(presentation("Q"), [(S("a"), ONE)])
         for z in (-3, 1, 5):
@@ -337,6 +344,13 @@ def test_flatten_preserves_solutions_on_random_points():
         f = rand_presentation(rng, n_pairs=rng.randint(1, 2))
         a, _ = zspan_pair(rng, f)
         assert eval_system(f, system, {"x": a})
+
+
+def test_eval_system_needs_each_exponential_in_the_graph():
+    f = presentation("F", 1, ("t",), [(S("t"), S("u"))])
+    with pytest.raises(MissingExponential,
+                       match=r"^E\(w\) is not determined by the graph$"):
+        eval_system(f, parse("E(w) = 1"), {})
 
 
 @settings(max_examples=30, deadline=None)

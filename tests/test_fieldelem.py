@@ -30,6 +30,14 @@ def test_cyclotomic_cube():
     assert (z * z * z).is_one()
 
 
+def test_reflected_and_foreign_operands():
+    t = S("t")
+    assert str(1 - (t + 1)) == "-t"
+    assert ((t + 1) == "a") is False
+    assert (t + 1).__eq__("a") is NotImplemented
+    assert str(coerce(MPoly.var("t"))) == "t"
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         S("t1") / FieldElem.zero()
@@ -174,7 +182,7 @@ def test_normalization_is_idempotent(e):
     assert str(e ** 1) == text
     for p in (e.num, e.den):
         assert str(FieldElem(p)) == str(FieldElem(p, MPoly.const(1, e.order)))
-        assert str(FieldElem(p)) == str(FieldElem(p.scale(2),
+        assert str(FieldElem(p)) == str(FieldElem(p * 2,
                                                   MPoly.const(2, e.order)))
 
 
@@ -193,8 +201,8 @@ def test_fast_paths_equal_the_full_normalization(e, b):
     """At order 1 a power of a normal form is taken as it is, an inverse is
     only rescaled, and a product is rescaled only after a division; each
     gives the key the full constructor gives.  At order 3 the square of
-    t1*zeta + 1 has a negative leading coefficient, so there each power is
-    normalized."""
+    t1*zeta + 1 has a negative leading coefficient, so there a power is
+    ``num ** k`` over ``den ** k`` normalized once, by the constructor."""
     for k in (-3, -2, -1, 1, 2, 3):
         if k < 0 and e.is_zero():
             continue

@@ -70,12 +70,12 @@ def test_exact_divide():
     q = f.exact_divide(g)
     assert q == x + y
     assert (x * x + y).exact_divide(g) is None
-    assert f.exact_divide(MPoly.const(2)) == f.scale(Fraction(1, 2))
+    assert f.exact_divide(MPoly.const(2)) == f * Fraction(1, 2)
 
 
 def test_content_and_monomial_content():
     x, y = MPoly.var("x"), MPoly.var("y")
-    p = (x * y).scale(4) + (x * x * y).scale(6)
+    p = x * y * 4 + x * x * y * 6
     assert p.content() == 2
     assert decode(p.monomial_content()) == (("x", 1), ("y", 1))
 

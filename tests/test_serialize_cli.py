@@ -158,6 +158,33 @@ class TestCLI:
         assert all(doc["welldef"]["verdicts"])
         assert "{0,1,2}" in doc["system"]["nodes"]
 
+    @pytest.mark.parametrize("label", ["{ 0 }", "{0,0}"])
+    @pytest.mark.parametrize("command", ["amalg-n -S", "roundtrip -f"])
+    def test_repeated_node_is_schema_error(self, capsys, tmp_path, command,
+                                           label):
+        """A second label for node {0} is refused, not read over the first."""
+        path = tmp_path / "s.json"
+        nodes = SYSTEM["nodes"] | {label: SYSTEM["nodes"]["{1}"]}
+        path.write_text(json.dumps(SYSTEM | {"nodes": nodes}))
+        assert main([*command.split(), str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"schema error: /nodes/{label}: repeated node {{0}}\n")
+
+    def test_solve_without_auto_extension(self, capsys, tmp_path):
+        v = tmp_path / "v.json"
+        v.write_text(json.dumps({
+            "base_params": ["t"], "locus_params": ["u", "q", "r"],
+            "X": ["u", "u + t"], "Y": ["q", "r"], "free_Y": [True, True]}))
+        code, out = run_cli(capsys, "solve", "-f", str(v), "--no-auto-extend")
+        assert code == 2
+        assert json.loads(out) == {
+            "detail": "E(t) is undefined and auto-extension is disabled",
+            "error": "MissingExponential", "root_specs": []}
+        code, out = run_cli(capsys, "solve", "-f", str(v))
+        assert code == 0
+        assert json.loads(out)["adjoined"][-1] == ["_g1",
+                                                   "fresh value for E(t)"]
+
     def test_sop1_verify(self, capsys, tmp_path):
         cand = {
             "witness_kind": "sop1", "depth": 1,

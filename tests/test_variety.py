@@ -7,7 +7,7 @@ import pytest
 
 from expofield import (FieldElem, ParametricVariety, additive_freeness,
                        coerce, freeness_oracle, from_flat, pullback, reduce)
-from expofield.exprlang import flatten, parse
+from expofield.exprlang import eliminate_inequations, flatten, parse
 from expofield.errors import Inconsistent, MissingExponential, UnsupportedShape
 from gen import rand_variety
 
@@ -196,6 +196,13 @@ class TestFromFlat:
         # w is solved in the affine part, never exponentiated
         assert (res.assignments["x"] - 3 * res.assignments["w"]).is_zero()
 
+    def test_exponential_pinned_by_an_affine_expression(self):
+        # E(x) = x + w is solved for E(x) after the affine part fixes w
+        res = from_flat(flatten(parse("E(x) = x + w & w = 2")), ())
+        v = res.variety
+        assert v.X == (S("_p1"),) and v.free_Y == (False,)
+        assert v.Y[0] == S("_p1") + 2
+
     def test_unconstrained_exponential_gets_a_fresh_parameter(self):
         # no equation pins E(x), so its value is a new locus parameter
         res = from_flat(flatten(parse("E(x) = E(x)")), ())
@@ -209,6 +216,32 @@ class TestFromFlat:
         v = res.variety
         assert v.n == 1 and v.Y == (S("d"),)
         assert (v.X[0] - 2 * res.assignments["x"]).is_zero()
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("E(x)*E(y) = 1", UnsupportedShape,
+     "equation couples several exponential values: _v1*_v2 - 1"),
+    ("E(x)^2 = 2", UnsupportedShape,
+     "nonlinear in exponential value: _v1^2 - 2"),
+    ("x*E(x) = 1", UnsupportedShape,
+     "exponential value with unknown coefficient: _v1*x - 1"),
+    ("E(x) = 1 & x^2 = 2", UnsupportedShape,
+     "not affine in the unknowns: x^2 - 2"),
+    ("E(x) = 1 & x*w = 2", UnsupportedShape,
+     "not affine in the unknowns: w*x - 2"),
+    # in an equation with a y-variable the message names the rest without y
+    ("E(x) = x^2", UnsupportedShape, "not affine in the unknowns: -x^2"),
+    ("E(x) = 0", Inconsistent, "exponential coordinate _v1 forced to zero"),
+    ("E(x) = 1 & E(x) = 2", Inconsistent, "conflicting constraints on _v1"),
+    ("E(x) = 1 & x = 1 & x = 2", Inconsistent,
+     "affine part of the system has no solution"),
+    ("1 = 1", UnsupportedShape, "system has no exponential part"),
+])
+def test_from_flat_rejections(text, error, message):
+    fs = flatten(eliminate_inequations(parse(text)))
+    with pytest.raises(error) as exc:
+        from_flat(fs, base_params=())
+    assert str(exc.value) == message
 
 
 def test_validation_rejects_bad_free_flags():
