@@ -13,7 +13,7 @@ from .errors import (CyclotomicOrderMismatch, DimensionMismatch, DomainError,
                      Inconsistent, LinearDependence, MissingExponential,
                      NotTranscendental, SchemaError, UnknownVariable,
                      UnsupportedShape, WellDefFailure, ZeroValue)
-from .mpoly import MPoly, cyclotomic_polynomial, euler_phi
+from .mpoly import MPoly, cyclotomic_polynomial
 from .fieldelem import FieldElem, coerce, cyclotomic_root, eliminate_symbols
 from .linalg import (ff_rank, integer_kernel_basis, jacobian_rank,
                      kernel_basis, qlin_solve)

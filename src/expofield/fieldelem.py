@@ -327,21 +327,15 @@ def _poly_subs(poly: MPoly, mapping: dict) -> FieldElem:
 def eliminate_symbols(elem: FieldElem, syms) -> FieldElem:
     """Rewrite an element constant in ``syms`` without mentioning them.
 
-    Only valid when the element genuinely does not depend on the symbols
-    (all partial derivatives vanish); each symbol is replaced by a small
-    integer that keeps the denominator nonzero.
+    Only valid when the element does not depend on the symbols (all partial
+    derivatives vanish); each symbol is replaced by 0.  That cannot zero the
+    denominator: a denominator vanishing at s = 0 is divisible by s, so the
+    numerator is too, and the monomial cancellation of ``FieldElem`` has
+    removed s from both.  For an element that does depend on s, such as
+    1/s, it raises ``ZeroDivisionError``.
     """
     out = elem
     for sym in sorted(set(syms)):
-        if sym not in out.symbols():
-            continue
-        for k in range(out.den.degree_in(sym) + 2):
-            try:
-                out = out.subs({sym: FieldElem.from_int(k, out.order)})
-                break
-            except ZeroDivisionError:
-                pass
-        else:
-            raise ArithmeticError("could not eliminate symbol "
-                                  f"{sym!r} from {elem}")
+        if sym in out.symbols():
+            out = out.subs({sym: FieldElem.zero(out.order)})
     return out

@@ -24,9 +24,14 @@ A coefficient is an ``int`` when it is integral and a ``Fraction`` only
 otherwise, so integer arithmetic never builds a Fraction, and ``==``,
 ``hash``, ``.numerator`` and ``.denominator`` read the same either way.
 
-The reserved symbol ``zeta`` denotes a primitive m-th root of unity: its
-exponent is kept reduced modulo the m-th cyclotomic polynomial, where m is
-the ``order`` carried by the polynomial (order 1 means plain rationals).
+The reserved symbol ``zeta`` denotes a primitive m-th root of unity, where
+m is the ``order`` carried by the polynomial (order 1 means plain
+rationals, and a zeta there raises ``CyclotomicOrderMismatch``).  Its
+exponents are reduced mod m, since zeta^m = 1, and then the zeta part of
+each monomial in the other symbols is divided once by the monic m-th
+cyclotomic polynomial Phi_m, of degree phi(m), keeping the remainder.
+Phi_m comes from Moebius inversion, with no table of zeta powers, so
+memory grows as m.
 
 Orders.  The order of the packed ints is lex with the latest interned
 symbol first, so it depends on the order in which symbols were first seen;
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import gcd, lcm
 from operator import or_
 
@@ -136,81 +141,34 @@ def sorted_monomials(monos, reverse: bool = False) -> list:
     return sorted(monos, key=_grlex_descending, reverse=not reverse)
 
 
-def euler_phi(m: int) -> int:
-    result = m
-    n = m
-    p = 2
+@cache
+def cyclotomic_polynomial(m: int) -> list[int]:
+    """Integer coefficients of Phi_m, low degree first: the product of
+    (x^(m/k) - 1)^mu(k) over the squarefree divisors k of m, mu the Moebius
+    function (Arnold and Monagan, "Calculating cyclotomic polynomials",
+    Math. Comp. 80, 2011).  Its degree is phi(m)."""
+    primes = []
+    n, p = m, 2
     while p * p <= n:
         if n % p == 0:
+            primes.append(p)
             while n % p == 0:
                 n //= p
-            result -= result // p
         p += 1
     if n > 1:
-        result -= result // n
-    return result
-
-
-def _poly_divide_int(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer univariate polynomials (low -> high coeffs)
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        q, r = divmod(c, den[-1])
-        assert r == 0
-        out[k] = q
-        for i, d in enumerate(den):
-            num[k + i] -= q * d
-    assert all(c == 0 for c in num)
-    return out
-
-
-_CYCLO_CACHE: dict[int, list[int]] = {}
-
-
-def cyclotomic_polynomial(m: int) -> list[int]:
-    """Integer coefficients of Phi_m, low degree first."""
-    if m in _CYCLO_CACHE:
-        return _CYCLO_CACHE[m]
-    if m == 1:
-        poly = [-1, 1]
-    else:
-        # Phi_m = (x^m - 1) / prod_{d | m, d < m} Phi_d
-        num = [0] * (m + 1)
-        num[0], num[m] = -1, 1
-        for d in range(1, m):
-            if m % d == 0:
-                num = _poly_divide_int(num, cyclotomic_polynomial(d))
-        poly = num
-    _CYCLO_CACHE[m] = poly
+        primes.append(n)
+    # m/k for the squarefree divisors k with an even and an odd prime count
+    even, odd = [m], []
+    for p in primes:
+        even, odd = even + [e // p for e in odd], odd + [e // p for e in even]
+    poly = [1]
+    for e in even:  # times x^e - 1
+        poly = [a - b for a, b in zip([0] * e + poly, poly + [0] * e)]
+    for e in odd:  # exactly divided by x^e - 1: q[i] = q[i - e] - poly[i]
+        poly = [-c for c in poly[:-e]]
+        for i in range(e, len(poly)):
+            poly[i] += poly[i - e]
     return poly
-
-
-_ZETA_POWERS: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _zeta_power(m: int, k: int) -> tuple[int, ...]:
-    """zeta_m^k reduced mod Phi_m, as an integer coefficient vector of
-    length phi(m) (Phi_m is monic)."""
-    phi = euler_phi(m)
-    table = _ZETA_POWERS.setdefault(m, [])
-    if not table:
-        for j in range(phi):
-            vec = [0] * phi
-            vec[j] = 1
-            table.append(tuple(vec))
-    while len(table) <= k:
-        # multiply the last entry by zeta and reduce the overflow at degree phi
-        prev = table[-1]
-        shifted = [0] + list(prev[:-1])
-        top = prev[-1]
-        if top:
-            cyc = cyclotomic_polynomial(m)
-            for i in range(phi):
-                shifted[i] -= top * cyc[i]
-        table.append(tuple(shifted))
-    return table[k]
 
 
 def _coeff(value):
@@ -281,10 +239,7 @@ class MPoly:
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> "MPoly":
-        k = power % order
-        if not k:  # zeta^0 is the monomial 1, not a zeta factor
-            return MPoly.const(1, order)
-        return MPoly({k: 1}, order)
+        return MPoly({power % order: 1}, order)
 
     # -- basic queries -----------------------------------------------------
 
@@ -505,7 +460,7 @@ class MPoly:
             # the conjugates are sigma_k: zeta -> zeta^k, 1 < k < m with
             # gcd(k, m) = 1; every sigma_k fixes the norm, so it is a nonzero
             # rational (Phi_m is irreducible).  Reducing jk mod m keeps
-            # _zeta_power's table below m entries.
+            # the exponent inside its packed field.
             conj = MPoly.const(1, order)
             for k in range(2, order):
                 if gcd(k, order) == 1:
@@ -586,32 +541,30 @@ def _coerce(value, order: int) -> MPoly:
 
 def _reduce_terms(terms: dict, order: int) -> dict:
     """Drop zero coefficients, make coefficients canonical and reduce zeta
-    exponents mod Phi_order."""
-    phi = euler_phi(order) if order > 1 else 1
-    out: dict = {}
-    for mono, c in terms.items():
-        if not c:
-            continue
-        ze = mono & MAX_EXPONENT
-        if order == 1 and ze:
+    exponents mod order (zeta^order = 1), then mod Phi_order: the zeta part
+    of each monomial in the other symbols is divided once by the monic
+    Phi_order, and its remainder kept."""
+    if order == 1:
+        if reduce(or_, terms, 0) & MAX_EXPONENT:
             raise CyclotomicOrderMismatch("zeta used with cyclotomic order 1")
-        if ze < phi:
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-            continue
-        rest = mono - ze
-        for j, comp in enumerate(_zeta_power(order, ze)):
-            if not comp:
-                continue
-            key = rest + j
-            s = out.get(key, 0) + c * comp
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    for mono, c in out.items():
-        out[mono] = _coeff(c)
+        return {mono: _coeff(c) for mono, c in terms.items() if c}
+    cyc = cyclotomic_polynomial(order)
+    phi = len(cyc) - 1
+    parts: dict = {}  # monomial without zeta -> {zeta exponent: coefficient}
+    for mono, c in terms.items():
+        ze = mono & MAX_EXPONENT
+        part = parts.setdefault(mono - ze, {})
+        ze %= order
+        part[ze] = part.get(ze, 0) + c
+    out = {}
+    for rest, part in parts.items():
+        for k in range(max(part), phi - 1, -1):
+            c = part.pop(k, 0)
+            if c:  # zeta^k = zeta^(k - phi) * (zeta^phi - Phi_order)
+                for i, d in enumerate(cyc[:phi]):
+                    if d:
+                        part[k - phi + i] = part.get(k - phi + i, 0) - c * d
+        for ze, c in part.items():
+            if c:
+                out[rest + ze] = _coeff(c)
     return out

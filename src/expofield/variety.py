@@ -294,8 +294,6 @@ def from_flat(fs: FlatSystem, base_params,
                 rest = encode((s, e) for s, e in d.items() if s != key)
                 parts.setdefault(key, {})[rest] = c
         if not affine:
-            if y is not None:  # the message names the part without y
-                p = p - MPoly.var(y, order) * p.derivative(y)
             raise UnsupportedShape(f"not affine in the unknowns: {p}")
         return {k: FieldElem(MPoly(t, order, _reduce=False))
                 for k, t in parts.items()}

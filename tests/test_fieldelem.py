@@ -30,6 +30,13 @@ def test_cyclotomic_cube():
     assert (z * z * z).is_one()
 
 
+def test_an_order_1_side_lifts_to_the_other_order():
+    for num, den in ((MPoly.var("t", 3), MPoly.var("u")),
+                     (MPoly.var("t"), MPoly.var("u", 3))):
+        e = FieldElem(num, den)
+        assert e.order == 3 and str(e) == "(t)/(u)"
+
+
 def test_reflected_and_foreign_operands():
     t = S("t")
     assert str(1 - (t + 1)) == "-t"
@@ -78,9 +85,12 @@ def test_eliminate_symbols():
     t, u = S("t"), S("u")
     e = (u * t) / u
     assert eliminate_symbols(e, ["u"]) == t
-    # denominator vanishing at the first probe points
+    # a denominator that vanishes at u = 0 before cancellation
     e2 = (u * u * t + u * t) / (u * u + u)  # = t, poles at u = 0, -1
     assert eliminate_symbols(e2, ["u"]) == t
+    # 1/u depends on u: u = 0 is a pole, not a value to skip
+    with pytest.raises(ZeroDivisionError):
+        eliminate_symbols(1 / u, ["u"])
 
 
 def test_subs():

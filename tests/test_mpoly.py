@@ -1,12 +1,15 @@
 """Polynomial layer: cyclotomic reduction, ring laws, exact division."""
 
+import tracemalloc
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expofield.fieldelem import cyclotomic_root
 from expofield.mpoly import (FIELD_BITS, MAX_EXPONENT, MPoly,
-                             cyclotomic_polynomial, decode, encode, euler_phi)
+                             cyclotomic_polynomial, decode, encode)
 from expofield.errors import CyclotomicOrderMismatch, UnsupportedShape
 from expofield.exprlang import parse_element
 
@@ -18,8 +21,58 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == [1, 0, 1]
     assert cyclotomic_polynomial(6) == [1, -1, 1]
     assert cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
-    assert euler_phi(12) == 4
-    assert euler_phi(27720) == 5760
+    # the degree is phi(m)
+    assert len(cyclotomic_polynomial(12)) - 1 == 4
+    assert len(cyclotomic_polynomial(27720)) - 1 == 5760
+
+
+def _divide(num: list, den: list) -> list:
+    """Exact division of integer polynomials, low degree first."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        q, r = divmod(num[k + len(den) - 1], den[-1])
+        assert r == 0
+        out[k] = q
+        for i, d in enumerate(den):
+            num[k + i] -= q * d
+    assert not any(num)
+    return out
+
+
+@cache
+def _cyclotomic_by_recursion(m: int) -> list:
+    """Phi_m = (x^m - 1) / prod of Phi_d over the divisors d < m of m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _divide(poly, _cyclotomic_by_recursion(d))
+    return poly
+
+
+def test_cyclotomic_polynomials_match_the_divisor_recursion():
+    for m in range(1, 301):
+        assert cyclotomic_polynomial(m) == _cyclotomic_by_recursion(m), m
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in (*range(1, 121), 210, 1155, 2310, 4001, 16002):
+        want = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()
+        assert cyclotomic_polynomial(m) == want[::-1], m
+
+
+def test_zeta_reduction_keeps_no_table():
+    """Memory stays linear in the order: a table of the powers of zeta
+    would hold about 4001 x 4000 integers here."""
+    tracemalloc.start()
+    try:
+        assert cyclotomic_root(4001) ** 4001 == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_zeta_relation_order3():
@@ -51,6 +104,9 @@ def test_order_mixing():
     b = MPoly.zeta(4)
     with pytest.raises(CyclotomicOrderMismatch):
         a * b
+    with pytest.raises(CyclotomicOrderMismatch,
+                       match="zeta used with cyclotomic order 1"):
+        MPoly.var("zeta")
     # order 1 constants lift into any layer
     assert MPoly.const(2) * a == a + a
 

@@ -89,6 +89,11 @@ class TestCLI:
                             f"x = t^{MAX_EXPONENT} * t")
         assert code == 2 and json.loads(out)["error"] == "UnsupportedShape"
 
+    def test_zeta_at_order_1_exits_1(self, capsys):
+        assert main(["normalize", "-e", "x = zeta"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: zeta used with cyclotomic order 1\n")
+
     def test_free_check_exit_codes(self, capsys, tmp_path):
         free = tmp_path / "free.json"
         free.write_text(json.dumps({

@@ -229,8 +229,8 @@ class TestFromFlat:
      "not affine in the unknowns: x^2 - 2"),
     ("E(x) = 1 & x*w = 2", UnsupportedShape,
      "not affine in the unknowns: w*x - 2"),
-    # in an equation with a y-variable the message names the rest without y
-    ("E(x) = x^2", UnsupportedShape, "not affine in the unknowns: -x^2"),
+    # an equation with a y-variable is named whole, as every other one is
+    ("E(x) = x^2", UnsupportedShape, "not affine in the unknowns: -x^2 + _v1"),
     ("E(x) = 0", Inconsistent, "exponential coordinate _v1 forced to zero"),
     ("E(x) = 1 & E(x) = 2", Inconsistent, "conflicting constraints on _v1"),
     ("E(x) = 1 & x = 1 & x = 2", Inconsistent,
