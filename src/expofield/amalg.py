@@ -8,21 +8,21 @@ two sides kept algebraically independent); higher-dimensional systems are
 completed the same way, with the homomorphism's well-definedness certified
 on the integer kernel of the concatenated graph arguments.
 
-The independence checks made inside one field share their work through
-``_IndepChecks``: all its hulls come from one ``efield.HullBasis``, which
-reduces the graph arguments once, each distinct set of generators is closed
-to its hull once, each hull generator is differentiated once per value,
-keyed by its coordinates in that basis, by the symbols it has, into a sparse
-Jacobian row, and each distinct set of rows is ranked once.  One
-``_IndepChecks`` serves one ``indep`` call or one node of
-``verify_independent_system`` and is dropped when that call returns; nothing
+The independence checks of one call share their work through one
+``_IndepChecks``.  Per node, all hulls come from one ``efield.HullBasis``,
+which reduces that node's graph arguments once, and each distinct set of
+generators is closed to its hull once.  Per call, across the nodes of
+``verify_independent_system``, each hull generator is differentiated once,
+keyed by its value's ``key()``, by the symbols it has, into a sparse
+Jacobian row with a column per symbol, and each distinct set of rows is
+ranked once.  One ``_IndepChecks`` serves one ``indep`` or
+``verify_independent_system`` call and is dropped when it returns; nothing
 is kept between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import IllFormedExtension, UnsupportedShape
 from .efield import (EFieldPresentation, HullBasis, WellDefCheck, e_eval,
@@ -59,34 +59,36 @@ def acf_indep(a, b, c, amb_params) -> bool:
 
 
 class _IndepChecks:
-    """Hulls, Jacobian rows and ranks shared by the independence checks
-    made inside one presentation.  Every hull comes from one ``HullBasis``,
-    built on the first, so the graph arguments are reduced once.  A hull is
-    keyed by a set its caller names, which must fix the set of its inputs,
-    since its generators, as a set, do not depend on the order of the
-    inputs or on repeats.  A row is keyed by the key ``HullBasis.hull``
-    gives its generator, its coordinates in the shared basis, equal exactly
-    when the values are; it is a sparse dict {column: derivative} over the
-    symbols the generator has, every other column zero.  A rank, which
-    ignores row order and repeats, is keyed by its set of row keys."""
+    """Hulls, Jacobian rows and ranks shared by the independence checks of
+    one call, made in the presentations ``nodes`` names by label.
 
-    def __init__(self, f: EFieldPresentation):
-        self.f = f
-        self.params = list(f.transcendentals)
-        self.hulls: dict = {}  # caller's key -> hull row keys
-        self.rows: dict = {}  # generator's coordinate key -> Jacobian row
+    Per node: one ``HullBasis``, built on the node's first hull miss, so
+    its graph arguments are reduced once, and its hulls, keyed by a set the
+    caller names, which must fix the set of the inputs, since the
+    generators, as a set, do not depend on their order or on repeats.  Per
+    call: a row per generator's ``key()``, whichever node closed it, a
+    sparse dict {symbol: derivative} over the symbols of ``params`` it has;
+    and a rank per set of row keys, which fixes it.  A generator of a node
+    lies in the field of that node's transcendentals, so its rank there is
+    its rank over the field of all of ``params``."""
+
+    def __init__(self, nodes: dict, params):
+        self.nodes = nodes
+        self.params = list(params)
+        self.bases: dict = {}  # label -> HullBasis
+        self.hulls: dict = {}  # (label, caller's key) -> hull row keys
+        self.rows: dict = {}  # generator's key() -> Jacobian row
         self.ranks: dict = {}  # frozenset of row keys -> rank
 
-    @cached_property
-    def basis(self) -> HullBasis:
-        return HullBasis(self.f)
-
-    def hull(self, key, elems) -> tuple:
-        """Row keys of the hull of ``elems``, computed once per ``key``."""
-        keys = self.hulls.get(key)
+    def hull(self, node, key, elems) -> tuple:
+        """Row keys of the hull in ``node`` of the list ``elems()`` returns,
+        computed once per (node, key)."""
+        keys = self.hulls.get((node, key))
         if keys is None:
-            gens = self.basis.hull(elems)
-            keys = self.hulls[key] = tuple(gens)
+            if node not in self.bases:
+                self.bases[node] = HullBasis(self.nodes[node])
+            gens = self.bases[node].hull(elems())
+            keys = self.hulls[node, key] = tuple(gens)
             for k, g in gens.items():
                 if k not in self.rows:
                     self.rows[k] = jacobian_row(g, self.params)
@@ -113,9 +115,9 @@ def indep(f: EFieldPresentation, a, b, c) -> bool:
     a = [coerce(x, order) for x in a]
     b = [coerce(x, order) for x in b]
     c = [coerce(x, order) for x in c]
-    checks = _IndepChecks(f)
-    return checks.indep(*(checks.hull(frozenset(e.key() for e in g), g)
-                          for g in (a + c, b + c, c)))
+    checks = _IndepChecks({None: f}, f.transcendentals)
+    return checks.indep(*(checks.hull(None, i, lambda g=g: g)
+                          for i, g in enumerate((a + c, b + c, c))))
 
 
 # -- pairwise amalgamation ------------------------------------------------------
@@ -274,11 +276,11 @@ class SystemReport:
 def verify_independent_system(s: IndepSystem) -> SystemReport:
     """Check the independence condition at every pair a < b of the diagram.
 
-    The pairs a < b of one node b share one ``_IndepChecks``: one reduction
-    of b's graph arguments, one hull per distinct set of symbol names, one
-    Jacobian row per distinct hull generator and one rank per distinct set
-    of rows, dropped once node b is done.  Each symbol's element is built
-    once per call.
+    All pairs share one ``_IndepChecks``: one Jacobian row per distinct
+    hull generator and one rank per distinct set of rows, whichever node
+    they come from.  The pairs a < b of one node b share its reduction of
+    b's graph arguments and one hull per distinct set of symbol names.
+    Each symbol's element is built once per call.
     """
     failures = []
     subsets = sorted(s.nodes, key=lambda x: (len(x), sorted(x)))
@@ -286,14 +288,16 @@ def verify_independent_system(s: IndepSystem) -> SystemReport:
     below = {a: frozenset().union(*(syms[c] for c in subsets if c < a))
              for a in subsets}
     order = s.nodes[subsets[0]].cyclotomic_order
-    elem = {t: FieldElem.from_symbol(t, order)
-            for t in frozenset().union(*syms.values())}
+    params = dict.fromkeys(t for a in subsets
+                           for t in s.nodes[a].transcendentals)
+    elem = {t: FieldElem.from_symbol(t, order) for t in params}
+    checks = _IndepChecks(s.nodes, params)
+
+    def hull_of(b, symbols):
+        return checks.hull(b, symbols,
+                           lambda: [elem[t] for t in sorted(symbols)])
+
     for b in subsets:
-        checks = _IndepChecks(s.nodes[b])
-
-        def hull_of(symbols):
-            return checks.hull(symbols, [elem[t] for t in sorted(symbols)])
-
         for a in subsets:
             if not (a < b) or not a:
                 continue
@@ -302,8 +306,9 @@ def verify_independent_system(s: IndepSystem) -> SystemReport:
             if not d_syms:
                 continue
             c_syms = below[a]
-            if not checks.indep(hull_of(syms[a] | c_syms),
-                                hull_of(d_syms | c_syms), hull_of(c_syms)):
+            if not checks.indep(hull_of(b, syms[a] | c_syms),
+                                hull_of(b, d_syms | c_syms),
+                                hull_of(b, c_syms)):
                 failures.append((subset_label(a), subset_label(b)))
     return SystemReport(ok=not failures, failures=tuple(failures))
 

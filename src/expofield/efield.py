@@ -15,12 +15,13 @@ target.  Every hull comes from a ``HullBasis``: one basis of 1 and of the
 elements offered to it, against which the arguments are reduced once and
 then kept reduced, so the hulls made inside one ``indep`` call or one node
 of an independent system share that work; ``hull`` is one such hull on a
-basis of its own.  A hull keys each generator by its coordinates in the
-basis.  Each round's lattice is the integer kernel of the arguments'
-residues and coordinates modulo the generators.  ``SpanBasis``
-decides how elements are cleared of denominators.  No result is cached
-between calls, nor on the presentation beyond ``arg_basis``.  Every lattice
-basis here is a Hermite normal form (``linalg.hermite_form``).
+basis of its own.  A hull keys each generator by its ``key()``, which
+callers may share across presentations.  Each round's lattice is the
+integer kernel of the arguments' residues and coordinates modulo the
+generators.  ``SpanBasis`` decides how elements are cleared of
+denominators.  No result is cached between calls, nor on the presentation
+beyond ``arg_basis``.  Every lattice basis here is a Hermite normal form
+(``linalg.hermite_form``), also where ``integer_kernel_basis`` peels it.
 """
 
 from __future__ import annotations
@@ -421,9 +422,11 @@ class HullBasis:
     the round's lattice: the same lattice, so the same Hermite normal form
     and the same generators as from a basis of span(G, 1) alone.  When G is
     among the offered rows, as a set of symbols is, the reduction just
-    drops G's coordinates.  Nothing is kept beyond the object, which serves
-    one ``hull`` call, one ``indep`` call or one node of
-    ``amalg.verify_independent_system``.
+    drops G's coordinates, and ``integer_kernel_basis`` peels most columns.
+    Nothing is kept beyond the object, which serves one ``hull`` call, one
+    ``indep`` call or one node of ``amalg.verify_independent_system``, since
+    each node has its own graph; that call shares rows across nodes by the
+    generators' ``key()``.
     """
 
     def __init__(self, f: EFieldPresentation):
@@ -436,8 +439,8 @@ class HullBasis:
         # offered first: 1 has index 0 and coordinates {0: 1}
         self._coordinates(FieldElem.one(self.order))
 
-    def _coordinates(self, e: FieldElem) -> dict:
-        """The coordinates of e in the offered rows, offering it once."""
+    def _coordinates(self, e: FieldElem) -> tuple:
+        """e.key() and e's coordinates in the offered rows, offering it once."""
         key = e.key()
         x = self.coords.get(key)
         if x is None:
@@ -450,15 +453,15 @@ class HullBasis:
             if len(span.rows) > start:
                 for res, y in self.reductions:
                     span.eliminate(res, y, start)
-        return x
+        return key, x
 
     def _product(self, z) -> tuple:
-        """The value product of the exponents z and its coordinates."""
+        """The value product of the exponents z, its key and coordinates."""
         z = tuple(z)
         out = self.products.get(z)
         if out is None:
             c = power_product(self.vals, z, self.order)
-            out = self.products[z] = (c, self._coordinates(c))
+            out = self.products[z] = (c, *self._coordinates(c))
         return out
 
     def hull(self, elems) -> dict:
@@ -472,17 +475,19 @@ class HullBasis:
         that lattice: the value products of its basis outside the span of
         everything before them.
 
-        Returns the generators in order, each keyed by its coordinates in
-        this basis as ``frozenset(coordinates.items())``: equal elements
-        have equal coordinates, and only they do.
+        Returns the generators in order, each keyed by its ``key()``.  An
+        input equal to an earlier one is dropped, whatever its key: equal
+        elements have equal coordinates in this basis, and only they do.
         """
         local = [(0, 1, {})]  # semi-echelon coordinates of 1 and gens
-        gens: dict = {}  # coordinate key -> generator
+        gens: dict = {}  # generator's key() -> generator
+        seen = set()  # the generators' coordinates, as frozensets
         for e in elems:
             e = coerce(e, self.order)
-            x = self._coordinates(e)
-            key = frozenset(x.items())
-            if key not in gens:
+            key, x = self._coordinates(e)
+            coords = frozenset(x.items())
+            if coords not in seen:
+                seen.add(coords)
                 gens[key] = e
                 extend_basis(local, dict(x))
         if not self.args:
@@ -497,8 +502,7 @@ class HullBasis:
                 or [[0] * len(self.args)])
             if not lattice:
                 break
-            new = {frozenset(x.items()): c
-                   for c, x in map(self._product, lattice)
+            new = {key: c for c, key, x in map(self._product, lattice)
                    if extend_basis(local, dict(x))}
             if not new:
                 break

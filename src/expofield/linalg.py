@@ -173,11 +173,30 @@ def _integer_columns(rows):
 
 def integer_kernel_basis(rows):
     """Z-basis of {z in Z^n : rows * z = 0} (a saturated lattice) in Hermite
-    normal form: the left kernel of the transpose, read off the transform of
-    its ``hermite_form``."""
-    _check_rect(rows)
-    h, t = hermite_form(_integer_columns(rows))
-    return hermite_form(t[len(h):])[0]
+    normal form.  A column that is the only nonzero entry left in some row
+    is zero in every kernel vector, so it is peeled, until no row has a
+    lone entry; each zero column left gives its unit vector.  The kernel of
+    the rest is the left kernel of its transpose, read off the transform
+    of its ``hermite_form``.  Sorted by pivot, the union is the Hermite
+    normal form of the same lattice: a unit vector's pivot is 1 and no
+    other vector has an entry in its column."""
+    n = _check_rect(rows)
+    live = list(range(n))
+    while lone := {nz[0] for nz in ([j for j in live if row[j]] for row in rows)
+                   if len(nz) == 1}:
+        live = [j for j in live if j not in lone]
+    rest = [j for j in live if any(row[j] for row in rows)]
+    basis = [[int(i == j) for i in range(n)] for j in live if j not in rest]
+    if not rest:
+        return basis
+    h, t = hermite_form(_integer_columns([[row[j] for j in rest]
+                                          for row in rows]))
+    for z in hermite_form(t[len(h):])[0]:
+        v = [0] * n
+        for j, x in zip(rest, z):
+            v[j] = x
+        basis.append(v)
+    return sorted(basis, key=lambda v: next(j for j, x in enumerate(v) if x))
 
 
 # -- Q-linear structure of field elements ---------------------------------
@@ -398,10 +417,10 @@ def ff_rank(rows) -> int:
 
 
 def jacobian_row(e, params) -> dict:
-    """The partial derivatives of e by ``params`` as a sparse dict {column:
+    """The partial derivatives of e by ``params`` as a sparse dict {symbol:
     derivative}, over the symbols e has: every other derivative is zero."""
     syms = e.symbols()
-    return {j: e.derivative(p) for j, p in enumerate(params) if p in syms}
+    return {p: e.derivative(p) for p in params if p in syms}
 
 
 def jacobian_rank(elems, params) -> int:

@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expofield import FieldElem, ff_rank, integer_kernel_basis, kernel_basis, qlin_solve
 from expofield.errors import DimensionMismatch
 from expofield.fieldelem import cyclotomic_root
-from expofield.linalg import SpanBasis, coordinate_matrix, rational_span_solve
+from expofield.linalg import (SpanBasis, _integer_columns, coordinate_matrix,
+                              hermite_form, rational_span_solve)
 
 S = FieldElem.from_symbol
 
@@ -61,6 +62,56 @@ def test_integer_kernel_saturation():
     ik = integer_kernel_basis([[Fraction(1, 2), Fraction(1, 2), 1]])
     sol = qlin_solve([[v[i] for v in ik] for i in range(3)], [1, 1, -1])
     assert sol is not None and all(q.denominator == 1 for q in sol)
+
+
+def hermite_kernel(rows):
+    """The integer kernel from two ``hermite_form`` calls and no peel: the
+    left kernel of the transpose, read off the transform, then brought to
+    Hermite normal form."""
+    h, t = hermite_form(_integer_columns(rows))
+    return hermite_form(t[len(h):])[0]
+
+
+kernel_entries = st.one_of(st.just(0), st.integers(-4, 4),
+                           st.fractions(-4, 4, max_denominator=4))
+
+
+@st.composite
+def peelable_matrices(draw):
+    """int and Fraction matrices up to 8x8, biased to zero columns and to
+    rows with one nonzero entry."""
+    ncols = draw(st.integers(0, 8))
+    zero_cols = draw(st.sets(st.integers(0, 7), max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [0 if j in zero_cols else draw(kernel_entries)
+               for j in range(ncols)]
+        if ncols and draw(st.booleans()):
+            keep = draw(st.integers(0, ncols - 1))
+            row = [x if j == keep else 0 for j, x in enumerate(row)]
+        rows.append(row)
+    return rows
+
+
+CASCADE = [[1, 1, 0, 0], [0, 2, Fraction(1, 2), 0], [0, 0, 3, 0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(peelable_matrices())
+@example([])
+@example([[0, 0, 0]])
+@example(CASCADE)  # each peel makes the next lone entry
+@example([[1, 2, 3], [4, 5, 6]])  # nothing to peel
+def test_peeled_integer_kernel_is_the_hermite_kernel(rows):
+    assert integer_kernel_basis(rows) == hermite_kernel(rows)
+
+
+def test_peeled_integer_kernel_pins():
+    assert integer_kernel_basis([]) == []
+    assert integer_kernel_basis([[0, 0, 0]]) == [[1, 0, 0], [0, 1, 0],
+                                                 [0, 0, 1]]
+    assert integer_kernel_basis(CASCADE) == [[0, 0, 0, 1]]
+    assert integer_kernel_basis([[1, 2, 3], [4, 5, 6]]) == [[1, -2, 1]]
 
 
 def test_ff_rank_examples():

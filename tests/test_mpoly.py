@@ -7,10 +7,12 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expofield import mpoly
 from expofield.fieldelem import cyclotomic_root
 from expofield.mpoly import (FIELD_BITS, MAX_EXPONENT, MPoly,
                              cyclotomic_polynomial, decode, encode)
-from expofield.errors import CyclotomicOrderMismatch, UnsupportedShape
+from expofield.errors import (CyclotomicOrderMismatch, UnknownVariable,
+                              UnsupportedShape)
 from expofield.exprlang import parse_element
 
 
@@ -134,6 +136,42 @@ def test_content_and_monomial_content():
     p = x * y * 4 + x * x * y * 6
     assert p.content() == 2
     assert decode(p.monomial_content()) == (("x", 1), ("y", 1))
+
+
+def test_reflected_operators_and_coercing_equality():
+    """A rational on the left of +, - or * acts as the constant polynomial,
+    and == compares a polynomial with a rational by value."""
+    x = MPoly.var("x", 3)
+    assert 2 + x == x + 2 and (2 + x).order == 3
+    assert str(1 - x) == "-x + 1" and (1 - x).order == 3
+    assert 3 * x == x + x + x
+    assert Fraction(1, 2) * x == x * Fraction(1, 2)
+    assert MPoly.const(5) == 5 and MPoly.const(5) != 4
+    assert MPoly.zero() == 0
+    assert repr(x * x - Fraction(1, 2)) == "MPoly(x^2 - 1/2, order=3)"
+
+
+def test_degree_and_content_of_trivial_polynomials():
+    x = MPoly.var("x")
+    assert MPoly.zero().degree_in("x") == 0
+    # an unseen symbol is not interned by asking for its degree
+    assert x.degree_in("never_interned_symbol") == 0
+    assert "never_interned_symbol" not in mpoly._INDEX
+    assert MPoly.zero().content() == 1
+    assert MPoly.const(Fraction(-4, 6)).content() == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: MPoly({}, 0), CyclotomicOrderMismatch),
+    (lambda: MPoly.var("2x"), UnknownVariable),
+    (lambda: MPoly.var("x").as_fraction(), ValueError),
+    (lambda: MPoly.var("x") ** -1, ValueError),
+    (lambda: MPoly.var("x").derivative("zeta"), UnknownVariable),
+    (lambda: MPoly.var("x").exact_divide(MPoly.zero()), ZeroDivisionError),
+])
+def test_malformed_polynomial_operations_are_rejected(make, error):
+    with pytest.raises(error):
+        make()
 
 
 def test_exponent_limit_raises_and_never_wraps():

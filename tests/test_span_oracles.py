@@ -9,13 +9,15 @@ agree by value and by printed text, except where a lattice basis is chosen:
 argument lattice, and its oracle on the integer row echelon form it used
 before, so the two must span the same lattice of pairs.
 
-indep and verify_independent_system share hulls, Jacobian rows and ranks
-across the checks made inside one field; their oracle builds three hulls and
-four Jacobian ranks from scratch for every pair, and must give the same
-verdicts and failures, in the same order.  The sharing keys a hull by the set
-of its inputs, which is exact because ``hull`` returns the same generators
-for any order of its input and for repeats, and builds each Jacobian row
-from the derivatives by the generator's own symbols only, whose entries must
+indep and verify_independent_system share hulls inside one field, and
+Jacobian rows and ranks across all the fields of one call; their oracle
+builds three hulls and four Jacobian ranks from scratch for every pair, and
+must give the same verdicts and failures, in the same order.  So must
+``per_node_verify``, which shares rows and ranks only inside one node, on
+the benchmark's systems.  The sharing keys a hull by the set of its inputs,
+which is exact because ``hull`` returns the same generators for any order
+of its input and for repeats, and keys each Jacobian row by its generator's
+``key()``, with a column per symbol the generator has, whose entries must
 equal those of the dense row of ``jacobian``, kept here as that oracle.
 All hulls of one call or node come from one ``HullBasis``, which reduces
 the graph arguments once: each of its hulls must equal the rebuild oracle's,
@@ -437,19 +439,21 @@ def test_indep_matches_hull_and_acf_indep():
 def same_sparse_rows(f, elems):
     """The sparse rows ``_IndepChecks`` builds for the hull of ``elems``
     hold the dense ``jacobian`` rows of its generators: each row is keyed
-    by its generator's coordinates in the shared basis, each stored entry
-    equals the dense one, by value and by text, and each absent column is
-    zero there."""
-    checks = _IndepChecks(f)
-    keys = checks.hull(frozenset(e.key() for e in elems), elems)
+    by its generator's ``key()``, its columns are named by symbol, each
+    stored entry equals the dense one in that symbol's column, by value and
+    by text, and each absent column is zero there."""
+    checks = _IndepChecks({"f": f}, f.transcendentals)
+    keys = checks.hull("f", "elems", lambda: elems)
     gens = hull(f, elems).generators
-    assert keys == tuple(frozenset(checks.basis._coordinates(g).items())
-                         for g in gens)
+    assert keys == tuple(g.key() for g in gens)
+    column = {p: j for j, p in enumerate(f.transcendentals)}
     for k, want in zip(keys, jacobian(gens, f.transcendentals)):
         row = checks.rows[k]
-        assert set(row) <= set(range(len(want)))
-        same([row[j] for j in sorted(row)], [want[j] for j in sorted(row)])
-        assert all(x.is_zero() for j, x in enumerate(want) if j not in row)
+        assert set(row) <= set(column)
+        same([row[p] for p in sorted(row)],
+             [want[column[p]] for p in sorted(row)])
+        assert all(x.is_zero() for p, x in zip(f.transcendentals, want)
+                   if p not in row)
     return gens
 
 
@@ -881,6 +885,67 @@ def test_shared_hulls_match_fresh_hulls_on_benchmark_systems(n):
                 checked += 1
                 grew += len(got) > len(elems)
     assert checked - grew > 500 and grew > 200
+
+
+def per_node_verify(s):
+    """(ok, failures) with hulls and ranks shared only inside one node, as
+    ``verify_independent_system`` did before it shared rows and ranks
+    across nodes: at each node b, one ``HullBasis``, one hull per symbol
+    set, and ranks by ``jacobian_rank`` over b's own transcendentals, one
+    per set of generators."""
+    failures = []
+    subsets = sorted(s.nodes, key=lambda x: (len(x), sorted(x)))
+    syms = {a: frozenset(s.nodes[a].transcendentals) for a in subsets}
+    for b in subsets:
+        f = s.nodes[b]
+        basis, hulls, ranks = HullBasis(f), {}, {}
+
+        def hull_of(names):
+            if names not in hulls:
+                hulls[names] = basis.hull([f.elem(t) for t in sorted(names)])
+            return hulls[names]
+
+        def rank(*hs):
+            gens = {k: g for h in hs for k, g in h.items()}
+            key = frozenset(gens)
+            if key not in ranks:
+                ranks[key] = linalg.jacobian_rank(gens.values(),
+                                                  f.transcendentals)
+            return ranks[key]
+
+        for a in subsets:
+            if not (a < b) or not a:
+                continue
+            c = frozenset().union(*(syms[x] for x in subsets if x < a))
+            d = frozenset().union(*(syms[x] for x in subsets
+                                    if x <= b and not (a <= x)))
+            if not d:
+                continue
+            ac, dc, cc = hull_of(syms[a] | c), hull_of(d | c), hull_of(c)
+            if rank(ac, dc, cc) + rank(cc) != rank(ac, cc) + rank(dc, cc):
+                failures.append((subset_label(a), subset_label(b)))
+    return not failures, tuple(failures)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", ["pminus", "conflicting", "reused"])
+def test_verify_shares_ranks_across_nodes_as_per_node_checks(kind, n):
+    """On the benchmark's systems, rows and ranks shared across all nodes
+    give the verdicts and failures, in order, of checks shared only inside
+    each node."""
+    verdicts = []
+    for seed in range(1, 30):
+        rng = random.Random(seed)
+        if kind == "pminus":
+            s = benchgen.pminus_system(rng, n, seed % 2 == 0)
+        elif kind == "conflicting":
+            s = benchgen.conflicting_system(rng, n, seed % 2 == 0)
+        else:
+            s, failure = benchgen.reused_system(rng, n, seed % 2 == 0)
+            assert failure in verdict(s)[1]
+        verdicts.append(verdict(s))
+        assert verdicts[-1] == per_node_verify(s)
+    assert any(ok for ok, _ in verdicts) == (kind != "reused")
 
 
 def test_verify_reduces_each_graph_argument_once_per_node(monkeypatch):
