@@ -2,10 +2,11 @@
 
 A presentation is a purely transcendental field Q(zeta_m)(t_1..t_k) together
 with a finite graph {(arg_i, val_i)} on a Q-linearly independent argument
-set, so E is defined exactly on the Z-span of the arguments.  Realizing
-exponential points on additively free varieties only ever adjoins fresh
-transcendentals (injectivity of divisible groups lets every choice be free),
-so the regime is closed under all constructions here.
+set, so E is defined exactly on the Z-span of the arguments; the graph
+names no symbol beyond t_1..t_k, by which Jacobian ranks differentiate.
+Realizing exponential points on additively free varieties only ever adjoins
+fresh transcendentals (injectivity of divisible groups lets every choice be
+free), so the regime is closed under all constructions here.
 
 A presentation's linear structure is computed once: its ``arg_basis`` is a
 semi-echelon basis of the arguments (``linalg.SpanBasis``), built when the
@@ -32,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import (ExponentialConflict, LinearDependence, MissingExponential,
-                     WellDefFailure, ZeroValue)
+                     UnsupportedShape, WellDefFailure, ZeroValue)
 from . import exprlang
 from .exprlang import ETerm, Exp, fresh_name
 from .fieldelem import FieldElem, coerce, int_combination, power_product
@@ -74,7 +75,8 @@ class EFieldPresentation:
 def _graph_violations(f):
     """Yield the graph's invariant violations, lazily and in a fixed order:
     zero values and zero arguments by index, then one integer relation among
-    the nonzero arguments, as a certificate over all graph indices."""
+    the nonzero arguments, as a certificate over all graph indices, then the
+    symbols the graph names but the transcendentals do not."""
     for i, (a, v) in enumerate(f.egraph):
         if v.is_zero():
             yield {"kind": "zero_value", "index": i}
@@ -87,6 +89,10 @@ def _graph_violations(f):
         for i, z in zip(idx, rel[0]):
             cert[i] = z
         yield {"kind": "dependent_arguments", "certificate": cert}
+    extra = set().union(*(a.symbols() | v.symbols() for a, v in f.egraph))
+    extra -= set(f.transcendentals)
+    if extra:
+        yield {"kind": "undeclared_symbols", "symbols": sorted(extra)}
 
 
 def _validate_graph(f: EFieldPresentation) -> None:
@@ -99,6 +105,8 @@ def _validate_graph(f: EFieldPresentation) -> None:
         unit = [int(j == bad["index"]) for j in range(len(f.egraph))]
         raise LinearDependence(
             unit, "E(0)=1 is implicit; 0 cannot be a graph argument")
+    if bad["kind"] == "undeclared_symbols":
+        raise UnsupportedShape(f"undeclared symbols {bad['symbols']}")
     raise LinearDependence(bad["certificate"])
 
 
@@ -241,8 +249,6 @@ def merge_graphs(pairs, order: int):
     kernel vector of the arguments has value product != 1.
     """
     pairs = [(coerce(a, order), coerce(v, order)) for a, v in pairs]
-    if not pairs:
-        return (), WellDefCheck((), ())
     args = [a for a, _ in pairs]
     vals = [v for _, v in pairs]
     # each argument's integer coordinates: none at all when every one is 0
@@ -294,33 +300,28 @@ def solve(f: EFieldPresentation, v: ParametricVariety,
     current = f
     param_values: dict = {}
 
-    def _fresh(prefix: str, role: str) -> str:
+    def _fresh(prefix: str, role: str) -> FieldElem:
+        """A fresh transcendental, adjoined to ``current``."""
         nonlocal current
         name = fresh_name(prefix, set(current.transcendentals) | set(v.base_params)
                           | set(v.locus_params))
         current = adjoin_transcendentals(current, [name])
         adjoined.append((name, role))
-        return name
+        return current.elem(name)
 
-    # generic point for the reduced variety's X-side parameters
-    xprime_params = []
+    # a generic point for the reduced variety's X-side parameters, then
+    # exponential values for its coordinates; free Y parameters never occur
+    # in X, so the reduced X coordinates are substituted once, as ``args``
+    args = []
+    ec_values = []
     if rr.vprime is not None:
         for u in rr.vprime.locus_params:
             if any(u in x.symbols() for x in rr.vprime.X):
-                xprime_params.append(u)
-    for u in xprime_params:
-        c = _fresh("_c", f"generic value for {u}")
-        param_values[u] = current.elem(c)
-
-    # exponential values for the reduced variety's coordinates
-    new_pairs = []
-    ec_values = []
-    if rr.vprime is not None:
-        for p in range(len(rr.vprime.X)):
-            arg = rr.vprime.X[p].subs(param_values)
-            yp = rr.vprime.Y[p]
-            i_orig = rr.index_map[p]
-            if rr.vprime.free_Y[p] and rr.N != 1 and not v.free_Y[i_orig]:
+                param_values[u] = _fresh("_c", f"generic value for {u}")
+        args = [x.subs(param_values) for x in rr.vprime.X]
+        for yp, free, i_orig in zip(rr.vprime.Y, rr.vprime.free_Y,
+                                    rr.index_map):
+            if rr.N != 1 and not v.free_Y[i_orig]:
                 # the original coordinate pins rho^N; only an exact rational
                 # root keeps us inside the purely transcendental regime
                 want = v.Y[i_orig].subs(param_values)
@@ -329,17 +330,15 @@ def solve(f: EFieldPresentation, v: ParametricVariety,
                     raise MissingExponential(
                         f"coordinate {i_orig} needs an {rr.N}-th root of "
                         f"{want}", root_specs=[(want, rr.N)])
-            elif rr.vprime.free_Y[p]:
+            elif free:
                 sym = next(iter(yp.symbols()))
-                r = _fresh("_r", f"free exponential for {sym}")
-                val = current.elem(r)
-                param_values[sym] = val
+                val = param_values[sym] = _fresh(
+                    "_r", f"free exponential for {sym}")
             else:
-                # arg has fresh _c symbols, so E(arg) is not yet defined
+                # its argument has fresh _c symbols: E is not defined there yet
                 val = yp.subs(param_values)
-            new_pairs.append((arg, val))
             ec_values.append(val)
-        current = extend_graph(current, new_pairs)
+        current = extend_graph(current, zip(args, ec_values))
 
     # resolve the base offsets b_i, preferring constrained variety values
     def _resolve_b(i: int, b: FieldElem) -> FieldElem:
@@ -366,14 +365,11 @@ def solve(f: EFieldPresentation, v: ParametricVariety,
         if not auto_extend:
             raise MissingExponential(f"E({b}) is undefined and auto-extension "
                                      "is disabled")
-        g = _fresh("_g", f"fresh value for E({b})")
-        gval = current.elem(g)
+        gval = _fresh("_g", f"fresh value for E({b})")
         current = extend_graph(current, [(b, gval)])
         return gval
 
-    point_x, point_y = pullback(rr, [x.subs(param_values) for x in
-                                     (rr.vprime.X if rr.vprime else ())],
-                                ec_values, resolve_b=_resolve_b)
+    point_x, point_y = pullback(rr, args, ec_values, resolve_b=_resolve_b)
 
     # final consistency check against every constrained coordinate
     for i in range(v.n):
@@ -490,8 +486,6 @@ class HullBasis:
                 seen.add(coords)
                 gens[key] = e
                 extend_basis(local, dict(x))
-        if not self.args:
-            return gens
         for _ in range(len(self.args) + 1):
             parts = ([res for res, _ in self.reductions],
                      [reduce_mod(local, dict(y)) for _, y in self.reductions])

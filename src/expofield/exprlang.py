@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import ExprSyntaxError, UnknownVariable, UnsupportedShape
+from .errors import ExprSyntaxError, UnsupportedShape
 from .fieldelem import FieldElem
-from .mpoly import MPoly, is_valid_symbol
+from .mpoly import MPoly
 
 # -- AST --------------------------------------------------------------------
 
@@ -386,8 +386,6 @@ def term_to_poly(t: ETerm, order: int = 1) -> MPoly:
     if isinstance(t, RatLit):
         return MPoly.const(t.value, order)
     if isinstance(t, Var):
-        if not is_valid_symbol(t.name):
-            raise UnknownVariable(t.name)
         return MPoly.var(t.name, order)
     if isinstance(t, Add):
         return term_to_poly(t.left, order) + term_to_poly(t.right, order)
@@ -420,14 +418,13 @@ def flatten(s: ESystem) -> FlatSystem:
         key = print_term(arg)
         if key in pair_by_key:
             return pair_by_key[key]
+        # a Var prints as its name, so one that reaches here is unpaired
         if isinstance(arg, Var) and arg.name not in yvars:
             x = arg.name
-            if x not in xvars:
-                xvars.append(x)
         else:
             x = fresh_name("_u", used)
-            xvars.append(x)
             extra_polys.append(Sub(left=Var(name=x), right=arg))
+        xvars.append(x)
         y = fresh_name("_v", used)
         yvars.append(y)
         pair_by_key[key] = y

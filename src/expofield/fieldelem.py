@@ -37,9 +37,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UnknownVariable
 from .mpoly import (MPoly, ZETA, _ONE_TERMS, _join_order, decode, encode,
-                    is_valid_symbol, monomial_gcd)
+                    monomial_gcd)
 
 
 class FieldElem:
@@ -197,8 +196,6 @@ class FieldElem:
 
     def derivative(self, sym: str) -> "FieldElem":
         """Formal partial derivative (quotient rule)."""
-        if sym == ZETA or not is_valid_symbol(sym):
-            raise UnknownVariable(f"cannot differentiate by {sym!r}")
         dn = self.num.derivative(sym)
         if self.den.is_constant():
             return FieldElem(dn, self.den)

@@ -11,7 +11,9 @@ decision is a rational linear-algebra problem, exact and complete here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import lcm
+from operator import mul
 
 from .errors import Inconsistent, UnsupportedShape, MissingExponential
 from .exprlang import FlatSystem, fresh_name
@@ -120,7 +122,8 @@ def _not_free(v: ParametricVariety, m) -> FreenessCertificate:
 def freeness_oracle(v: ParametricVariety, bound: int) -> FreenessCertificate:
     """Brute-force check over all integer vectors with |m_i| <= bound.
 
-    Independent of the kernel computation: enumerates vectors and tests the
+    Independent of the kernel computation: walks the box in lexicographic
+    order, returning the first nonzero relation, and tests the
     locus-parameter derivatives of sum(m_i X_i) on a dense coordinate matrix.
     """
     if bound < 0:
@@ -129,25 +132,14 @@ def freeness_oracle(v: ParametricVariety, bound: int) -> FreenessCertificate:
     for row in _derivative_rows(list(v.X), v.locus_params, coordinate_matrix):
         den = lcm(*(q.denominator for q in row))
         int_rows.append([int(q * den) for q in row])
-    n = v.n
-    vec = [-bound] * n
-
-    def is_relation(m) -> bool:
+    for m in product(range(-bound, bound + 1), repeat=v.n):
         for row in int_rows:
-            if sum(mi * c for mi, c in zip(m, row)):
-                return False
-        return True
-
-    while True:
-        if any(vec) and is_relation(vec):
-            return _not_free(v, vec)
-        i = n - 1
-        while i >= 0 and vec[i] == bound:
-            vec[i] = -bound
-            i -= 1
-        if i < 0:
-            return FreenessCertificate("free")
-        vec[i] += 1
+            if sum(map(mul, m, row)):
+                break
+        else:
+            if any(m):
+                return _not_free(v, m)
+    return FreenessCertificate("free")
 
 
 # -- reduction to additively free form ----------------------------------------
@@ -167,14 +159,10 @@ def reduce(v: ParametricVariety) -> ReductionResult:
     k = len(selected)
     A = [tuple(row.get(i, 0) for row in m) for i in range(v.n)]
     x_selected = [v.X[j] for j in selected]
-    b_vals = []
-    for i in range(v.n):
-        if i in selected:
-            b_vals.append(FieldElem.zero(order))
-            continue
-        # A[i] is zero at the pivots right of column i
-        combo = int_combination(A[i], x_selected, order)
-        b_vals.append(eliminate_symbols(v.X[i] - combo, v.locus_params))
+    # A[i] is zero at the pivots right of column i; at a pivot it is a unit
+    # vector, so b_i is 0 there
+    b_vals = [eliminate_symbols(x - int_combination(a, x_selected, order),
+                                v.locus_params) for x, a in zip(v.X, A)]
     N = lcm(*(q.denominator for row in A for q in row))
 
     used = set(v.base_params) | set(v.locus_params)

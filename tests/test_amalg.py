@@ -8,6 +8,7 @@ import pytest
 from expofield import (FieldElem, IndepSystem, acf_indep, amalgamate2,
                        coerce, complete_system, e_eval, indep, presentation,
                        tdeg, verify_independent_system)
+from expofield import amalg
 from expofield.amalg import EmbeddedPresentation, validate_system
 from expofield.efield import extend_graph
 from expofield.errors import (IllFormedExtension, UnsupportedShape,
@@ -134,6 +135,17 @@ class TestAmalgamate2:
         with pytest.raises(WellDefFailure):
             amalgamate2(base, f1, f2)
 
+    def test_renamed_symbol_avoids_a_base_symbol(self):
+        """Side L's x would become L__x, which the base already declares."""
+        base = presentation("B", transcendentals=("L__x",))
+        f1 = presentation("L", transcendentals=("L__x", "x"),
+                          egraph=((S("x"), S("L__x")),))
+        f2 = presentation("M", transcendentals=("L__x", "x"))
+        am = amalgamate2(base, f1, f2)
+        assert am.composite.transcendentals == ("L__x", "_L__x", "M__x")
+        assert am.composite.egraph == ((S("_L__x"), S("L__x")),)
+        assert am.g1.inclusion["x"] == S("_L__x")
+
     def test_ill_formed_extension(self):
         base = presentation("B", transcendentals=("tau",),
                             egraph=((ONE, S("tau")),))
@@ -163,6 +175,28 @@ class TestSystems:
         s = IndepSystem(n=3, nodes=_uniform_nodes(3, node))
         assert verify_independent_system(s).ok
         validate_system(s)
+
+    @pytest.mark.parametrize("n, covering", [(3, 9), (4, 28)])
+    def test_validation_checks_the_covering_inclusions(self, monkeypatch, n,
+                                                       covering):
+        """Embeddings compose, so only the inclusions a < b with
+        |b| = |a| + 1 are checked: 9 of 12 at n = 3, 28 of 50 at n = 4."""
+        s = rand_pminus_system(random.Random(1), n)
+        labels = {f.name: a for a, f in s.nodes.items()}
+        seen = []
+        monkeypatch.setattr(amalg, "_check_extension", lambda fa, fb:
+                            seen.append((labels[fa.name], labels[fb.name])))
+        validate_system(s)
+        assert len(seen) == len(set(seen)) == covering
+        assert all(a < b and len(b) == len(a) + 1 for a, b in seen)
+
+    def test_validation_finds_a_node_that_drops_a_pair(self):
+        nodes = dict(_uniform_nodes(3, presentation(
+            "F", transcendentals=("tau",), egraph=((ONE, S("tau")),))))
+        nodes[frozenset({0, 1})] = presentation("F01", transcendentals=("tau",))
+        with pytest.raises(IllFormedExtension,
+                           match="^F01 does not preserve the base graph at 1$"):
+            validate_system(IndepSystem(n=3, nodes=nodes))
 
     def test_fresh_pairs_complete(self):
         rng = random.Random(3)

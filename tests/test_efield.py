@@ -11,10 +11,11 @@ from expofield import (FieldElem, ParametricVariety,
                        extend_graph, hull, merge_graphs, minimal_ea_family,
                        presentation, solve)
 from expofield import linalg
-from expofield.efield import (adjoin_transcendentals, build_unchecked,
-                              graph_conflicts)
+from expofield.efield import (WellDefCheck, adjoin_transcendentals,
+                              build_unchecked, graph_conflicts)
 from expofield.errors import (ExponentialConflict, LinearDependence,
-                              MissingExponential, WellDefFailure, ZeroValue)
+                              MissingExponential, UnsupportedShape,
+                              WellDefFailure, ZeroValue)
 from expofield.exprlang import parse
 from gen import rand_presentation, rand_variety, zspan_pair
 
@@ -71,6 +72,16 @@ class TestExtendGraph:
                                           (FieldElem.zero(), S("v"))])
         assert exc.value.payload() == {"error": "LinearDependence",
                                        "certificate": [0, 1]}
+
+    def test_undeclared_symbol_rejected(self):
+        """The graph names only declared symbols, which Jacobian ranks
+        differentiate by; extending the graph declares what it adds."""
+        with pytest.raises(UnsupportedShape,
+                           match=r"^undeclared symbols \['u'\]$"):
+            presentation("F", 1, ("s", "t"), [(S("t"), S("u")),
+                                              (S("s"), S("u"))])
+        f = extend_graph(presentation("F", 1, ("t",)), [(S("t"), S("u"))])
+        assert f.transcendentals == ("t", "u")
 
     def test_kernel_element(self):
         f = extend_graph(presentation("Q"), [(S("a"), ONE)])
@@ -177,6 +188,37 @@ class TestSolve:
                               free_Y=(False, True))
         with pytest.raises(MissingExponential):
             solve(presentation("Q"), v)
+
+    @pytest.mark.parametrize("pin", [S("t"), coerce(-4)])
+    def test_pinned_coordinate_without_a_rational_root(self, pin):
+        """X = (p, p/2) makes N = 2, so E(p/2) needs a square root of the
+        value pinned at coordinate 0, and only a rational one is taken: t is
+        not rational, and -4 has no rational square root."""
+        u = S("_p1")
+        v = ParametricVariety(base_params=("t",), locus_params=("_p1", "_q1"),
+                              X=(u, u / 2), Y=(pin, S("_q1")),
+                              free_Y=(False, True))
+        with pytest.raises(MissingExponential) as exc:
+            solve(presentation("F", transcendentals=("t",)), v)
+        assert str(exc.value) == f"coordinate 0 needs an 2-th root of {pin}"
+        assert exc.value.root_specs == [(pin, 2)]
+
+    def test_negative_odd_root_materializes(self):
+        u = S("_p1")
+        v = ParametricVariety(base_params=(), locus_params=("_p1", "_q1"),
+                              X=(u, u / 3), Y=(coerce(-8), S("_q1")),
+                              free_Y=(False, True))
+        res = solve(presentation("Q"), v)
+        assert res.point_y == (coerce(-8), coerce(-2))
+        assert e_eval(res.presentation, res.point_x[1]).value == coerce(-2)
+
+    def test_variety_of_another_cyclotomic_order(self):
+        v = ParametricVariety(base_params=(), locus_params=("_p1",),
+                              X=(S("_p1", 3),), Y=(coerce(5, 3),),
+                              free_Y=(False,), cyclotomic_order=3)
+        with pytest.raises(ExponentialConflict, match=(
+                "^variety uses cyclotomic order 3, presentation has 5$")):
+            solve(presentation("Q", 5), v)
 
     def test_offset_needing_a_root_of_a_graph_value(self):
         """X_2 = 2 X_1 - t/2 and E(t) = s, so E(-t/2) needs a square root
@@ -293,6 +335,14 @@ class TestCheckPresentation:
         kinds = {v["kind"] for v in rep["violations"]}
         assert "dependent_arguments" in kinds
 
+    def test_undeclared_symbols_flagged_last(self):
+        bad = build_unchecked("bad", transcendentals=("t",),
+                              egraph=((S("t"), S("u")),
+                                      (2 * S("t"), ONE / S("a"))))
+        assert check_presentation(bad)["violations"] == [
+            {"kind": "dependent_arguments", "certificate": [2, -1]},
+            {"kind": "undeclared_symbols", "symbols": ["a", "u"]}]
+
     def test_certificate_indexes_the_whole_graph(self):
         t = S("t")
         args = (FieldElem.zero(), t, 2 * t)
@@ -328,6 +378,9 @@ class TestMergeGraphs:
         pairs, check = merge_graphs([(FieldElem.zero(), ONE)], 1)
         assert check.kernel_basis == ((1,),) and pairs == ()
 
+    def test_no_pairs(self):
+        assert merge_graphs([], 1) == ((), WellDefCheck((), ()))
+
     def test_lattice_completion(self):
         x = S("x")
         pairs, _ = merge_graphs([(2 * S("a"), x ** 2),
@@ -347,7 +400,7 @@ def test_flatten_preserves_solutions_on_random_points():
 
 
 def test_eval_system_needs_each_exponential_in_the_graph():
-    f = presentation("F", 1, ("t",), [(S("t"), S("u"))])
+    f = presentation("F", 1, ("t", "u"), [(S("t"), S("u"))])
     with pytest.raises(MissingExponential,
                        match=r"^E\(w\) is not determined by the graph$"):
         eval_system(f, parse("E(w) = 1"), {})

@@ -56,6 +56,30 @@ def test_quotient_needs_two_parenthesized_groups(text, col):
     assert (exc.value.line, exc.value.col) == (1, col)
 
 
+@pytest.mark.parametrize("text, kind, col, expected", [
+    ("x = 1 y", "system", 7, "'&', newline or end of input"),
+    ("x + 1", "system", 6, "'=' or '!='"),
+    (")", "system", 1, "a term"),
+    ("x y", "element", 3, "end of input"),
+])
+def test_malformed_text_names_what_was_expected(text, kind, col, expected):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text) if kind == "system" else parse_element(text)
+    assert str(exc.value) == f"line 1, col {col}: expected {expected}"
+
+
+def test_parse_rejects_an_unknown_kind():
+    with pytest.raises(ValueError,
+                       match="^kind must be 'term' or 'system', got 'atom'$"):
+        parse("x = 1", kind="atom")
+
+
+def test_element_text_has_no_exponential():
+    with pytest.raises(UnsupportedShape,
+                       match="^exponential left after flattening$"):
+        parse_element("E(t)")
+
+
 def test_canonical_quotient_parses():
     t, u = FieldElem.from_symbol("t"), FieldElem.from_symbol("u")
     assert parse_element("(t + 1)/(u)") == (t + 1) / u
@@ -75,6 +99,7 @@ def test_print_normalizes_whitespace():
 def test_newline_separator():
     s = parse("x = 1\ny = 2")
     assert len(s.atoms) == 2
+    assert parse("\n\nx = 1\ny = 2\n") == s
 
 
 def test_eliminate_inequations_examples():
@@ -83,6 +108,7 @@ def test_eliminate_inequations_examples():
     assert eliminate_inequations(s) == s
     out = eliminate_inequations(parse("x != 0 & y != 0"))
     assert print_system(out) == "x*_w1 = 1 & y*_w2 = 1"
+    assert print_system(eliminate_inequations(parse("0 != x"))) == "x*_w1 = 1"
 
 
 def test_eliminate_inequations_freshness():

@@ -18,6 +18,10 @@ VARIETY = {"base_params": [], "locus_params": ["_p1", "_q1"], "X": ["_p1"],
            "Y": ["_q1"], "free_Y": [True]}
 SOP1 = {"witness_kind": "sop1", "depth": 1, "tree": {"": ["t", "1"]},
         "base": {"name": "A", "transcendentals": ["t"], "egraph": []}}
+# a graph that names u without declaring it; declared, u lies in the hulls
+# of both t and s, so they are not independent
+UNDECLARED = {"name": "F", "transcendentals": ["s", "t"],
+              "egraph": [{"arg": "t", "val": "u"}, {"arg": "s", "val": "u"}]}
 SOP1_DEPTH_2 = SOP1 | {"depth": 2, "tree": {"": ["t", "1"], "0": ["t", "2"],
                                             "1": ["t", "3"]}}
 
@@ -139,6 +143,31 @@ class TestCLI:
         doc = json.loads(out)
         assert doc["mode"] == "rational"
         assert all(doc["checks"].values())
+
+    def test_zwitness_for_a_symbol_defaults_d_to_2(self, capsys):
+        code, out = run_cli(capsys, "zwitness", "-c", "t", "-m", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["mode"] == "transcendental"
+        assert doc["presentation"]["egraph"] == [
+            {"arg": "_c1", "val": "1"}, {"arg": "_c1*t", "val": "2"}]
+
+    @pytest.mark.parametrize("argv, error, detail", [
+        (["tp2", "-n", "0", "-J", "2", "--sigma", "1"], "UnsupportedShape",
+         "need n, J >= 1"),
+        (["tp2", "-n", "2", "-J", "3", "--sigma", "1,4"], "UnsupportedShape",
+         "sigma must map 1..n into 1..J"),
+        (["zwitness", "-c", "zeta", "-m", "3"], "NotTranscendental",
+         "c = zeta is constant over Q(zeta)"),
+        (["zwitness", "-c", "t", "-m", "1", "-d", "1"], "UnsupportedShape",
+         "need d distinct from 0 and 1"),
+        (["type-family", "--assignments", '[{"0": "2"}]'], "UnsupportedShape",
+         "exponents must be positive"),
+    ])
+    def test_domain_rejection_exits_2(self, capsys, argv, error, detail):
+        code, out = run_cli(capsys, *argv)
+        assert (code, json.loads(out)) == (2, {"error": error,
+                                               "detail": detail})
 
     def test_indep_and_hull(self, capsys, tmp_path):
         pres = tmp_path / "f.json"
@@ -396,6 +425,51 @@ class TestCLI:
         path.write_text(json.dumps(doc))
         assert main(argv + [str(path)]) == 1
         assert capsys.readouterr().err.startswith("schema error:")
+
+    @pytest.mark.parametrize("doc, argv, err", [
+        ({"name": "F", "transcendentals": ["t"],
+          "egraph": [{"arg": "t - t", "val": "2"}]}, ["roundtrip", "-f"],
+         "/egraph/0/arg: graph argument is zero"),
+        (UNDECLARED, ["indep", "-A", "t", "-B", "s", "-F"],
+         "/egraph: undeclared symbols ['u']"),
+        (SYSTEM | {"nodes": {"0" if k == "{0}" else k: v
+                             for k, v in SYSTEM["nodes"].items()}},
+         ["amalg-n", "-S"], "/nodes/0: bad subset label '0'"),
+        (SYSTEM | {"nodes": {"{a}" if k == "{0}" else k: v
+                             for k, v in SYSTEM["nodes"].items()}},
+         ["roundtrip", "-f"], "/nodes/{a}: bad subset label '{a}'"),
+        (SOP1 | {"tree": {"": ["t"]}}, ["sop1-verify", "-f"],
+         "/tree/: expected [y, z]"),
+        ({"witness_kind": "sop2"}, ["roundtrip", "-f"],
+         "/witness_kind: unknown kind 'sop2'"),
+        (VARIETY | {"X": [], "Y": [], "free_Y": []}, ["reduce", "-f"],
+         "/: variety needs at least one coordinate"),
+        (VARIETY | {"Y": ["_q1", "2"]}, ["free-check", "-f"],
+         "/: X, Y, free_Y must have equal length"),
+        (VARIETY | {"base_params": ["_p1"]}, ["solve", "-f"],
+         "/: locus parameters must be fresh"),
+        (VARIETY | {"X": ["_p1 + s"]}, ["reduce", "-f"],
+         "/: undeclared symbols ['s']"),
+    ])
+    def test_malformed_document_names_the_fault(self, capsys, tmp_path, doc,
+                                                argv, err):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + [str(path)]) == 1
+        assert capsys.readouterr() == ("", f"schema error: {err}\n")
+
+    def test_efield_check_reports_undeclared_symbols(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(UNDECLARED))
+        code, out = run_cli(capsys, "efield-check", "-F", str(path))
+        assert (code, json.loads(out)) == (0, {
+            "ok": False, "spot_checks": 0,
+            "violations": [{"kind": "undeclared_symbols", "symbols": ["u"]}]})
+        path.write_text(json.dumps(UNDECLARED | {
+            "transcendentals": ["s", "t", "u"]}))
+        code, out = run_cli(capsys, "indep", "-F", str(path), "-A", "t",
+                            "-B", "s")
+        assert (code, out) == (0, '{"independent":false}\n')
 
     @pytest.mark.parametrize("argv", [
         ["type-family", "--assignments", "[1]"],

@@ -47,6 +47,12 @@ class TestAdditiveFreeness:
         assert cert.relation == (2, -1)
         assert cert.value == coerce(-3)
         assert relation_total(v, cert.relation) == cert.value
+        # the oracle returns the first relation of the box in lexicographic
+        # order, the bound included
+        assert freeness_oracle(v, 2).relation == (-2, 1)
+        w = _v((), ("_p1", "_q1", "_q2"), (u, u + 3),
+               (S("_q1"), S("_q2")), (True, True))
+        assert freeness_oracle(w, 1).relation == (-1, 1)
 
     def test_independent_parameters_free(self):
         v = _v((), ("_p1", "_p2", "_q1", "_q2"),
@@ -110,6 +116,15 @@ class TestReduce:
         assert rr.vprime.X == (u / 2,)
         assert rr.vprime.free_Y == (True,)
 
+    def test_offset_is_zero_at_every_selected_coordinate(self):
+        u, w = S("_p1"), S("_p2")
+        v = _v(("t",), ("_p1", "_p2", "_q1", "_q2", "_q3"),
+               (u + S("t"), 2 * u + 3, w + 1), (S("_q1"), S("_q2"), S("_q3")),
+               (True, True, True))
+        rr = reduce(v)
+        assert rr.index_map == (0, 2)
+        assert [str(b) for b in rr.b] == ["0", "-2*t + 3", "0"]
+
     def test_identity_randomized(self):
         rng = random.Random(11)
         for _ in range(30):
@@ -149,6 +164,18 @@ class TestPullback:
         rr = reduce(v)  # N = 2, NA has rows (2) and (1)
         d, ed = pullback(rr, [u / 2], [S("r")])
         assert ed[1] == S("r") and ed[0] == S("r") ** 2
+
+    def test_point_must_fit_the_reduction(self):
+        u = S("_p1")
+        v = _v((), ("_p1", "_q1", "_q2"), (u, 2 * u + 3),
+               (S("_q1"), S("_q2")), (True, True))
+        rr = reduce(v)
+        with pytest.raises(UnsupportedShape,
+                           match="^point arity does not match the reduction$"):
+            pullback(rr, [coerce(5), coerce(6)], [S("r")])
+        with pytest.raises(UnsupportedShape, match=(
+                "^multiplicative coordinates must be nonzero$")):
+            pullback(rr, [coerce(5)], [FieldElem.zero()])
 
     def test_missing_resolver(self):
         u = S("_p1")
