@@ -223,7 +223,8 @@ def adjoin_transcendentals(f: EFieldPresentation, names) -> EFieldPresentation:
         if s in trans:
             raise LinearDependence([], f"symbol {s} already present")
         trans.append(s)
-    # the graph is unchanged and its checks ignore the transcendentals
+    # the graph is unchanged, so only its undeclared-symbol check reads the
+    # transcendentals, and adding a symbol leaves every declared one declared
     return build_unchecked(f.name, f.cyclotomic_order, trans, f.egraph)
 
 
@@ -407,9 +408,10 @@ class HullBasis:
     offered to it: the generators and candidates of its hulls, each once.
     Against it, each graph argument has a residue and coordinates in the
     offered elements that became rows.  A new row reduces every argument by
-    that row alone, which is exact because the rows are semi-echelon in
-    insertion order; a new denominator rebuilds the basis through
-    ``covering`` and reduces the arguments again.
+    that row alone (``linalg.reduce_mod`` on the rows added since), which
+    is exact because the rows are semi-echelon in insertion order; a new
+    denominator rebuilds the basis through ``covering`` and reduces the
+    arguments again.
 
     An integer combination sum(z_i arg_i) lies in span(G, 1) exactly when
     its residue is zero and its coordinates lie in the span of the
@@ -446,9 +448,9 @@ class HullBasis:
                 self.reductions = [span.reduce(a) for a in self.args]
             start = len(span.rows)
             x = self.coords[key] = span.add(e)
-            if len(span.rows) > start:
-                for res, y in self.reductions:
-                    span.eliminate(res, y, start)
+            new = span.rows[start:]  # the row e added, if any
+            for res, y in self.reductions:
+                reduce_mod(new, res, y)
         return key, x
 
     def _product(self, z) -> tuple:
@@ -475,7 +477,7 @@ class HullBasis:
         input equal to an earlier one is dropped, whatever its key: equal
         elements have equal coordinates in this basis, and only they do.
         """
-        local = [(0, 1, {})]  # semi-echelon coordinates of 1 and gens
+        local = [(0, 1, {}, None)]  # semi-echelon coordinates of 1 and gens
         gens: dict = {}  # generator's key() -> generator
         seen = set()  # the generators' coordinates, as frozensets
         for e in elems:

@@ -36,6 +36,8 @@ result prints the same either way and one multiplication is saved.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .mpoly import (MPoly, ZETA, _ONE_TERMS, _join_order, decode, encode,
                     monomial_gcd)
@@ -109,7 +111,9 @@ class FieldElem:
         return self.num.as_fraction() / self.den.as_fraction()
 
     def symbols(self) -> set:
-        return (self.num.symbols() | self.den.symbols()) - {ZETA}
+        # one decode of the OR of every monomial, as in MPoly.symbols
+        mono = reduce(or_, self.den.terms, reduce(or_, self.num.terms, 0))
+        return {s for s, _ in decode(mono)} - {ZETA}
 
     def key(self) -> tuple:
         """Hashable, and equal for two elements exactly when their

@@ -3,7 +3,7 @@ over the rational-function field.
 
 Matrices are plain lists of lists, and their entries ints, Fractions or
 FieldElems; ``_divide`` keeps ints exact, so no entry is ever a float.
-There are three eliminations over fields, all through one sparse row
+There are two eliminations over fields, both through one sparse row
 update, ``_add_multiple``, which touches only the nonzero entries:
 
 - ``_rref``, Gauss-Jordan into sparse rows that are 1 at their pivots, for
@@ -12,10 +12,10 @@ update, ``_add_multiple``, which touches only the nonzero entries:
   FieldElem's printed form depends on how it was computed, and
   eliminating row by row prints other forms of the same values.
 - ``reduce_mod`` and ``extend_basis``, a semi-echelon basis that divides
-  an entry only to eliminate it: ``ff_rank``, and each hull's basis of
-  coordinates in ``efield.HullBasis``.
-- ``SpanBasis``, the semi-echelon basis of the Q-span of field elements,
-  whose rows carry their coordinates in the elements offered to it.
+  an entry only to eliminate it, each row able to carry its coordinates
+  in the vectors offered: ``ff_rank``, each hull's basis of coordinates in
+  ``efield.HullBasis``, and ``SpanBasis``, which clears field elements
+  into vectors for it and keeps the Q-span of them.
 
 ``hermite_form`` is the one integer elimination.  Every lattice basis the
 library prints is a Hermite normal form, so it depends only on the lattice.
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
 from math import lcm
 
 from .errors import DimensionMismatch
@@ -258,26 +257,38 @@ def _add_multiple(v, c, row) -> None:
                 del v[k]
 
 
-def reduce_mod(basis: list, v: dict) -> dict:
+def reduce_mod(basis: list, v: dict, coords=None) -> dict:
     """v modulo the span of ``basis``, in place, and returned.  ``basis``
-    lists rows (pivot, entry there, other entries), none with the pivot of
-    a row before it, so reducing v against them in order, by entry / pivot
-    entry times the row, leaves no pivot entry in v."""
-    for c, p, rest in basis:
+    lists rows (pivot, entry there, other entries, coordinates), none with
+    the pivot of a row before it, so reducing v against them in order, by
+    entry / pivot entry times the row, leaves no pivot entry in v.  Given a
+    map ``coords``, each multiple of a row taken off v adds the same
+    multiple of the row's coordinates to it, in place: v as it was is the
+    residue plus the combination that ``coords`` then names."""
+    for c, p, rest, row_coords in basis:
         x = v.pop(c, None)
         if x is not None:
-            _add_multiple(v, -_divide(x, p), rest)
+            q = _divide(x, p)
+            _add_multiple(v, -q, rest)
+            if coords is not None:
+                _add_multiple(coords, q, row_coords)
     return v
 
 
-def extend_basis(basis: list, v: dict) -> bool:
+def extend_basis(basis: list, v: dict, coords=None) -> bool:
     """Add the sparse vector v to ``basis`` (see ``reduce_mod``), as a row
-    at the first column of its residue; True when v was outside its span."""
-    v = reduce_mod(basis, v)
+    at the first column of its residue; True when v was outside its span.
+    Given ``coords``, v's coordinates in the inputs, the row keeps them
+    less the combination that the reduction takes off v, so each row is
+    the combination of inputs that its coordinates name."""
+    taken = None if coords is None else {}
+    v = reduce_mod(basis, v, taken)
     if not v:
         return False
+    if taken:
+        _add_multiple(coords, -1, taken)
     c = next(iter(v))
-    basis.append((c, v.pop(c), v))
+    basis.append((c, v.pop(c), v, coords))
     return True
 
 
@@ -289,20 +300,14 @@ class SpanBasis:
     ``dens``, into the coefficient map of a polynomial, a dict from
     monomial to a nonzero rational, an int or a Fraction.  Multiplying by
     D is injective and Q-linear, so which elements are independent, their
-    coordinates and the relations among them do not depend on D.  A row is
-    such a map scaled to 1 at its pivot monomial, which no later row has.
-    An element is reduced against the rows in insertion order, so its
-    residue has no pivot monomial, and it lies in the span exactly when the
-    residue is empty; the residue map is Q-linear.  This is the sum of
+    coordinates and the relations among them do not depend on D.  A map is
+    reduced by ``reduce_mod`` against ``extend_basis`` rows, each with its
+    coordinates in the offered elements, by their index: the sum of
     subspaces by Gaussian elimination (H. Cohen, *A Course in Computational
-    Algebraic Number Theory*, GTM 138, section 2.3), kept sparse: a
-    reduction touches only the pivots present and the monomials of their
-    rows.
-
-    Each row keeps its coordinates in the offered elements, by their
-    index, so a reduction also gives the coordinates of the combination of
-    rows it subtracts; an offered element already in the span adds no row
-    and keeps coordinate 0, as in the greedy pivots of ``qlin_solve``.
+    Algebraic Number Theory*, GTM 138, section 2.3), kept sparse.  An
+    element lies in the span exactly when its residue is empty, and an
+    offered element already in the span adds no row and keeps coordinate
+    0, as in the greedy pivots of ``qlin_solve``.
 
     ``add`` and ``reduce`` take elements that D clears, such as the ones
     named to ``covering``, which returns a basis over a D that clears them.
@@ -315,7 +320,7 @@ class SpanBasis:
         self.dens = denominators(elems, dens)
         self.den_keys = {d.key() for d in self.dens}
         self.elems = []  # offered, in order
-        self.rows = []  # (pivot, row, coordinates)
+        self.rows = []  # extend_basis rows of cleared offered elements
         for e in elems:
             self.add(e)
 
@@ -335,22 +340,7 @@ class SpanBasis:
         if p is None:
             raise ValueError(f"{e} is not cleared by this basis; see covering")
         coords = {}
-        return self.eliminate(dict(p.terms), coords), coords
-
-    def eliminate(self, v, coords, start=0):
-        """Reduce the residue map v, in place, against the rows from
-        ``start`` on: subtract the multiple of each row that clears its
-        pivot, and add the same multiple of its coordinates to ``coords``.
-        Returns v.  Later rows lack earlier pivots, so a residue reduced
-        against the rows before ``start`` and then this is reduced against
-        all of them."""
-        for pivot, row, row_coords in islice(self.rows, start, None):
-            c = v.get(pivot)
-            if c is None:
-                continue
-            _add_multiple(v, -c, row)
-            _add_multiple(coords, c, row_coords)
-        return v
+        return reduce_mod(self.rows, dict(p.terms), coords), coords
 
     def add(self, e) -> dict:
         """Offer e, which D must clear.  Returns its coordinates in the
@@ -361,14 +351,10 @@ class SpanBasis:
         self.elems.append(e)
         if not v:
             return coords
-        pivot = next(iter(v))
-        inv = _divide(1, v[pivot])
-        if inv != 1:
-            v = {mono: x * inv for mono, x in v.items()}
-        # row = (e * D - sum coords[i] * offered_i * D) * inv
-        row_coords = {i: -y * inv for i, y in coords.items()}
-        row_coords[index] = inv
-        self.rows.append((pivot, v, row_coords))
+        # the row is e * D minus the combination that coords names
+        row_coords = {i: -y for i, y in coords.items()}
+        row_coords[index] = 1
+        extend_basis(self.rows, v, row_coords)
         return {index: 1}
 
     def coordinates(self, e):

@@ -64,6 +64,7 @@ FIELD_BITS = 32
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _GUARD = 1 << (FIELD_BITS - 1)
 _ZETA_SPAN = 1 << FIELD_BITS  # monomials below it are powers of zeta
+_FIELD_MASK = _ZETA_SPAN - 1  # every bit of field 0
 
 _SYMBOLS = [ZETA]  # field i holds the exponent of _SYMBOLS[i]
 _INDEX = {ZETA: 0}
@@ -106,15 +107,15 @@ def encode(pairs) -> int:
 
 
 def decode(mono: int) -> tuple:
-    """The (symbol, exponent) pairs of a monomial, sorted by symbol."""
+    """The (symbol, exponent) pairs of a monomial, sorted by symbol.  Each
+    set field is found from the lowest set bit and then cleared, so the
+    cost is in the symbols held, not in their place in the table."""
     out = []
-    i = 0
     while mono:
-        e = mono & MAX_EXPONENT
-        if e:
-            out.append((_SYMBOLS[i], e))
-        mono >>= FIELD_BITS
-        i += 1
+        i = ((mono & -mono).bit_length() - 1) // FIELD_BITS
+        shift = i * FIELD_BITS
+        out.append((_SYMBOLS[i], (mono >> shift) & MAX_EXPONENT))
+        mono &= ~(_FIELD_MASK << shift)
     out.sort()
     return tuple(out)
 

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from expofield import FieldElem, ff_rank, integer_kernel_basis, kernel_basis, qlin_solve
 from expofield.errors import DimensionMismatch
 from expofield.fieldelem import cyclotomic_root
-from expofield.linalg import (SpanBasis, _integer_columns, coordinate_matrix,
-                              hermite_form, rational_span_solve)
+from expofield.linalg import (SpanBasis, _add_multiple, _integer_columns,
+                              coordinate_matrix, extend_basis, hermite_form,
+                              rational_span_solve, reduce_mod)
 
 S = FieldElem.from_symbol
 
@@ -181,6 +182,40 @@ def test_rank_transpose(seed):
     i, j = rng.randrange(rows), rng.randrange(rows)
     combination = [a * x + b * y for x, y in zip(m[i], m[j])]
     assert ff_rank(m + [combination]) == rank
+
+
+sparse_vectors = st.dictionaries(
+    st.integers(0, 5), st.fractions(-3, 3, max_denominator=4).filter(bool),
+    max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(sparse_vectors, max_size=6), sparse_vectors)
+def test_basis_rows_are_the_combinations_their_coordinates_name(vectors,
+                                                                 target):
+    """After ``extend_basis`` with coordinates, each row is the combination
+    of inputs its coordinates name; a reduction's residue, which has no
+    pivot, plus the combination its coordinates name is the vector
+    reduced, and an input leaves no residue."""
+    def combination(coords):
+        out = {}
+        for i, c in coords.items():
+            _add_multiple(out, c, vectors[i])
+        return out
+
+    basis = []
+    for i, v in enumerate(vectors):
+        extend_basis(basis, dict(v), {i: 1})
+    for c, p, rest, coords in basis:
+        assert combination(coords) == {c: p, **rest}
+    for v in vectors + [target]:
+        coords = {}
+        residue = reduce_mod(basis, dict(v), coords)
+        assert not residue.keys() & {c for c, *_ in basis}
+        assert not residue or v is target
+        out = combination(coords)
+        _add_multiple(out, 1, residue)
+        assert out == v
 
 
 def test_span_basis_reduce_rejects_an_uncleared_element():

@@ -199,6 +199,20 @@ def test_exponent_limit_raises_and_never_wraps():
     assert (top + 1).exact_divide(y + x ** 5 + 1) is None
 
 
+LATE = [f"late{i}" for i in range(24)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(["x"] + LATE),
+                       st.integers(1, MAX_EXPONENT), max_size=6))
+def test_decode_inverts_encode(exps):
+    """decode finds every set field, however late its symbol lies in the
+    table and however large its exponent."""
+    encode([(s, 0) for s in LATE])  # interned after every earlier symbol
+    pairs = tuple(sorted(exps.items()))
+    assert decode(encode(pairs)) == pairs
+
+
 def test_inexact_division_near_the_limit_stops_at_once():
     """Long division of t^N*u by t + 1 would take one step per power of t;
     the quotient's trailing term t^N*u lies above the first candidate."""

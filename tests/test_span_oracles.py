@@ -712,6 +712,22 @@ def zeta_pin():
     return f, f.args[0] + f.args[1]
 
 
+def partial_fraction_pin():
+    """E(1/t) = a and E(1/(t+1)) = b, with 1/(t^2 + t) = 1/t - 1/(t+1):
+    a denominator neither argument has, so the hull basis rebuilds through
+    ``covering`` after 1 is a row, and reduces the arguments again."""
+    t = S("t")
+    f = presentation("P", 1, ("t", "a", "b"),
+                     [(1 / t, S("a")), (1 / (t + 1), S("b"))])
+    return f, 1 / (t ** 2 + t)
+
+
+def partial_fraction_eval_pin():
+    """The same graph at 3/(t^2 + t) + 1/t = 4/t - 3/(t+1)."""
+    f, a = partial_fraction_pin()
+    return f, 3 * a + f.args[0]
+
+
 def growing_pin():
     """hull(t1) adds E(t1) = t2 / (t1 + 1), whose denominator the basis
     lacks, and in a second round E(t2 / (t1 + 1)) = t3."""
@@ -760,9 +776,17 @@ def plain_rref_pin():
 @example((zeta_pin()[0], [zeta_pin()[1]]))
 @example(reversal_pin())
 @example(plain_rref_pin())
+@example((partial_fraction_pin()[0], [partial_fraction_pin()[1]]))
 def test_hull_matches_rebuild_oracle(case):
     f, elems = case
     same(hull(f, elems).generators, hull_rebuild_oracle(f, elems))
+
+
+def test_partial_fraction_pin_prints_its_hull_and_value():
+    f, a = partial_fraction_pin()
+    assert [str(g) for g in hull(f, [a]).generators] == \
+        ["(1)/(t^2 + t)", "(a)/(b)"]
+    assert str(e_eval(*partial_fraction_eval_pin()).value) == "(a^4)/(b^3)"
 
 
 @settings(max_examples=100, deadline=None)
@@ -1011,6 +1035,7 @@ def test_reversal_pins_print_their_generators():
 @settings(max_examples=150, deadline=None)
 @given(eval_cases())
 @example(zeta_pin())
+@example(partial_fraction_eval_pin())
 def test_e_eval_matches_span_solve(case):
     f, a = case
     same_eval(e_eval(f, a), e_eval_solve_oracle(f, a))
