@@ -68,9 +68,9 @@ class _IndepChecks:
     generators, as a set, do not depend on their order or on repeats.  Per
     call: a row per generator's ``key()``, whichever node closed it, a
     sparse dict {symbol: derivative} over the symbols of ``params`` it has;
-    and a rank per set of row keys, which fixes it.  A generator of a node
-    lies in the field of that node's transcendentals, so its rank there is
-    its rank over the field of all of ``params``."""
+    and a rank per set of row keys, the union of the hulls' keys, which
+    fixes it.  A generator of a node lies in the field of that node's
+    transcendentals, so its rank there is its rank over all of ``params``."""
 
     def __init__(self, nodes: dict, params):
         self.nodes = nodes
@@ -95,11 +95,11 @@ class _IndepChecks:
         return keys
 
     def rank(self, *hulls) -> int:
-        keys = dict.fromkeys(k for h in hulls for k in h)
-        key = frozenset(keys)
+        key = frozenset().union(*hulls)
         r = self.ranks.get(key)
         if r is None:
-            r = self.ranks[key] = ff_rank([self.rows[k] for k in keys])
+            rows = dict.fromkeys(k for h in hulls for k in h)
+            r = self.ranks[key] = ff_rank([self.rows[k] for k in rows])
         return r
 
     def indep(self, h_ac, h_bc, h_c) -> bool:

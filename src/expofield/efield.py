@@ -18,11 +18,11 @@ then kept reduced, so the hulls made inside one ``indep`` call or one node
 of an independent system share that work; ``hull`` is one such hull on a
 basis of its own.  A hull keys each generator by its ``key()``, which
 callers may share across presentations.  Each round's lattice is the
-integer kernel of the arguments' residues and coordinates modulo the
-generators.  ``SpanBasis`` decides how elements are cleared of
+integer kernel of the arguments' sparse residues and coordinates modulo
+the generators.  ``SpanBasis`` decides how elements are cleared of
 denominators.  No result is cached between calls, nor on the presentation
 beyond ``arg_basis``.  Every lattice basis here is a Hermite normal form
-(``linalg.hermite_form``), also where ``integer_kernel_basis`` peels it.
+(``linalg.hermite_form``), also where ``column_kernel_basis`` peels it.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ from .errors import (ExponentialConflict, LinearDependence, MissingExponential,
 from . import exprlang
 from .exprlang import ETerm, Exp, fresh_name
 from .fieldelem import FieldElem, coerce, int_combination, power_product
-from .linalg import (SpanBasis, _integer_columns, extend_basis, hermite_form,
-                     integer_kernel_basis, reduce_mod, span_matrix)
+from .linalg import (SpanBasis, _integer_columns, column_kernel_basis,
+                     extend_basis, hermite_form, integer_kernel_basis,
+                     reduce_mod, span_matrix)
 from .variety import ParametricVariety, pullback, reduce as variety_reduce
 
 
@@ -409,18 +410,19 @@ class HullBasis:
     Against it, each graph argument has a residue and coordinates in the
     offered elements that became rows.  A new row reduces every argument by
     that row alone (``linalg.reduce_mod`` on the rows added since), which
-    is exact because the rows are semi-echelon in insertion order; a new
-    denominator rebuilds the basis through ``covering`` and reduces the
-    arguments again.
+    is exact because the rows are semi-echelon in insertion order (an
+    offer that adds none reduces nothing); a new denominator rebuilds the
+    basis through ``covering`` and reduces the arguments again.
 
     An integer combination sum(z_i arg_i) lies in span(G, 1) exactly when
     its residue is zero and its coordinates lie in the span of the
     coordinates of G and 1.  So a hull round's matrix stacks the residues
-    on the coordinates reduced modulo that span, and its integer kernel is
-    the round's lattice: the same lattice, so the same Hermite normal form
-    and the same generators as from a basis of span(G, 1) alone.  When G is
-    among the offered rows, as a set of symbols is, the reduction just
-    drops G's coordinates, and ``integer_kernel_basis`` peels most columns.
+    on the coordinates reduced modulo that span, as two blocks of sparse
+    columns, and its integer kernel is the round's lattice: the same
+    lattice, so the same Hermite normal form and the same generators as
+    from a basis of span(G, 1) alone.  When G is among the offered rows, as
+    a set of symbols is, the reduction drops G's coordinates; then mostly
+    no two columns share a key, and the zero columns give the lattice.
     Nothing is kept beyond the object, which serves one ``hull`` call, one
     ``indep`` call or one node of ``amalg.verify_independent_system``, since
     each node has its own graph; that call shares rows across nodes by the
@@ -449,8 +451,9 @@ class HullBasis:
             start = len(span.rows)
             x = self.coords[key] = span.add(e)
             new = span.rows[start:]  # the row e added, if any
-            for res, y in self.reductions:
-                reduce_mod(new, res, y)
+            if new:
+                for res, y in self.reductions:
+                    reduce_mod(new, res, y)
         return key, x
 
     def _product(self, z) -> tuple:
@@ -468,10 +471,10 @@ class HullBasis:
         A combination sum(z_i arg_i) with integer z lands in the Q-span of
         the generators (and 1) exactly when the corresponding value product
         belongs to the hull; the detectable such z form a saturated
-        lattice, recomputed until the span stops growing.  Each round takes
-        it in Hermite normal form, so the generators added depend only on
-        that lattice: the value products of its basis outside the span of
-        everything before them.
+        lattice, recomputed until the span stops growing.  Each round reads
+        it off sparse columns in Hermite normal form, so the generators
+        added depend only on that lattice: the value products of its basis
+        outside the span of everything before them.
 
         Returns the generators in order, each keyed by its ``key()``.  An
         input equal to an earlier one is dropped, whatever its key: equal
@@ -489,15 +492,9 @@ class HullBasis:
                 gens[key] = e
                 extend_basis(local, dict(x))
         for _ in range(len(self.args) + 1):
-            parts = ([res for res, _ in self.reductions],
-                     [reduce_mod(local, dict(y)) for _, y in self.reductions])
-            # nothing left at all: every z is in the kernel
-            lattice = integer_kernel_basis(
-                [[v.get(k, 0) for v in part]
-                 for part in parts for k in set().union(*part)]
-                or [[0] * len(self.args)])
-            if not lattice:
-                break
+            lattice = column_kernel_basis(
+                [[res for res, _ in self.reductions],
+                 [reduce_mod(local, dict(y)) for _, y in self.reductions]])
             new = {key: c for c, key, x in map(self._product, lattice)
                    if extend_basis(local, dict(x))}
             if not new:

@@ -44,7 +44,7 @@ from .mpoly import (MPoly, ZETA, _ONE_TERMS, _join_order, decode, encode,
 
 
 class FieldElem:
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_key")  # _key: filled by the first key()
 
     def __init__(self, num: MPoly, den: MPoly | None = None):
         if den is None:
@@ -118,8 +118,10 @@ class FieldElem:
     def key(self) -> tuple:
         """Hashable, and equal for two elements exactly when their
         numerators and denominators have equal terms, so equal keys mean
-        equal printed text."""
-        return (self.num.key(), self.den.key())
+        equal printed text.  Kept by the first call: elements never change."""
+        if not hasattr(self, "_key"):
+            self._key = (self.num.key(), self.den.key())
+        return self._key
 
     # -- arithmetic --------------------------------------------------------
 

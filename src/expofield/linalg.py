@@ -32,8 +32,10 @@ cleared numerators as a dense matrix, is the reference path:
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import lcm
 
 from .errors import DimensionMismatch
@@ -172,27 +174,45 @@ def _integer_columns(rows):
 
 def integer_kernel_basis(rows):
     """Z-basis of {z in Z^n : rows * z = 0} (a saturated lattice) in Hermite
-    normal form.  A column that is the only nonzero entry left in some row
-    is zero in every kernel vector, so it is peeled, until no row has a
-    lone entry; each zero column left gives its unit vector.  The kernel of
-    the rest is the left kernel of its transpose, read off the transform
-    of its ``hermite_form``.  Sorted by pivot, the union is the Hermite
-    normal form of the same lattice: a unit vector's pivot is 1 and no
-    other vector has an entry in its column."""
+    normal form: ``column_kernel_basis`` of the matrix's sparse columns."""
     n = _check_rect(rows)
-    live = list(range(n))
-    while lone := {nz[0] for nz in ([j for j in live if row[j]] for row in rows)
-                   if len(nz) == 1}:
-        live = [j for j in live if j not in lone]
-    rest = [j for j in live if any(row[j] for row in rows)]
-    basis = [[int(i == j) for i in range(n)] for j in live if j not in rest]
-    if not rest:
+    return column_kernel_basis([[{i: row[j] for i, row in enumerate(rows)
+                                  if row[j]} for j in range(n)]])
+
+
+def column_kernel_basis(blocks):
+    """Z-basis of the integer z with sum(z_j * column j) = 0, in Hermite
+    normal form.  Column j stacks column j of each block, a sparse dict
+    {row key: nonzero rational}; each block has keys of its own.  A column
+    that alone holds some key is zero in every kernel vector, so it is
+    peeled, until every key left is shared, or at once when no two columns
+    share a key, as one union per block finds; each zero column gives its
+    unit vector.  The kernel of the rest is the left kernel of their dense
+    transpose, read off the transform of its ``hermite_form``.  Sorted by
+    pivot, the union is the Hermite normal form of the same lattice: a unit
+    vector's pivot is 1 and no other vector has an entry in its column."""
+    n = len(blocks[0])
+    live = [j for j, col in enumerate(zip(*blocks)) if any(col)]
+    basis = [[0] * j + [1] + [0] * (n - j - 1) for j in range(n)
+             if j not in live]
+    parts = blocks  # the live columns of each block; a zero one holds no key
+    while not all(len(set().union(*p)) == sum(map(len, p)) for p in parts):
+        shared = [{k for k, m in Counter(chain(*p)).items() if m > 1}
+                  for p in parts]
+        keep = [j for j in live
+                if all(s.issuperset(b[j]) for s, b in zip(shared, blocks))]
+        if keep == live:
+            break
+        live = keep
+        parts = [[b[j] for j in live] for b in blocks]
+    else:  # no two columns left share a key: each one is peeled
         return basis
-    h, t = hermite_form(_integer_columns([[row[j] for j in rest]
-                                          for row in rows]))
+    h, t = hermite_form(_integer_columns(
+        [[b[j].get(k, 0) for j in live]
+         for b in blocks for k in set().union(*(b[j] for j in live))]))
     for z in hermite_form(t[len(h):])[0]:
         v = [0] * n
-        for j, x in zip(rest, z):
+        for j, x in zip(live, z):
             v[j] = x
         basis.append(v)
     return sorted(basis, key=lambda v: next(j for j, x in enumerate(v) if x))

@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from expofield import (FieldElem, ParametricVariety,
                        check_presentation, coerce, e_eval, eval_system,
-                       extend_graph, hull, merge_graphs, minimal_ea_family,
-                       presentation, solve)
+                       eval_term, extend_graph, hull, merge_graphs,
+                       minimal_ea_family, presentation, solve)
 from expofield import linalg
 from expofield.efield import (WellDefCheck, adjoin_transcendentals,
                               build_unchecked, graph_conflicts)
 from expofield.errors import (ExponentialConflict, LinearDependence,
                               MissingExponential, UnsupportedShape,
                               WellDefFailure, ZeroValue)
-from expofield.exprlang import parse
+from expofield.exprlang import Add, parse
 from gen import rand_presentation, rand_variety, zspan_pair
 
 S = FieldElem.from_symbol
@@ -404,6 +404,15 @@ def test_eval_system_needs_each_exponential_in_the_graph():
     with pytest.raises(MissingExponential,
                        match=r"^E\(w\) is not determined by the graph$"):
         eval_system(f, parse("E(w) = 1"), {})
+
+
+def test_eval_term_rejects_what_is_not_a_term():
+    f = presentation("F", 1, ("t",))
+    with pytest.raises(TypeError, match=r"^not an ETerm: 't'$"):
+        eval_term(f, "t", {})
+    # inside a term, as the left operand of a sum
+    with pytest.raises(TypeError, match=r"^not an ETerm: 2$"):
+        eval_term(f, Add(2, parse("t", kind="term")), {})
 
 
 @settings(max_examples=30, deadline=None)

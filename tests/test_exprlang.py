@@ -156,6 +156,20 @@ def test_pow_expansion():
     assert p == x * x + x * 2 + MPoly.const(1)
 
 
+def test_printing_and_conversion_reject_what_is_not_a_term():
+    for bad in ("x", 2, None):
+        with pytest.raises(TypeError, match=rf"^not an ETerm: {bad!r}$"):
+            print_term(bad)
+        with pytest.raises(TypeError, match=rf"^not an ETerm: {bad!r}$"):
+            term_to_poly(bad)
+    # reached from inside a term too, at its second operand
+    bad = Mul(Var("x"), "y")
+    with pytest.raises(TypeError, match=r"^not an ETerm: 'y'$"):
+        print_term(bad)
+    with pytest.raises(TypeError, match=r"^not an ETerm: 'y'$"):
+        term_to_poly(bad)
+
+
 # -- round-trip property ---------------------------------------------------------
 
 _names = st.sampled_from(["x", "y", "zz", "t1"])

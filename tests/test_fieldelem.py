@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from expofield.fieldelem import (FieldElem, coerce, cyclotomic_root,
+from expofield.fieldelem import (FieldElem, _elem, coerce, cyclotomic_root,
                                  eliminate_symbols, int_combination,
                                  power_product)
 from expofield.errors import UnknownVariable
@@ -220,6 +220,27 @@ def test_fast_paths_equal_the_full_normalization(e, b):
         want = FieldElem(x.num ** abs(k), x.den ** abs(k))
         assert (e ** k).key() == want.key()
     assert (e * b).key() == FieldElem(e.num * b.num, e.den * b.den).key()
+
+
+@settings(max_examples=200, deadline=None)
+@given(normal_forms(), elems(), st.integers(-3, 3), scalars)
+@example(coerce(2), T1, -1, Fraction(1, 2))
+@example((T1 + 1) / (T1 * T2 - 2), T2 - 1, 2, Fraction(-3))
+@example(cyclotomic_root(3) * S("t1", 3) + 1, T1, -2, Fraction(0))
+def test_key_is_kept_and_is_the_key_of_num_and_den(a, b, k, q):
+    """``key()`` fills a slot on its first call and then returns it, for an
+    element made in any way: it must be the key its num and den give."""
+    made = [FieldElem(a.num, a.den), _elem(a.num, a.den), a, -a, a + b,
+            a - b, a * b, coerce(q, a.order), coerce(a.num), coerce(a)]
+    if b:
+        made.append(a / b)
+    if k >= 0 or a:
+        made.append(a ** k)
+    for e in made:
+        first = e.key()
+        assert first == (e.num.key(), e.den.key())
+        assert e.key() is first
+    assert a.key() == (a.num.key(), a.den.key())  # after a + b and the rest
 
 
 def test_folds_skip_zero_entries():

@@ -10,8 +10,9 @@ from expofield import FieldElem, ff_rank, integer_kernel_basis, kernel_basis, ql
 from expofield.errors import DimensionMismatch
 from expofield.fieldelem import cyclotomic_root
 from expofield.linalg import (SpanBasis, _add_multiple, _integer_columns,
-                              coordinate_matrix, extend_basis, hermite_form,
-                              rational_span_solve, reduce_mod)
+                              column_kernel_basis, coordinate_matrix,
+                              extend_basis, hermite_form, rational_span_solve,
+                              reduce_mod)
 
 S = FieldElem.from_symbol
 
@@ -105,6 +106,64 @@ CASCADE = [[1, 1, 0, 0], [0, 2, Fraction(1, 2), 0], [0, 0, 3, 0]]
 @example([[1, 2, 3], [4, 5, 6]])  # nothing to peel
 def test_peeled_integer_kernel_is_the_hermite_kernel(rows):
     assert integer_kernel_basis(rows) == hermite_kernel(rows)
+
+
+def dense_rows(blocks):
+    """The matrix whose column j stacks column j of each block of sparse
+    columns, a row per key of each block; a zero row when it has none, so
+    that the oracle sees every column."""
+    n = len(blocks[0])
+    rows = [[col.get(k, 0) for col in b]
+            for b in blocks for k in sorted(set().union(*b))]
+    return rows or [[0] * n]
+
+
+nonzero_entries = kernel_entries.filter(bool)
+
+
+@st.composite
+def sparse_blocks(draw):
+    """One or two blocks of up to 7 sparse columns over the keys 0..5; a
+    block is drawn with no key shared by two of its columns half the time,
+    and a column is empty a third of the time."""
+    n = draw(st.integers(0, 7))
+    blocks = []
+    for _ in range(draw(st.integers(1, 2))):
+        disjoint, used, block = draw(st.booleans()), set(), []
+        for _ in range(n):
+            keys = draw(st.sets(st.integers(0, 5), max_size=3))
+            if draw(st.integers(0, 2)) == 0:
+                keys = set()
+            if disjoint:
+                keys -= used
+                used |= keys
+            block.append({k: draw(nonzero_entries) for k in sorted(keys)})
+        blocks.append(block)
+    return blocks
+
+
+def columns(rows):
+    """A dense matrix as one block of sparse columns."""
+    return [[{i: row[j] for i, row in enumerate(rows) if row[j]}
+             for j in range(len(rows[0]))]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_blocks())
+@example([[]])
+@example([[{}, {}, {}]])
+# no shared key, and one key in two blocks is two keys: no kernel
+@example([[{0: 1}, {}], [{}, {0: 1}]])
+# no shared key: the zero column gives the kernel
+@example([[{0: 1}, {}, {1: 2, 2: Fraction(1, 2)}, {}], [{}, {3: 1}, {}, {}]])
+@example([[{0: 1}, {0: -2}, {}]])  # two columns share their one key
+@example([[{}, {}, {0: 1}], [{0: 1}, {0: -1}, {}]])  # in the second block
+@example(columns(CASCADE))  # each peel makes the next lone key
+@example(columns([[1, 1, 0], [0, 1, 1]]) + [[{}, {0: 1}, {}]])
+@example(columns([[1, 2, 3], [4, 5, 6]]))  # nothing to peel
+@example(columns([[1, 2, 0], [2, 4, 0], [0, 0, 5]]))  # peel, then Hermite
+def test_column_kernel_is_the_hermite_kernel(blocks):
+    assert column_kernel_basis(blocks) == hermite_kernel(dense_rows(blocks))
 
 
 def test_peeled_integer_kernel_pins():

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-LIMIT = 12
+LIMIT = 9
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "expofield"
 
