@@ -301,11 +301,12 @@ def verify_independent_system(s: IndepSystem) -> SystemReport:
                            lambda: [elem[t] for t in sorted(symbols)])
 
     for b in subsets:
-        for a in subsets:
-            if not (a < b) or not a:
+        under = [d for d in subsets if d <= b]
+        for a in under:
+            if a == b or not a:
                 continue
-            d_syms = frozenset().union(*(syms[d] for d in subsets
-                                         if d <= b and not (a <= d)))
+            d_syms = frozenset().union(*(syms[d] for d in under
+                                         if not (a <= d)))
             if not d_syms:
                 continue
             c_syms = below[a]

@@ -22,7 +22,8 @@ integer kernel of the arguments' sparse residues and coordinates modulo
 the generators.  ``SpanBasis`` decides how elements are cleared of
 denominators.  No result is cached between calls, nor on the presentation
 beyond ``arg_basis``.  Every lattice basis here is a Hermite normal form
-(``linalg.hermite_form``), also where ``column_kernel_basis`` peels it.
+(``linalg.hermite_form``), also the unit vectors that
+``column_kernel_basis`` returns without it.
 """
 
 from __future__ import annotations
@@ -527,16 +528,6 @@ def minimal_ea_family(prefix, name: str = "minimal") -> EFieldPresentation:
         pairs.append((tau ** (i + 2), coerce(q)))
     return EFieldPresentation(name=name, cyclotomic_order=1,
                               transcendentals=("tau",), egraph=tuple(pairs))
-
-
-def graph_conflicts(f1: EFieldPresentation, f2: EFieldPresentation):
-    """Pairs of (arg, val1, val2) where the two graphs disagree."""
-    out = []
-    for a1, v1 in f1.egraph:
-        for a2, v2 in f2.egraph:
-            if a1 == a2 and v1 != v2:
-                out.append((a1, v1, v2))
-    return out
 
 
 # -- diagnostics -----------------------------------------------------------------

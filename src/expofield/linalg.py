@@ -11,14 +11,15 @@ update, ``_add_multiple``, which touches only the nonzero entries:
   column, as the dense loop that the tests keep as its oracle: a
   FieldElem's printed form depends on how it was computed, and
   eliminating row by row prints other forms of the same values.
-- ``reduce_mod`` and ``extend_basis``, a semi-echelon basis that divides
-  an entry only to eliminate it, each row able to carry its coordinates
-  in the vectors offered: ``ff_rank``, each hull's basis of coordinates in
-  ``efield.HullBasis``, and ``SpanBasis``, which clears field elements
-  into vectors for it and keeps the Q-span of them.
+- ``reduce_mod`` against a semi-echelon basis that divides an entry only
+  to eliminate it: ``extend_basis`` rows, with no coordinates, for
+  ``ff_rank`` and each hull's basis of coordinates in ``efield.HullBasis``,
+  and the rows of ``SpanBasis``, which clears field elements into vectors,
+  keeps the Q-span of them and gives each row its coordinates in them.
 
-``hermite_form`` is the one integer elimination.  Every lattice basis the
-library prints is a Hermite normal form, so it depends only on the lattice.
+``hermite_form`` is the one integer elimination, under the one kernel
+path, ``integer_kernel_basis``.  Every lattice basis the library prints is
+a Hermite normal form, so it depends only on the lattice.
 
 Field elements enter linear algebra over one common denominator D, the
 product of their distinct ``denominators``, which also rejects mixed
@@ -32,10 +33,8 @@ cleared numerators as a dense matrix, is the reference path:
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
 from math import lcm
 
 from .errors import DimensionMismatch
@@ -174,47 +173,33 @@ def _integer_columns(rows):
 
 def integer_kernel_basis(rows):
     """Z-basis of {z in Z^n : rows * z = 0} (a saturated lattice) in Hermite
-    normal form: ``column_kernel_basis`` of the matrix's sparse columns."""
-    n = _check_rect(rows)
-    return column_kernel_basis([[{i: row[j] for i, row in enumerate(rows)
-                                  if row[j]} for j in range(n)]])
+    normal form: the left kernel of the integer columns, read off the
+    transform of their ``hermite_form``, then brought to that form."""
+    _check_rect(rows)
+    h, t = hermite_form(_integer_columns(rows))
+    return hermite_form(t[len(h):])[0]
 
 
 def column_kernel_basis(blocks):
     """Z-basis of the integer z with sum(z_j * column j) = 0, in Hermite
     normal form.  Column j stacks column j of each block, a sparse dict
-    {row key: nonzero rational}; each block has keys of its own.  A column
-    that alone holds some key is zero in every kernel vector, so it is
-    peeled, until every key left is shared, or at once when no two columns
-    share a key, as one union per block finds; each zero column gives its
-    unit vector.  The kernel of the rest is the left kernel of their dense
-    transpose, read off the transform of its ``hermite_form``.  Sorted by
-    pivot, the union is the Hermite normal form of the same lattice: a unit
-    vector's pivot is 1 and no other vector has an entry in its column."""
+    {row key: nonzero rational}; each block has keys of its own.  Each zero
+    column gives its unit vector.  When no two columns share a key, as one
+    union per block finds, every kernel vector is 0 at each other column;
+    else the rest is the ``integer_kernel_basis`` of the nonzero columns.
+    Sorted by pivot, the union is the Hermite normal form of the same
+    lattice: a unit vector's pivot is 1 and no other vector has an entry in
+    its column."""
     n = len(blocks[0])
     live = [j for j, col in enumerate(zip(*blocks)) if any(col)]
     basis = [[0] * j + [1] + [0] * (n - j - 1) for j in range(n)
              if j not in live]
-    parts = blocks  # the live columns of each block; a zero one holds no key
-    while not all(len(set().union(*p)) == sum(map(len, p)) for p in parts):
-        shared = [{k for k, m in Counter(chain(*p)).items() if m > 1}
-                  for p in parts]
-        keep = [j for j in live
-                if all(s.issuperset(b[j]) for s, b in zip(shared, blocks))]
-        if keep == live:
-            break
-        live = keep
-        parts = [[b[j] for j in live] for b in blocks]
-    else:  # no two columns left share a key: each one is peeled
+    if all(len(set().union(*b)) == sum(map(len, b)) for b in blocks):
         return basis
-    h, t = hermite_form(_integer_columns(
-        [[b[j].get(k, 0) for j in live]
-         for b in blocks for k in set().union(*(b[j] for j in live))]))
-    for z in hermite_form(t[len(h):])[0]:
-        v = [0] * n
-        for j, x in zip(live, z):
-            v[j] = x
-        basis.append(v)
+    for z in integer_kernel_basis([[b[j].get(k, 0) for j in live]
+                                   for b in blocks for k in set().union(*b)]):
+        v = dict(zip(live, z))
+        basis.append([v.get(j, 0) for j in range(n)])
     return sorted(basis, key=lambda v: next(j for j, x in enumerate(v) if x))
 
 
@@ -295,20 +280,15 @@ def reduce_mod(basis: list, v: dict, coords=None) -> dict:
     return v
 
 
-def extend_basis(basis: list, v: dict, coords=None) -> bool:
+def extend_basis(basis: list, v: dict) -> bool:
     """Add the sparse vector v to ``basis`` (see ``reduce_mod``), as a row
-    at the first column of its residue; True when v was outside its span.
-    Given ``coords``, v's coordinates in the inputs, the row keeps them
-    less the combination that the reduction takes off v, so each row is
-    the combination of inputs that its coordinates name."""
-    taken = None if coords is None else {}
-    v = reduce_mod(basis, v, taken)
+    at the first column of its residue, with no coordinates; True when v
+    was outside its span."""
+    v = reduce_mod(basis, v)
     if not v:
         return False
-    if taken:
-        _add_multiple(coords, -1, taken)
     c = next(iter(v))
-    basis.append((c, v.pop(c), v, coords))
+    basis.append((c, v.pop(c), v, None))
     return True
 
 
@@ -321,7 +301,7 @@ class SpanBasis:
     monomial to a nonzero rational, an int or a Fraction.  Multiplying by
     D is injective and Q-linear, so which elements are independent, their
     coordinates and the relations among them do not depend on D.  A map is
-    reduced by ``reduce_mod`` against ``extend_basis`` rows, each with its
+    reduced by ``reduce_mod`` against its rows, each with its
     coordinates in the offered elements, by their index: the sum of
     subspaces by Gaussian elimination (H. Cohen, *A Course in Computational
     Algebraic Number Theory*, GTM 138, section 2.3), kept sparse.  An
@@ -340,7 +320,7 @@ class SpanBasis:
         self.dens = denominators(elems, dens)
         self.den_keys = {d.key() for d in self.dens}
         self.elems = []  # offered, in order
-        self.rows = []  # extend_basis rows of cleared offered elements
+        self.rows = []  # reduce_mod rows of cleared offered elements
         for e in elems:
             self.add(e)
 
@@ -374,7 +354,8 @@ class SpanBasis:
         # the row is e * D minus the combination that coords names
         row_coords = {i: -y for i, y in coords.items()}
         row_coords[index] = 1
-        extend_basis(self.rows, v, row_coords)
+        c = next(iter(v))
+        self.rows.append((c, v.pop(c), v, row_coords))
         return {index: 1}
 
     def coordinates(self, e):

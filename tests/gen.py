@@ -1,4 +1,5 @@
-"""Random builders shared by the module tests and the acceptance suite.
+"""Random builders shared by the module tests and the acceptance suite,
+and ``graph_conflicts``, which re-verifies certificates on two graphs.
 
 Varieties are generated so their freeness status is known by construction
 and any integer relation has a representative inside the oracle's search
@@ -18,6 +19,16 @@ from expofield import (EFieldPresentation, FieldElem, ParametricVariety,
 from expofield.efield import adjoin_transcendentals
 
 S = FieldElem.from_symbol
+
+
+def graph_conflicts(f1: EFieldPresentation, f2: EFieldPresentation):
+    """Pairs of (arg, val1, val2) where the two graphs disagree."""
+    out = []
+    for a1, v1 in f1.egraph:
+        for a2, v2 in f2.egraph:
+            if a1 == a2 and v1 != v2:
+                out.append((a1, v1, v2))
+    return out
 
 
 def nonzero_fraction(rng: random.Random, lo=-4, hi=4) -> Fraction:

@@ -12,12 +12,12 @@ from expofield import (FieldElem, ParametricVariety,
                        minimal_ea_family, presentation, solve)
 from expofield import linalg
 from expofield.efield import (WellDefCheck, adjoin_transcendentals,
-                              build_unchecked, graph_conflicts)
+                              build_unchecked)
 from expofield.errors import (ExponentialConflict, LinearDependence,
                               MissingExponential, UnsupportedShape,
                               WellDefFailure, ZeroValue)
 from expofield.exprlang import Add, parse
-from gen import rand_presentation, rand_variety, zspan_pair
+from gen import graph_conflicts, rand_presentation, rand_variety, zspan_pair
 
 S = FieldElem.from_symbol
 ONE = FieldElem.one()

@@ -11,8 +11,7 @@ from expofield.errors import DimensionMismatch
 from expofield.fieldelem import cyclotomic_root
 from expofield.linalg import (SpanBasis, _add_multiple, _integer_columns,
                               column_kernel_basis, coordinate_matrix,
-                              extend_basis, hermite_form, rational_span_solve,
-                              reduce_mod)
+                              hermite_form, rational_span_solve)
 
 S = FieldElem.from_symbol
 
@@ -67,9 +66,10 @@ def test_integer_kernel_saturation():
 
 
 def hermite_kernel(rows):
-    """The integer kernel from two ``hermite_form`` calls and no peel: the
-    left kernel of the transpose, read off the transform, then brought to
-    Hermite normal form."""
+    """The integer kernel from two ``hermite_form`` calls: the left kernel
+    of the transpose, read off the transform, then brought to Hermite
+    normal form.  It is ``integer_kernel_basis``'s own code, which the
+    sympy oracle checks; here it checks ``column_kernel_basis``."""
     h, t = hermite_form(_integer_columns(rows))
     return hermite_form(t[len(h):])[0]
 
@@ -102,8 +102,8 @@ CASCADE = [[1, 1, 0, 0], [0, 2, Fraction(1, 2), 0], [0, 0, 3, 0]]
 @given(peelable_matrices())
 @example([])
 @example([[0, 0, 0]])
-@example(CASCADE)  # each peel makes the next lone entry
-@example([[1, 2, 3], [4, 5, 6]])  # nothing to peel
+@example(CASCADE)  # lone entries, each next to a shared one
+@example([[1, 2, 3], [4, 5, 6]])  # no lone entry
 def test_peeled_integer_kernel_is_the_hermite_kernel(rows):
     assert integer_kernel_basis(rows) == hermite_kernel(rows)
 
@@ -158,10 +158,10 @@ def columns(rows):
 @example([[{0: 1}, {}, {1: 2, 2: Fraction(1, 2)}, {}], [{}, {3: 1}, {}, {}]])
 @example([[{0: 1}, {0: -2}, {}]])  # two columns share their one key
 @example([[{}, {}, {0: 1}], [{0: 1}, {0: -1}, {}]])  # in the second block
-@example(columns(CASCADE))  # each peel makes the next lone key
+@example(columns(CASCADE))  # lone keys, each in a column with a shared one
 @example(columns([[1, 1, 0], [0, 1, 1]]) + [[{}, {0: 1}, {}]])
-@example(columns([[1, 2, 3], [4, 5, 6]]))  # nothing to peel
-@example(columns([[1, 2, 0], [2, 4, 0], [0, 0, 5]]))  # peel, then Hermite
+@example(columns([[1, 2, 3], [4, 5, 6]]))  # every key shared
+@example(columns([[1, 2, 0], [2, 4, 0], [0, 0, 5]]))  # a lone key, and Hermite
 def test_column_kernel_is_the_hermite_kernel(blocks):
     assert column_kernel_basis(blocks) == hermite_kernel(dense_rows(blocks))
 
@@ -252,29 +252,34 @@ sparse_vectors = st.dictionaries(
 @given(st.lists(sparse_vectors, max_size=6), sparse_vectors)
 def test_basis_rows_are_the_combinations_their_coordinates_name(vectors,
                                                                  target):
-    """After ``extend_basis`` with coordinates, each row is the combination
-    of inputs its coordinates name; a reduction's residue, which has no
-    pivot, plus the combination its coordinates name is the vector
-    reduced, and an input leaves no residue."""
+    """Each ``SpanBasis`` row, over the polynomials sum(c_k * t^k) of the
+    vectors, is the combination of inputs its coordinates name; a
+    reduction's residue, which has no pivot, plus the combination its
+    coordinates name is the element reduced, and an input leaves no
+    residue."""
+    t = S("t")
+    elems = [sum((c * t ** k for k, c in v.items()), FieldElem.zero())
+             for v in vectors + [target]]
+    span = SpanBasis().covering(elems)
+    for e in elems[:-1]:
+        span.add(e)
+    cleared = [dict(e.num.terms) for e in elems]  # D is 1
+
     def combination(coords):
         out = {}
         for i, c in coords.items():
-            _add_multiple(out, c, vectors[i])
+            _add_multiple(out, c, cleared[i])
         return out
 
-    basis = []
-    for i, v in enumerate(vectors):
-        extend_basis(basis, dict(v), {i: 1})
-    for c, p, rest, coords in basis:
+    for c, p, rest, coords in span.rows:
         assert combination(coords) == {c: p, **rest}
-    for v in vectors + [target]:
-        coords = {}
-        residue = reduce_mod(basis, dict(v), coords)
-        assert not residue.keys() & {c for c, *_ in basis}
-        assert not residue or v is target
+    for i, e in enumerate(elems):
+        residue, coords = span.reduce(e)
+        assert not residue.keys() & {c for c, *_ in span.rows}
+        assert not residue or i == len(vectors)
         out = combination(coords)
         _add_multiple(out, 1, residue)
-        assert out == v
+        assert out == cleared[i]
 
 
 def test_span_basis_reduce_rejects_an_uncleared_element():

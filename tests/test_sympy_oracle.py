@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -273,8 +273,13 @@ fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 @settings(max_examples=150, deadline=None)
 @given(int_matrices(entries=st.one_of(st.just(Fraction(0)), fractions)))
+@example([])
+@example([[0, 0, 0]])
+# test_linalg's CASCADE
+@example([[1, 1, 0, 0], [0, 2, Fraction(1, 2), 0], [0, 0, 3, 0]])
+@example([[1, 2, 3], [4, 5, 6]])
 def test_integer_kernel_basis_is_a_saturated_basis_of_the_null_space(rows):
-    n = len(rows[0])
+    n = len(rows[0]) if rows else 0
     basis = integer_kernel_basis(rows)
     a = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
                        for x in row] for row in rows])

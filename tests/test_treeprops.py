@@ -14,6 +14,7 @@ from expofield.fieldelem import cyclotomic_root
 from expofield.treeprops import PHI_TEXT, PSI_TEXT
 from expofield.errors import (CyclotomicOrderMismatch, NotTranscendental,
                               SchemaError, UnsupportedShape, ZeroValue)
+from gen import graph_conflicts
 
 S = FieldElem.from_symbol
 ONE = FieldElem.one()
@@ -185,7 +186,6 @@ class TestTypeFamily:
         assert all(n == 1 for _, _, n in fam.certificates)
 
     def test_certificates_reverify_on_graphs(self):
-        from expofield.efield import graph_conflicts
         fam = type_family(presentation("Q"),
                           [{1: 2, 2: 5}, {1: 2, 2: 7}])
         i, j, n = fam.certificates[0]
