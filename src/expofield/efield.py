@@ -12,16 +12,19 @@ A presentation's linear structure is computed once: its ``arg_basis`` is a
 semi-echelon basis of the arguments (``linalg.SpanBasis``), built when the
 graph is validated and kept with the presentation, which is immutable.
 ``e_eval`` has one path: it asks that basis for the coordinates of its
-target.  Every hull comes from a ``HullBasis``: one basis of 1 and of the
-elements offered to it, against which the arguments are reduced once and
-then kept reduced, so the hulls made inside one ``indep`` call or one node
-of an independent system share that work; ``hull`` is one such hull on a
-basis of its own.  A hull keys each generator by its ``key()``, which
-callers may share across presentations.  Each round's lattice is the
-integer kernel of the arguments' sparse residues and coordinates modulo
-the generators.  ``SpanBasis`` decides how elements are cleared of
-denominators.  No result is cached between calls, nor on the presentation
-beyond ``arg_basis``.  Every lattice basis here is a Hermite normal form
+target, and at order 1 takes the value product by multiplication alone
+when the presentation's values form a coprime base (``coprime_vals``,
+computed once, when a product first needs it).  Every hull comes from a
+``HullBasis``: one basis of 1 and of the elements offered to it, against
+which the arguments are reduced once and then kept reduced, so the hulls
+made inside one ``indep`` call or one node of an independent system share
+that work; ``hull`` is one such hull on a basis of its own.  A hull keys
+each generator by its ``key()``, which callers may share across
+presentations.  Each round's lattice is the integer kernel of the
+arguments' sparse residues and coordinates modulo the generators.
+``SpanBasis`` decides how elements are cleared of denominators.  No result
+is cached between calls, nor on the presentation beyond ``arg_basis`` and
+``coprime_vals``.  Every lattice basis here is a Hermite normal form
 (``linalg.hermite_form``), also the unit vectors that
 ``column_kernel_basis`` returns without it.
 """
@@ -37,7 +40,8 @@ from .errors import (ExponentialConflict, LinearDependence, MissingExponential,
                      UnsupportedShape, WellDefFailure, ZeroValue)
 from . import exprlang
 from .exprlang import ETerm, Exp, fresh_name
-from .fieldelem import FieldElem, coerce, int_combination, power_product
+from .fieldelem import (FieldElem, coerce, coprime_base, coprime_power_product,
+                        int_combination, power_product)
 from .linalg import (SpanBasis, _integer_columns, column_kernel_basis,
                      extend_basis, hermite_form, integer_kernel_basis,
                      reduce_mod, span_matrix)
@@ -72,6 +76,14 @@ class EFieldPresentation:
         first use).  Every constructor returns a new, immutable presentation,
         so it is never stale, and ``coordinates`` never grows it."""
         return SpanBasis(self.args)
+
+    @cached_property
+    def coprime_vals(self) -> bool:
+        """Whether the values form a coprime base (``coprime_base``), so
+        that ``e_eval`` takes their power products by multiplication alone;
+        computed when a product first has two non-constant factors, and kept
+        like ``arg_basis``."""
+        return coprime_base(self.vals)
 
 
 def _graph_violations(f):
@@ -189,14 +201,21 @@ def e_eval(f: EFieldPresentation, a: FieldElem) -> EEvalResult:
 
     The coordinates come from one reduction of ``a`` against
     ``f.arg_basis``, which clears ``a`` itself; E(0) = 1 is the empty
-    product.
+    product.  At order 1 the product is ``coprime_power_product``: by
+    multiplication alone when at most one factor is not constant or the
+    values form a coprime base (``f.coprime_vals``, asked only then), else
+    the ``power_product`` fold, which every other caller and order keeps.
+    Both print the same value.
     """
     coords = f.arg_basis.coordinates(coerce(a, f.cyclotomic_order))
     if coords is None:
         return EEvalResult(outside_span=True)
     if all(q.denominator == 1 for q in coords):
-        return EEvalResult(value=power_product(f.vals, coords,
-                                               f.cyclotomic_order))
+        if f.cyclotomic_order > 1:
+            return EEvalResult(value=power_product(f.vals, coords,
+                                                   f.cyclotomic_order))
+        return EEvalResult(value=coprime_power_product(
+            f.vals, coords, lambda: f.coprime_vals))
     roots = tuple((val, q.denominator)
                   for q, (_, val) in zip(coords, f.egraph)
                   if q.denominator != 1)

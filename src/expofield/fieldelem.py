@@ -31,6 +31,22 @@ two folds: ``int_combination`` for the sum and ``power_product`` for the
 product.  Both skip zero entries and start from the first nonzero term or
 factor rather than from a fresh 0 or 1; normalization is idempotent, so the
 result prints the same either way and one multiplication is saved.
+
+Coprime-base rule: at order 1 every element has no common monomial and no
+exact division either way.  If the non-constant numerators and
+denominators of some elements are pairwise coprime, each element's own
+pair included (``coprime_base``), then no product of their powers can
+cancel either, by unique factorization.  Such a product is the product of
+the numerators' powers over that of the denominators', where a negative
+exponent swaps the two, rescaled once after a swap and not at all
+otherwise (Gauss's lemma); ``coprime_power_product`` takes it so, with no
+trial division.  It prints what ``power_product`` prints, since both are
+the reduced quotient whose denominator is primitive with a positive
+leading coefficient, and that is unique.  Equal bases are not merged into
+one power first: ``power_product`` does not merge them, so for p = t1 + 1
+and q = t2 + 3 it leaves ``p ** -1 * q ** -1 * p ** 2`` as p^2/(p*q), and a
+merged p/q would print differently.  Equal bases are no coprime base, so
+such a product takes ``power_product``.
 """
 
 from __future__ import annotations
@@ -298,6 +314,103 @@ def power_product(bases, exps, order: int = 1) -> FieldElem:
             factor = coerce(b, order) ** int(z)
             out = factor if out is None else out * factor
     return FieldElem.one(order) if out is None else out
+
+
+def coprime_power_product(bases, exps, coprime) -> FieldElem:
+    """``power_product(bases, exps)`` over order-1 ``FieldElem`` bases, by
+    multiplication alone when nothing can cancel (the coprime-base rule):
+    the numerators' powers over the denominators' powers, where a negative
+    exponent swaps the two, rescaled once and only after such a swap.
+    That holds when at most one base with a nonzero exponent is not
+    constant, or else when ``coprime()``, asked at the second such base,
+    says the bases form a coprime base (``coprime_base``).  Otherwise, and
+    for a base of a higher order, this is ``power_product``."""
+    num = den = None
+    inverted = nonconstant = False
+    for b, z in zip(bases, exps):
+        if not z:
+            continue
+        if b.num.order > 1:
+            return power_product(bases, exps)
+        if not b.is_constant():
+            if nonconstant and not coprime():
+                return power_product(bases, exps)
+            nonconstant = True
+        p, q, z = b.num, b.den, int(z)
+        if z < 0:
+            p, q, z, inverted = q, p, -z, True
+        p = p ** z
+        num = p if num is None else num * p
+        if q.terms != _ONE_TERMS:
+            q = q ** z
+            den = q if den is None else den * q
+    if num is None:
+        return FieldElem.one()
+    if den is None:
+        return _elem(num, MPoly.const(1))
+    return _elem(*_rescale(num, den)) if inverted else _elem(num, den)
+
+
+def coprime_base(elems) -> bool:
+    """Whether the non-constant numerators and denominators of the order-1
+    elements ``elems`` are pairwise coprime, each element's own pair
+    included.  One-sided: True is proven, False may be a miss.
+
+    Two polynomials that share a factor share a symbol x of it.  With the
+    other symbols set to integers at which both x-degrees are kept, that
+    factor keeps its own x-degree, so it divides both specializations.
+    So a pair passes when, for each symbol x both hold, the GCD of the
+    specializations over Q[x] is 1.  Each x gets up to three points; a
+    pair fails when none keeps both degrees."""
+    polys = [(p.symbols(), [(c, decode(m)) for m, c in p.terms.items()])
+             for e in elems for p in (e.num, e.den) if not p.is_constant()]
+    for i, (syms_p, p) in enumerate(polys):
+        for syms_q, q in polys[:i]:
+            for x in syms_p & syms_q:
+                others = sorted((syms_p | syms_q) - {x})
+                for k in range(1, 4):
+                    point = {s: (j + 1) * k + 1 for j, s in enumerate(others)}
+                    a, b = _specialize(p, x, point), _specialize(q, x, point)
+                    if a[-1] and b[-1]:
+                        break
+                else:
+                    return False
+                while b:
+                    a, b = b, _remainder(a, b)
+                if len(a) > 1:
+                    return False
+    return True
+
+
+def _specialize(terms, x: str, point: dict) -> list:
+    """The coefficients, lowest degree first, of the polynomial with terms
+    ``(c, decode(mono))`` in x, with every other symbol s set to point[s];
+    the last is that of the polynomial's own x-degree, and may be 0."""
+    out = {}
+    for c, pairs in terms:
+        d = 0
+        for s, e in pairs:
+            if s == x:
+                d = e
+            else:
+                c *= point[s] ** e
+        out[d] = out.get(d, 0) + c
+    return [out.get(d, 0) for d in range(max(out) + 1)]
+
+
+def _remainder(a: list, b: list) -> list:
+    """a mod b over Q, as coefficient lists with nonzero last entries."""
+    a = list(a)
+    n = len(b) - 1
+    for i in range(len(a) - 1 - n, -1, -1):
+        q = Fraction(a[i + n], b[n])
+        if q:
+            for j, c in enumerate(b):
+                a[i + j] -= q * c
+    del a[n:]
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def cyclotomic_root(order: int, power: int = 1) -> FieldElem:

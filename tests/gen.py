@@ -1,5 +1,7 @@
 """Random builders shared by the module tests and the acceptance suite,
-and ``graph_conflicts``, which re-verifies certificates on two graphs.
+``graph_conflicts``, which re-verifies certificates on two graphs, and the
+integer matrices that the kernel tests of ``test_linalg`` and
+``test_sympy_oracle`` share.
 
 Varieties are generated so their freeness status is known by construction
 and any integer relation has a representative inside the oracle's search
@@ -13,6 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from expofield import (EFieldPresentation, FieldElem, ParametricVariety,
                        coerce, e_eval, extend_graph, presentation)
@@ -331,3 +335,29 @@ def shared_sibling_system(rng: random.Random, n: int):
     nodes = {a: adjoin_transcendentals(f, ["gg"]) if (i in a or j in a) else f
              for a, f in s.nodes.items()}
     return IndepSystem(n=n, nodes=nodes)
+
+
+# -- integer kernels ---------------------------------------------------------
+
+kernel_entries = st.one_of(st.just(0), st.integers(-4, 4),
+                           st.fractions(-4, 4, max_denominator=4))
+
+
+@st.composite
+def peelable_matrices(draw):
+    """int and Fraction matrices up to 8x8, biased to zero columns and to
+    rows with one nonzero entry."""
+    ncols = draw(st.integers(0, 8))
+    zero_cols = draw(st.sets(st.integers(0, 7), max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [0 if j in zero_cols else draw(kernel_entries)
+               for j in range(ncols)]
+        if ncols and draw(st.booleans()):
+            keep = draw(st.integers(0, ncols - 1))
+            row = [x if j == keep else 0 for j, x in enumerate(row)]
+        rows.append(row)
+    return rows
+
+
+CASCADE = [[1, 1, 0, 0], [0, 2, Fraction(1, 2), 0], [0, 0, 3, 0]]

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from expofield.fieldelem import (FieldElem, _elem, coerce, cyclotomic_root,
+from expofield.fieldelem import (FieldElem, _elem, coerce, coprime_base,
+                                 coprime_power_product, cyclotomic_root,
                                  eliminate_symbols, int_combination,
                                  power_product)
 from expofield.errors import UnknownVariable
@@ -252,3 +253,93 @@ def test_folds_skip_zero_entries():
             == t1 / 2 - 3 * t2)
     assert int_combination([0], [t1]).is_zero()
     assert int_combination([1], [2]) == 2
+
+
+# -- power products over a coprime base ---------------------------------------
+
+# irreducible and pairwise coprime: the symbols, the forms t_i + r for
+# distinct r, and two linear forms in two symbols
+PIECES = [S(n) + r for n in ("t1", "t2", "t3")
+          for r in (0, 1, -2, Fraction(3, 2))]
+PIECES += [S("t1") + S("t2"), S("t1") - 2 * S("t3") + 1]
+nonzero_scalars = scalars.filter(bool)
+
+
+@st.composite
+def value_lists(draw):
+    """(values, exponents, coprime): values made of distinct pieces, each a
+    rational constant, c * piece, c / piece or c * piece / piece; half the
+    time one more value repeats a value or is the product of two, so that
+    the list is not a coprime base."""
+    pieces = iter(draw(st.permutations(PIECES)))
+    vals = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind, c = draw(st.integers(0, 3)), draw(nonzero_scalars)
+        if kind == 0:
+            vals.append(coerce(c))
+        elif kind == 1:
+            vals.append(c * next(pieces))
+        elif kind == 2:
+            vals.append(c / next(pieces))
+        else:
+            vals.append(c * next(pieces) / next(pieces))
+    coprime = draw(st.booleans())
+    if not coprime:
+        i, j = (draw(st.integers(0, len(vals) - 1)) for _ in range(2))
+        vals.append(vals[i] if draw(st.booleans()) else vals[i] * vals[j])
+        coprime = vals[-1].is_constant()
+    exps = draw(st.lists(st.integers(-3, 3), min_size=len(vals),
+                         max_size=len(vals)))
+    return vals, exps, coprime
+
+
+P1, Q3 = T1 + 1, T2 + 3
+TRAP = ([P1, Q3, P1], [-1, -1, 2], False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_lists())
+@example(TRAP)
+@example(([P1, P1], [1, -1], False))
+@example(([(T1 + 1) * T2, (T1 + 1) * S("t3")], [1, 1], False))
+@example(([coerce(2), T1 / 3, T2 - 2], [-2, 1, -1], True))
+def test_coprime_power_product_prints_as_power_product(case):
+    """The check passes exactly the lists that are coprime by construction
+    (it may miss others, but not these), and the multiply-only product
+    prints what the fold prints, also where the check sends it back to the
+    fold."""
+    vals, exps, coprime = case
+    flag = coprime_base(vals)
+    assert flag == coprime
+    fast = coprime_power_product(vals, exps, lambda: flag)
+    assert str(fast) == str(power_product(vals, exps))
+
+
+def test_coprime_base_pins():
+    t3 = S("t3")
+    # the leading coefficient in t1 vanishes at the first point, t2 = 2,
+    # and not at the second, t2 = 3
+    lead = (T2 - 2) * T1 + 1
+    assert coprime_base([lead, T1 + 3])
+    # it vanishes at all three points (t2 = 2, 3, 4): a miss, not an error
+    assert not coprime_base([(T2 - 2) * (T2 - 3) * (T2 - 4) * T1 + 1, T1 + 3])
+    assert not coprime_base([P1, P1])
+    assert not coprime_base([(T1 + 1) * T2, (T1 + 1) * t3])
+    # an element's own pair: nothing cancels in (p*(t1 - 1))/(p*t2)
+    own = FieldElem((P1 * (T1 - 1)).num, (P1 * T2).num)
+    assert str(own) == "(t1^2 - 1)/(t1*t2 + t2)" and not coprime_base([own])
+    assert coprime_base([coerce(2), T1, 1 / T2, (T1 + T2) / (t3 - 1)])
+    # equal bases are not merged: the fold leaves p^2/(p*q) as it is
+    text = "(t1^2 + 2*t1 + 1)/(t1*t2 + 3*t1 + t2 + 3)"
+    vals, exps, _ = TRAP
+    assert str(power_product(vals, exps)) == text
+    assert str(coprime_power_product(vals, exps,
+                                     lambda: coprime_base(vals))) == text
+    for vals, exps in (([lead, T1 + 3, 1 / T2], [2, -3, -1]),
+                       ([coerce(3), T1 + 1], [-1, 2]), ([T1, T2], [0, 0])):
+        assert str(coprime_power_product(vals, exps, lambda: True)) == \
+            str(power_product(vals, exps))
+    # a base of a higher order takes the fold, which works at that order
+    z = cyclotomic_root(3)
+    assert coprime_power_product([T1, z], [1, 2], lambda: True) == \
+        T1 * z ** 2

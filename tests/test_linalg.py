@@ -12,6 +12,7 @@ from expofield.fieldelem import cyclotomic_root
 from expofield.linalg import (SpanBasis, _add_multiple, _integer_columns,
                               column_kernel_basis, coordinate_matrix,
                               hermite_form, rational_span_solve)
+from gen import CASCADE, kernel_entries
 
 S = FieldElem.from_symbol
 
@@ -72,40 +73,6 @@ def hermite_kernel(rows):
     sympy oracle checks; here it checks ``column_kernel_basis``."""
     h, t = hermite_form(_integer_columns(rows))
     return hermite_form(t[len(h):])[0]
-
-
-kernel_entries = st.one_of(st.just(0), st.integers(-4, 4),
-                           st.fractions(-4, 4, max_denominator=4))
-
-
-@st.composite
-def peelable_matrices(draw):
-    """int and Fraction matrices up to 8x8, biased to zero columns and to
-    rows with one nonzero entry."""
-    ncols = draw(st.integers(0, 8))
-    zero_cols = draw(st.sets(st.integers(0, 7), max_size=4))
-    rows = []
-    for _ in range(draw(st.integers(0, 8))):
-        row = [0 if j in zero_cols else draw(kernel_entries)
-               for j in range(ncols)]
-        if ncols and draw(st.booleans()):
-            keep = draw(st.integers(0, ncols - 1))
-            row = [x if j == keep else 0 for j, x in enumerate(row)]
-        rows.append(row)
-    return rows
-
-
-CASCADE = [[1, 1, 0, 0], [0, 2, Fraction(1, 2), 0], [0, 0, 3, 0]]
-
-
-@settings(max_examples=200, deadline=None)
-@given(peelable_matrices())
-@example([])
-@example([[0, 0, 0]])
-@example(CASCADE)  # lone entries, each next to a shared one
-@example([[1, 2, 3], [4, 5, 6]])  # no lone entry
-def test_peeled_integer_kernel_is_the_hermite_kernel(rows):
-    assert integer_kernel_basis(rows) == hermite_kernel(rows)
 
 
 def dense_rows(blocks):

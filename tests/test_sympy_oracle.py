@@ -19,7 +19,9 @@ Each row is cleared of denominators into ``QQ(zeta_m)[t1, t2, t3]`` and
 ranked by the fraction-free ``DomainMatrix.rref_den``; ``rank`` over the
 fraction field gives the same ranks, but spent up to a minute on single
 examples.  ``hermite_form`` must give the same H for every basis of a
-lattice.  Skipped where sympy does not import.
+lattice.  Whenever ``coprime_base`` passes a list of elements, sympy's
+``gcd`` of every two of their non-constant numerators and denominators is
+a constant.  Skipped where sympy does not import.
 """
 
 import functools
@@ -34,10 +36,11 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from expofield.fieldelem import FieldElem  # noqa: E402
+from expofield.fieldelem import FieldElem, coprime_base  # noqa: E402
 from expofield.linalg import (ff_rank, hermite_form,  # noqa: E402
                               integer_kernel_basis)
 from expofield.mpoly import MPoly  # noqa: E402
+from gen import CASCADE, peelable_matrices  # noqa: E402
 
 NAMES = ("t1", "t2", "t3")
 Z = sympy.Symbol("zeta")
@@ -242,6 +245,40 @@ def test_fieldelem_equality_matches_cancel(case):
         assert not (p * b ** abs(k) - q * a ** abs(k)).rem(cyclo)
 
 
+@st.composite
+def value_bases(draw):
+    """Two to four order-1 quotients of small polynomials; each numerator
+    and denominator takes a factor shared with others a third of the
+    time, so many lists are no coprime base."""
+    shared = build(draw(terms(1, zeta=False, max_terms=2)), 1)[0]
+    out = []
+    for _ in range(draw(st.integers(2, 4))):
+        num, den = (build(draw(terms(1, zeta=False, max_terms=3)), 1)[0]
+                    for _ in range(2))
+        if draw(st.integers(0, 2)) == 0:
+            num = num * shared
+        if draw(st.integers(0, 2)) == 0:
+            den = den * shared
+        if not num.is_zero():
+            out.append(FieldElem(num, den) if not den.is_zero()
+                       else FieldElem(num))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(value_bases())
+def test_a_coprime_base_is_one_for_sympy(vals):
+    """One-sided: whenever ``coprime_base`` says yes, sympy's GCD of every
+    two of the non-constant numerators and denominators is a constant."""
+    if not coprime_base(vals):
+        return
+    polys = [_as_poly(p) for e in vals for p in (e.num, e.den)
+             if not p.is_constant()]
+    for i, p in enumerate(polys):
+        for q in polys[:i]:
+            assert sympy.gcd(p, q).is_ground
+
+
 # -- integer lattices and function-field rank ---------------------------------
 
 
@@ -275,14 +312,29 @@ fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 @given(int_matrices(entries=st.one_of(st.just(Fraction(0)), fractions)))
 @example([])
 @example([[0, 0, 0]])
-# test_linalg's CASCADE
-@example([[1, 1, 0, 0], [0, 2, Fraction(1, 2), 0], [0, 0, 3, 0]])
+@example(CASCADE)
 @example([[1, 2, 3], [4, 5, 6]])
 def test_integer_kernel_basis_is_a_saturated_basis_of_the_null_space(rows):
+    _assert_saturated_kernel(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(peelable_matrices())
+@example([])
+@example([[0, 0, 0]])
+@example(CASCADE)  # lone entries, each next to a shared one
+@example([[1, 2, 3], [4, 5, 6]])  # no lone entry
+def test_peeled_integer_kernel_is_the_hermite_kernel(rows):
+    """The Hermite kernel on matrices up to 8x8, biased to zero columns and
+    to rows with one nonzero entry, also with no row or no column."""
+    _assert_saturated_kernel(rows)
+
+
+def _assert_saturated_kernel(rows):
     n = len(rows[0]) if rows else 0
     basis = integer_kernel_basis(rows)
-    a = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
-                       for x in row] for row in rows])
+    a = sympy.Matrix(len(rows), n, [sympy.Rational(x.numerator, x.denominator)
+                                    for row in rows for x in row])
     for z in basis:
         assert all(x.__class__ is int for x in z)
         assert a * sympy.Matrix(z) == sympy.zeros(len(rows), 1)
