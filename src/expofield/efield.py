@@ -36,10 +36,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (ExponentialConflict, LinearDependence, MissingExponential,
-                     UnsupportedShape, WellDefFailure, ZeroValue)
+from .errors import (CyclotomicOrderMismatch, ExponentialConflict,
+                     LinearDependence, MissingExponential, UnsupportedShape,
+                     WellDefFailure, ZeroValue)
 from . import exprlang
-from .exprlang import ETerm, Exp, fresh_name
+from .exprlang import ETerm, Lit, Var, fresh_name
 from .fieldelem import (FieldElem, coerce, coprime_base, coprime_power_product,
                         int_combination, power_product)
 from .linalg import (SpanBasis, _integer_columns, column_kernel_basis,
@@ -88,16 +89,27 @@ class EFieldPresentation:
 
 def _graph_violations(f):
     """Yield the graph's invariant violations, lazily and in a fixed order:
-    zero values and zero arguments by index, then one integer relation among
-    the nonzero arguments, as a certificate over all graph indices, then the
-    symbols the graph names but the transcendentals do not."""
+    by index, zero values, zero arguments, and arguments and values of a
+    cyclotomic order neither 1 nor the presentation's; then, when there was
+    no such order, one integer relation among the nonzero arguments, as a
+    certificate over all graph indices; then the symbols the graph names
+    but the transcendentals do not."""
+    ok, foreign = (1, f.cyclotomic_order), False
     for i, (a, v) in enumerate(f.egraph):
         if v.is_zero():
             yield {"kind": "zero_value", "index": i}
         if a.is_zero():
             yield {"kind": "zero_argument", "index": i}
+        if a.order in ok and v.order in ok:
+            continue
+        foreign = True
+        for part, e in (("argument", a), ("value", v)):
+            if e.order not in ok:
+                yield {"kind": "foreign_order", "index": i, "part": part,
+                       "order": e.order}
     idx = [i for i, (a, _) in enumerate(f.egraph) if not a.is_zero()]
-    if len(f.arg_basis.rows) < len(idx):  # a nonzero argument added no row
+    # a nonzero argument that added no row to the basis is dependent
+    if not foreign and len(f.arg_basis.rows) < len(idx):
         rel = integer_kernel_basis(span_matrix([f.egraph[i][0] for i in idx]))
         cert = [0] * len(f.egraph)
         for i, z in zip(idx, rel[0]):
@@ -121,6 +133,10 @@ def _validate_graph(f: EFieldPresentation) -> None:
             unit, "E(0)=1 is implicit; 0 cannot be a graph argument")
     if bad["kind"] == "undeclared_symbols":
         raise UnsupportedShape(f"undeclared symbols {bad['symbols']}")
+    if bad["kind"] == "foreign_order":
+        raise CyclotomicOrderMismatch(
+            f"graph {bad['part']} {bad['index']} has cyclotomic order "
+            f"{bad['order']} in a presentation of order {f.cyclotomic_order}")
     raise LinearDependence(bad["certificate"])
 
 
@@ -578,34 +594,27 @@ def check_presentation(f: EFieldPresentation) -> dict:
 
 
 def eval_term(f: EFieldPresentation, term: ETerm, assignment: dict) -> FieldElem:
-    """Evaluate an exponential term; E-subterms go through e_eval.
+    """Evaluate an exponential term by ``exprlang.evaluate`` over field
+    elements; E-subterms go through e_eval.
 
     Raises MissingExponential when the graph does not determine a value.
     """
     order = f.cyclotomic_order
-    if isinstance(term, exprlang.IntLit):
-        return FieldElem.from_int(term.value, order)
-    if isinstance(term, exprlang.RatLit):
-        return coerce(term.value, order)
-    if isinstance(term, exprlang.Var):
-        if term.name in assignment:
-            return coerce(assignment[term.name], order)
-        return FieldElem.from_symbol(term.name, order)
-    if isinstance(term, exprlang.Add):
-        return eval_term(f, term.left, assignment) + eval_term(f, term.right, assignment)
-    if isinstance(term, exprlang.Sub):
-        return eval_term(f, term.left, assignment) - eval_term(f, term.right, assignment)
-    if isinstance(term, exprlang.Mul):
-        return eval_term(f, term.left, assignment) * eval_term(f, term.right, assignment)
-    if isinstance(term, exprlang.Pow):
-        return eval_term(f, term.base, assignment) ** term.exponent
-    if isinstance(term, Exp):
-        inner = eval_term(f, term.arg, assignment)
+
+    def leaf(node):
+        if isinstance(node, Lit):
+            return coerce(node.value, order)
+        if isinstance(node, Var):
+            if node.name in assignment:
+                return coerce(assignment[node.name], order)
+            return FieldElem.from_symbol(node.name, order)
+        # a leaf that named itself would be a reference cycle on every call
+        inner = eval_term(f, node.arg, assignment)
         ev = e_eval(f, inner)
         if not ev.is_value:
             raise MissingExponential(f"E({inner}) is not determined by the graph")
         return ev.value
-    raise TypeError(f"not an ETerm: {term!r}")
+    return exprlang.evaluate(term, leaf)
 
 
 def eval_system(f: EFieldPresentation, system, assignment: dict) -> bool:

@@ -15,6 +15,10 @@ Grammar::
 Unary minus binds below ``^``, so ``-t^2`` is ``-(t^2)``, as ordinary
 notation and ``MPoly.__str__`` have it.
 
+A term has five node kinds: ``Lit``, ``Var``, ``BinOp`` (``+``, ``-`` or
+``*``), ``Pow`` and ``Exp``.  ``evaluate`` is the one fold over terms, so
+``term_to_poly`` and ``efield.eval_term`` differ only in their leaves.
+
 ``E`` is reserved.  The same term grammar (with the reserved identifier
 ``zeta`` and an optional top-level ``(num)/(den)``) is the canonical textual
 form of field elements used in JSON payloads.
@@ -22,6 +26,7 @@ form of field elements used in JSON payloads.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,13 +45,8 @@ class ETerm:
 
 
 @dataclass(frozen=True)
-class IntLit(ETerm):
-    value: int = 0
-
-
-@dataclass(frozen=True)
-class RatLit(ETerm):
-    value: Fraction = Fraction(0)
+class Lit(ETerm):
+    value: int | Fraction = 0  # a Fraction prints as num/den, even over 1
 
 
 @dataclass(frozen=True)
@@ -55,19 +55,8 @@ class Var(ETerm):
 
 
 @dataclass(frozen=True)
-class Add(ETerm):
-    left: ETerm = None
-    right: ETerm = None
-
-
-@dataclass(frozen=True)
-class Sub(ETerm):
-    left: ETerm = None
-    right: ETerm = None
-
-
-@dataclass(frozen=True)
-class Mul(ETerm):
+class BinOp(ETerm):
+    op: str = "+"  # "+" | "-" | "*"
     left: ETerm = None
     right: ETerm = None
 
@@ -186,15 +175,14 @@ class _Parser:
         node = self.parse_prod()
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
-            rhs = self.parse_prod()
-            node = Add(left=node, right=rhs) if op == "+" else Sub(left=node, right=rhs)
+            node = BinOp(op, node, self.parse_prod())
         return node
 
     def parse_prod(self) -> ETerm:
         node = self.parse_factor()
         while self.peek()[0] == "*":
             self.next()
-            node = Mul(left=node, right=self.parse_factor())
+            node = BinOp("*", node, self.parse_factor())
         return node
 
     def parse_factor(self) -> ETerm:
@@ -202,11 +190,9 @@ class _Parser:
             return self.parse_pow()
         self.next()
         inner = self.parse_factor()
-        if isinstance(inner, IntLit):
-            return IntLit(value=-inner.value)
-        if isinstance(inner, RatLit):
-            return RatLit(value=-inner.value)
-        return Mul(left=IntLit(value=-1), right=inner)
+        if isinstance(inner, Lit):
+            return Lit(-inner.value)
+        return BinOp("*", Lit(-1), inner)
 
     def parse_pow(self) -> ETerm:
         base = self.parse_unit()
@@ -218,15 +204,12 @@ class _Parser:
 
     def parse_unit(self) -> ETerm:
         kind, val = self.peek()[:2]
-        if kind == "INT":
-            self.next()
-            return IntLit(value=int(val))
-        if kind == "RAT":
-            num, den = map(int, val.split("/"))
-            if not den:
+        if kind in ("INT", "RAT"):
+            num, _, den = val.partition("/")
+            if den and not int(den):
                 self.fail("a nonzero denominator")
             self.next()
-            return RatLit(value=Fraction(num, den))
+            return Lit(Fraction(int(num), int(den)) if den else int(num))
         if kind == "IDENT":
             self.next()
             if val == "E":
@@ -259,36 +242,34 @@ def parse(text: str, kind: str = "system"):
 # -- printer ------------------------------------------------------------------
 
 _PREC_SUM, _PREC_PROD, _PREC_POW, _PREC_UNIT = 1, 2, 3, 4
+# a BinOp's op -> its function, precedence and printed form
+_OPS = {"+": (operator.add, _PREC_SUM, " + "),
+        "-": (operator.sub, _PREC_SUM, " - "),
+        "*": (operator.mul, _PREC_PROD, "*")}
+
+
+def _is_int(t: ETerm, v: int) -> bool:  # not a Fraction equal to v
+    return isinstance(t, Lit) and type(t.value) is int and t.value == v
 
 
 def _print_term(t: ETerm, prec: int) -> str:
-    if isinstance(t, IntLit):
-        s = str(t.value)
-        return s
-    if isinstance(t, RatLit):
+    if isinstance(t, Lit):
         v = t.value
-        if v < 0:
-            return f"-{-v.numerator}/{v.denominator}"
-        return f"{v.numerator}/{v.denominator}"
+        return str(v) if type(v) is int else f"{v.numerator}/{v.denominator}"
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Exp):
         return f"E({_print_term(t.arg, _PREC_SUM)})"
-    if isinstance(t, Add):
-        s = f"{_print_term(t.left, _PREC_SUM)} + {_print_term(t.right, _PREC_PROD)}"
-        return f"({s})" if prec > _PREC_SUM else s
-    if isinstance(t, Sub):
-        s = f"{_print_term(t.left, _PREC_SUM)} - {_print_term(t.right, _PREC_PROD)}"
-        return f"({s})" if prec > _PREC_SUM else s
-    if isinstance(t, Mul):
-        if isinstance(t.left, IntLit) and t.left.value == -1:
+    if isinstance(t, BinOp) and t.op in _OPS:
+        _, p, sep = _OPS[t.op]  # the left operand binds at p, the right above
+        if t.op == "*" and _is_int(t.left, -1):
             s = "-" + _print_term(t.right, _PREC_UNIT)
-            return f"({s})" if prec > _PREC_PROD else s
-        s = f"{_print_term(t.left, _PREC_PROD)}*{_print_term(t.right, _PREC_POW)}"
-        return f"({s})" if prec > _PREC_PROD else s
+        else:
+            s = _print_term(t.left, p) + sep + _print_term(t.right, p + 1)
+        return f"({s})" if prec > p else s
     if isinstance(t, Pow):
         s = _print_term(t.base, _PREC_UNIT)
-        if isinstance(t.base, (IntLit, RatLit)) and t.base.value < 0:
+        if isinstance(t.base, Lit) and t.base.value < 0:
             s = f"({s})"  # "-2^2" would read as -(2^2)
         s = f"{s}^{t.exponent}"
         return f"({s})" if prec > _PREC_POW else s
@@ -314,7 +295,7 @@ def print_system(s: ESystem) -> str:
 def term_symbols(t: ETerm) -> set:
     if isinstance(t, Var):
         return {t.name}
-    if isinstance(t, (Add, Sub, Mul)):
+    if isinstance(t, BinOp):
         return term_symbols(t.left) | term_symbols(t.right)
     if isinstance(t, Pow):
         return term_symbols(t.base)
@@ -351,13 +332,13 @@ def eliminate_inequations(s: ESystem) -> ESystem:
             atoms.append(a)
             continue
         w = fresh_name("_w", used)
-        if isinstance(a.rhs, IntLit) and a.rhs.value == 0:
+        if _is_int(a.rhs, 0):
             diff = a.lhs
-        elif isinstance(a.lhs, IntLit) and a.lhs.value == 0:
+        elif _is_int(a.lhs, 0):
             diff = a.rhs
         else:
-            diff = Sub(left=a.lhs, right=a.rhs)
-        atoms.append(Atom(Mul(left=diff, right=Var(name=w)), "eq", IntLit(value=1)))
+            diff = BinOp("-", a.lhs, a.rhs)
+        atoms.append(Atom(BinOp("*", diff, Var(w)), "eq", Lit(1)))
     return ESystem(tuple(atoms))
 
 
@@ -379,25 +360,27 @@ class FlatSystem:
     aux_count: int
 
 
-def term_to_poly(t: ETerm, order: int = 1) -> MPoly:
-    """Convert an Exp-free term to a polynomial (Pow expands via powers)."""
-    if isinstance(t, IntLit):
-        return MPoly.const(t.value, order)
-    if isinstance(t, RatLit):
-        return MPoly.const(t.value, order)
-    if isinstance(t, Var):
-        return MPoly.var(t.name, order)
-    if isinstance(t, Add):
-        return term_to_poly(t.left, order) + term_to_poly(t.right, order)
-    if isinstance(t, Sub):
-        return term_to_poly(t.left, order) - term_to_poly(t.right, order)
-    if isinstance(t, Mul):
-        return term_to_poly(t.left, order) * term_to_poly(t.right, order)
+def evaluate(t: ETerm, leaf):
+    """Fold a term: ``leaf`` gives the value of each Lit, Var and Exp node,
+    and BinOp and Pow apply their arithmetic, the left operand first."""
+    if isinstance(t, (Lit, Var, Exp)):
+        return leaf(t)
+    if isinstance(t, BinOp) and t.op in _OPS:
+        return _OPS[t.op][0](evaluate(t.left, leaf), evaluate(t.right, leaf))
     if isinstance(t, Pow):
-        return term_to_poly(t.base, order) ** t.exponent
-    if isinstance(t, Exp):
-        raise UnsupportedShape("exponential left after flattening")
+        return evaluate(t.base, leaf) ** t.exponent
     raise TypeError(f"not an ETerm: {t!r}")
+
+
+def term_to_poly(t: ETerm, order: int = 1) -> MPoly:
+    """An Exp-free term as a polynomial, by ``evaluate`` over MPoly."""
+    def leaf(node):
+        if isinstance(node, Lit):
+            return MPoly.const(node.value, order)
+        if isinstance(node, Var):
+            return MPoly.var(node.name, order)
+        raise UnsupportedShape("exponential left after flattening")
+    return evaluate(t, leaf)
 
 
 def flatten(s: ESystem) -> FlatSystem:
@@ -423,7 +406,7 @@ def flatten(s: ESystem) -> FlatSystem:
             x = arg.name
         else:
             x = fresh_name("_u", used)
-            extra_polys.append(Sub(left=Var(name=x), right=arg))
+            extra_polys.append(BinOp("-", Var(x), arg))
         xvars.append(x)
         y = fresh_name("_v", used)
         yvars.append(y)
@@ -434,8 +417,8 @@ def flatten(s: ESystem) -> FlatSystem:
         if isinstance(t, Exp):
             inner = walk(t.arg)
             return Var(name=pair_for(inner))
-        if isinstance(t, (Add, Sub, Mul)):
-            return type(t)(left=walk(t.left), right=walk(t.right))
+        if isinstance(t, BinOp):
+            return BinOp(t.op, walk(t.left), walk(t.right))
         if isinstance(t, Pow):
             return Pow(base=walk(t.base), exponent=t.exponent)
         return t
@@ -447,7 +430,7 @@ def flatten(s: ESystem) -> FlatSystem:
     for t in extra_polys:
         polys.append(term_to_poly(t))
     for lhs, rhs in flat_atoms:
-        polys.append(term_to_poly(Sub(left=lhs, right=rhs)))
+        polys.append(term_to_poly(BinOp("-", lhs, rhs)))
     return FlatSystem(
         xvars=tuple(xvars),
         yvars=tuple(yvars),

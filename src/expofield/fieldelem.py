@@ -46,13 +46,16 @@ leading coefficient, and that is unique.  Equal bases are not merged into
 one power first: ``power_product`` does not merge them, so for p = t1 + 1
 and q = t2 + 3 it leaves ``p ** -1 * q ** -1 * p ** 2`` as p^2/(p*q), and a
 merged p/q would print differently.  Equal bases are no coprime base, so
-such a product takes ``power_product``.
+in such a product every power from the second non-constant base on is
+multiplied on as ``power_product`` multiplies it; the product before that
+has one non-constant factor, so it is already the reduced quotient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import or_
 
 from .mpoly import (MPoly, ZETA, _ONE_TERMS, _join_order, decode, encode,
@@ -323,18 +326,24 @@ def coprime_power_product(bases, exps, coprime) -> FieldElem:
     exponent swaps the two, rescaled once and only after such a swap.
     That holds when at most one base with a nonzero exponent is not
     constant, or else when ``coprime()``, asked at the second such base,
-    says the bases form a coprime base (``coprime_base``).  Otherwise, and
-    for a base of a higher order, this is ``power_product``."""
+    says the bases form a coprime base (``coprime_base``).  When it says
+    no, the product so far, which has one non-constant factor, is finished
+    as above (the normal form ``power_product`` reaches at the same point)
+    and the remaining powers are multiplied onto it as ``power_product``
+    does.  For a base of a higher order, this is ``power_product``."""
     num = den = None
     inverted = nonconstant = False
-    for b, z in zip(bases, exps):
+    pairs = zip(bases, exps)
+    rest = ()
+    for b, z in pairs:
         if not z:
             continue
         if b.num.order > 1:
             return power_product(bases, exps)
         if not b.is_constant():
             if nonconstant and not coprime():
-                return power_product(bases, exps)
+                rest = chain([(b, z)], pairs)
+                break
             nonconstant = True
         p, q, z = b.num, b.den, int(z)
         if z < 0:
@@ -345,10 +354,15 @@ def coprime_power_product(bases, exps, coprime) -> FieldElem:
             q = q ** z
             den = q if den is None else den * q
     if num is None:
-        return FieldElem.one()
-    if den is None:
-        return _elem(num, MPoly.const(1))
-    return _elem(*_rescale(num, den)) if inverted else _elem(num, den)
+        out = FieldElem.one()
+    elif den is None:
+        out = _elem(num, MPoly.const(1))
+    else:
+        out = _elem(*_rescale(num, den)) if inverted else _elem(num, den)
+    for b, z in rest:
+        if z:
+            out = out * b ** int(z)
+    return out
 
 
 def coprime_base(elems) -> bool:

@@ -16,7 +16,7 @@ from .errors import (CyclotomicOrderMismatch, DomainError, NotTranscendental,
                      SchemaError, UnsupportedShape, ZeroValue)
 from .efield import (EFieldPresentation, SolveResult, adjoin_transcendentals,
                      e_eval, eval_system, extend_graph, presentation, solve)
-from .exprlang import (Atom, ESystem, ETerm, Exp, IntLit, Mul, RatLit, Var,
+from .exprlang import (Atom, BinOp, ESystem, ETerm, Exp, Lit, Var,
                        fresh_name, parse, print_system, flatten)
 from .fieldelem import FieldElem, coerce, cyclotomic_root, lone_symbol
 from .linalg import span_matrix
@@ -93,8 +93,7 @@ def _psi_holds(psi: ESystem, f: EFieldPresentation, left, right) -> bool:
 def _branch_system(params) -> ESystem:
     """Conjunction of phi(x, y_i z_i) instances over one shared x."""
     return ESystem(tuple(
-        Atom(Exp(arg=Mul(left=_param_node(y, "multipliers"),
-                         right=Var(name="x"))),
+        Atom(Exp(BinOp("*", _param_node(y, "multipliers"), Var("x"))),
              "eq", _param_node(z, "values"))
         for y, z in params))
 
@@ -103,8 +102,7 @@ def _param_node(e: FieldElem, what: str) -> ETerm:
     """The term of a witness parameter: a literal for a rational, a Var for
     a lone symbol; any other element is refused."""
     if e.is_rational():
-        q = e.as_fraction()
-        return IntLit(value=int(q)) if q.denominator == 1 else RatLit(value=q)
+        return Lit(e.as_fraction())
     sym = lone_symbol(e)
     if sym is not None:
         return Var(name=sym)

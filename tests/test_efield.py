@@ -13,10 +13,11 @@ from expofield import (FieldElem, ParametricVariety,
 from expofield import linalg
 from expofield.efield import (WellDefCheck, adjoin_transcendentals,
                               build_unchecked)
-from expofield.errors import (ExponentialConflict, LinearDependence,
-                              MissingExponential, UnsupportedShape,
-                              WellDefFailure, ZeroValue)
-from expofield.exprlang import Add, parse
+from expofield.errors import (CyclotomicOrderMismatch, ExponentialConflict,
+                              LinearDependence, MissingExponential,
+                              UnsupportedShape, WellDefFailure, ZeroValue)
+from expofield.exprlang import BinOp, parse
+from expofield.fieldelem import cyclotomic_root
 from gen import graph_conflicts, rand_presentation, rand_variety, zspan_pair
 
 S = FieldElem.from_symbol
@@ -343,6 +344,21 @@ class TestCheckPresentation:
             {"kind": "dependent_arguments", "certificate": [2, -1]},
             {"kind": "undeclared_symbols", "symbols": ["a", "u"]}]
 
+    def test_foreign_cyclotomic_order_flagged(self):
+        t, u, z3 = S("t"), S("u"), cyclotomic_root(3)
+        bad = build_unchecked("bad", 1, ("t", "u"), ((t, z3), (u, t)))
+        assert check_presentation(bad)["violations"] == [
+            {"kind": "foreign_order", "index": 0, "part": "value",
+             "order": 3}]
+        # an argument of order 5 next to one of order 3: reported, and no
+        # basis is built over the two orders
+        t3 = FieldElem.from_symbol("t", 3)
+        bad = build_unchecked("bad", 3, ("t", "u"),
+                              ((t3 * z3, t3), (u * cyclotomic_root(5), u)))
+        assert check_presentation(bad)["violations"] == [
+            {"kind": "foreign_order", "index": 1, "part": "argument",
+             "order": 5}]
+
     def test_certificate_indexes_the_whole_graph(self):
         t = S("t")
         args = (FieldElem.zero(), t, 2 * t)
@@ -358,6 +374,24 @@ class TestCheckPresentation:
         for z, a in zip(cert, args):
             total = total + coerce(z) * a
         assert total.is_zero()
+
+
+def test_graph_elements_of_a_foreign_cyclotomic_order_are_rejected():
+    t, u = S("t"), S("u")
+    # once accepted, and E(2*t) was -zeta - 1 in a field of order 1
+    with pytest.raises(CyclotomicOrderMismatch,
+                       match="^graph value 0 has cyclotomic order 3 in a "
+                             "presentation of order 1$"):
+        presentation("F", 1, ("t", "u"), [(t, cyclotomic_root(3)), (u, t)])
+    t3 = FieldElem.from_symbol("t", 3)
+    with pytest.raises(CyclotomicOrderMismatch,
+                       match="^graph value 0 has cyclotomic order 5 in a "
+                             "presentation of order 3$"):
+        presentation("F", 3, ("t",), [(t3, cyclotomic_root(5))])
+    # elements of order 1 belong to a field of any order
+    f = presentation("F", 3, ("t", "u"),
+                     [(t, u), (u, t3 + cyclotomic_root(3))])
+    assert check_presentation(f)["ok"]
 
 
 class TestMergeGraphs:
@@ -412,7 +446,7 @@ def test_eval_term_rejects_what_is_not_a_term():
         eval_term(f, "t", {})
     # inside a term, as the left operand of a sum
     with pytest.raises(TypeError, match=r"^not an ETerm: 2$"):
-        eval_term(f, Add(2, parse("t", kind="term")), {})
+        eval_term(f, BinOp("+", 2, parse("t", kind="term")), {})
 
 
 @settings(max_examples=30, deadline=None)

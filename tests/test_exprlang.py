@@ -3,13 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from expofield.exprlang import (Add, Atom, ESystem, Exp, IntLit, Mul, Pow,
-                                RatLit, Sub, Var, eliminate_inequations,
-                                flatten, parse, parse_element, print_flat,
-                                print_system, print_term, system_symbols,
-                                term_to_poly)
+from expofield.exprlang import (Atom, BinOp, ESystem, Exp, Lit, Pow, Var,
+                                eliminate_inequations, flatten, parse,
+                                parse_element, print_flat, print_system,
+                                print_term, system_symbols, term_to_poly)
 from expofield.fieldelem import FieldElem
 from expofield.errors import ExprSyntaxError, UnsupportedShape
 
@@ -17,9 +16,17 @@ from expofield.errors import ExprSyntaxError, UnsupportedShape
 def test_parse_axiom_examples():
     s = parse("E(0) = 1")
     assert len(s.atoms) == 1 and s.atoms[0].rel == "eq"
-    assert s.atoms[0].lhs == Exp(arg=IntLit(value=0))
+    assert s.atoms[0].lhs == Exp(arg=Lit(value=0))
+    assert repr(s.atoms[0].lhs) == repr(Exp(arg=Lit(value=0)))
     s = parse("E(x+y) = E(x)*E(y)")
     assert s.atoms[0].rel == "eq"
+
+
+def test_a_system_needs_an_atom():
+    # the parser cannot build an empty system, but the constructor is public
+    with pytest.raises(UnsupportedShape,
+                       match="^a system needs at least one atom$"):
+        ESystem(())
 
 
 def test_parse_error_position():
@@ -163,10 +170,16 @@ def test_printing_and_conversion_reject_what_is_not_a_term():
         with pytest.raises(TypeError, match=rf"^not an ETerm: {bad!r}$"):
             term_to_poly(bad)
     # reached from inside a term too, at its second operand
-    bad = Mul(Var("x"), "y")
+    bad = BinOp("*", Var("x"), "y")
     with pytest.raises(TypeError, match=r"^not an ETerm: 'y'$"):
         print_term(bad)
     with pytest.raises(TypeError, match=r"^not an ETerm: 'y'$"):
+        term_to_poly(bad)
+    # an operator outside +, - and * makes no term
+    bad = BinOp("/", Var("x"), Var("y"))
+    with pytest.raises(TypeError, match=r"^not an ETerm: BinOp\(op='/'"):
+        print_term(bad)
+    with pytest.raises(TypeError, match=r"^not an ETerm: BinOp\(op='/'"):
         term_to_poly(bad)
 
 
@@ -174,38 +187,36 @@ def test_printing_and_conversion_reject_what_is_not_a_term():
 
 _names = st.sampled_from(["x", "y", "zz", "t1"])
 _negative_literals = st.one_of(
-    st.integers(-9, -1).map(lambda v: IntLit(value=v)),
-    st.integers(-9, -1).map(lambda v: RatLit(value=Fraction(2 * v + 1, 2))))
+    st.integers(-9, -1).map(lambda v: Lit(value=v)),
+    st.integers(-9, -1).map(lambda v: Lit(value=Fraction(2 * v + 1, 2))))
 
 
 @st.composite
 def canonical_terms(draw, depth=3):
-    """ASTs in the image of parse (no Mul(-1, literal) patterns)."""
+    """ASTs in the image of parse (no BinOp("*", -1, literal) patterns)."""
     if depth == 0:
         kind = draw(st.integers(0, 2))
         if kind == 0:
-            return IntLit(value=draw(st.integers(-9, 9)))
+            return Lit(value=draw(st.integers(-9, 9)))
         if kind == 1:
             num = draw(st.integers(-9, 9))
             den = draw(st.integers(2, 9))
-            v = Fraction(num, den)
-            if v.denominator == 1:  # collapses to an integer literal
-                return IntLit(value=int(v))
-            return RatLit(value=v)
+            # an integral value stays a Fraction, which prints as k/1
+            return Lit(value=Fraction(num, den))
         return Var(name=draw(_names))
     op = draw(st.integers(0, 5))
     if op == 0:
-        return Add(left=draw(canonical_terms(depth=depth - 1)),
-                   right=draw(canonical_terms(depth=depth - 1)))
+        return BinOp("+", left=draw(canonical_terms(depth=depth - 1)),
+                     right=draw(canonical_terms(depth=depth - 1)))
     if op == 1:
-        return Sub(left=draw(canonical_terms(depth=depth - 1)),
-                   right=draw(canonical_terms(depth=depth - 1)))
+        return BinOp("-", left=draw(canonical_terms(depth=depth - 1)),
+                     right=draw(canonical_terms(depth=depth - 1)))
     if op == 2:
         right = draw(canonical_terms(depth=depth - 1))
         left = draw(canonical_terms(depth=depth - 1))
-        if left == IntLit(value=-1) and isinstance(right, (IntLit, RatLit)):
-            left = IntLit(value=2)  # would print as the unary-minus form
-        return Mul(left=left, right=right)
+        if repr(left) == repr(Lit(value=-1)) and isinstance(right, Lit):
+            left = Lit(value=2)  # would print as the unary-minus form
+        return BinOp("*", left=left, right=right)
     if op == 3:
         base = draw(st.one_of(canonical_terms(depth=depth - 1),
                               _negative_literals))
@@ -213,15 +224,18 @@ def canonical_terms(draw, depth=3):
     if op == 4:
         return Exp(arg=draw(canonical_terms(depth=depth - 1)))
     inner = draw(canonical_terms(depth=depth - 1))
-    if isinstance(inner, (IntLit, RatLit)):
+    if isinstance(inner, Lit):
         return inner
-    return Mul(left=IntLit(value=-1), right=inner)
+    return BinOp("*", left=Lit(value=-1), right=inner)
 
 
 @settings(max_examples=1000, deadline=None)
 @given(canonical_terms())
+@example(Lit(value=Fraction(2)))  # prints 2/1, which is not the int 2
 def test_parse_print_roundtrip(t):
     assert parse(print_term(t), kind="term") == t
+    # repr tells an int literal from an equal Fraction one
+    assert repr(parse(print_term(t), kind="term")) == repr(t)
 
 
 @settings(max_examples=100, deadline=None)
@@ -232,3 +246,4 @@ def test_system_roundtrip(atoms):
     s = ESystem(tuple(Atom(l, "eq" if eq else "neq", r)
                       for l, eq, r in atoms))
     assert parse(print_system(s)) == s
+    assert repr(parse(print_system(s))) == repr(s)

@@ -125,6 +125,11 @@ class TestSOP1:
                            match=f"witness {what} must be symbols or"):
             verify_finite_witness(cand, branches="all")
 
+    def test_only_witnesses_and_candidates_are_verified(self):
+        base = presentation("A", transcendentals=("t",))
+        with pytest.raises(UnsupportedShape, match="^cannot verify dict$"):
+            verify_finite_witness({"depth": 1, "base": base})
+
     def test_branch_may_be_a_sequence_of_bits(self):
         cand = SOP1Candidate(depth=2, tree=self._tree(2, (S("t"), ONE)),
                              base=presentation("A", transcendentals=("t",)),
