@@ -12,9 +12,10 @@ A presentation's linear structure is computed once: its ``arg_basis`` is a
 semi-echelon basis of the arguments (``linalg.SpanBasis``), built when the
 graph is validated and kept with the presentation, which is immutable.
 ``e_eval`` has one path: it asks that basis for the coordinates of its
-target, and at order 1 takes the value product by multiplication alone
-when the presentation's values form a coprime base (``coprime_vals``,
-computed once, when a product first needs it).  Every hull comes from a
+target and takes the value product with ``power_product``, which at order
+1 multiplies alone past the second non-constant factor when the
+presentation's values form a coprime base (``coprime_vals``, computed once,
+when a product first needs it).  Every hull comes from a
 ``HullBasis``: one basis of 1 and of the elements offered to it, against
 which the arguments are reduced once and then kept reduced, so the hulls
 made inside one ``indep`` call or one node of an independent system share
@@ -41,8 +42,8 @@ from .errors import (CyclotomicOrderMismatch, ExponentialConflict,
                      WellDefFailure, ZeroValue)
 from . import exprlang
 from .exprlang import ETerm, Lit, Var, fresh_name
-from .fieldelem import (FieldElem, coerce, coprime_base, coprime_power_product,
-                        int_combination, power_product)
+from .fieldelem import (FieldElem, coerce, coprime_base, int_combination,
+                        power_product)
 from .linalg import (SpanBasis, _integer_columns, column_kernel_basis,
                      extend_basis, hermite_form, integer_kernel_basis,
                      reduce_mod, span_matrix)
@@ -217,21 +218,17 @@ def e_eval(f: EFieldPresentation, a: FieldElem) -> EEvalResult:
 
     The coordinates come from one reduction of ``a`` against
     ``f.arg_basis``, which clears ``a`` itself; E(0) = 1 is the empty
-    product.  At order 1 the product is ``coprime_power_product``: by
-    multiplication alone when at most one factor is not constant or the
-    values form a coprime base (``f.coprime_vals``, asked only then), else
-    the ``power_product`` fold, which every other caller and order keeps.
-    Both print the same value.
+    product, which ``power_product`` takes at order 1 by multiplication
+    alone up to its second non-constant factor, and beyond it when the
+    values form a coprime base (``f.coprime_vals``, asked only then).  Its
+    other callers pass no such flag.
     """
     coords = f.arg_basis.coordinates(coerce(a, f.cyclotomic_order))
     if coords is None:
         return EEvalResult(outside_span=True)
     if all(q.denominator == 1 for q in coords):
-        if f.cyclotomic_order > 1:
-            return EEvalResult(value=power_product(f.vals, coords,
-                                                   f.cyclotomic_order))
-        return EEvalResult(value=coprime_power_product(
-            f.vals, coords, lambda: f.coprime_vals))
+        return EEvalResult(value=power_product(
+            f.vals, coords, f.cyclotomic_order, lambda: f.coprime_vals))
     roots = tuple((val, q.denominator)
                   for q, (_, val) in zip(coords, f.egraph)
                   if q.denominator != 1)

@@ -27,28 +27,31 @@ higher order the reduction breaks both lemmas: at order 3,
 in full.
 
 The exponential homomorphism E(sum z_i a_i) = prod E(a_i)^z_i is written with
-two folds: ``int_combination`` for the sum and ``power_product`` for the
-product.  Both skip zero entries and start from the first nonzero term or
-factor rather than from a fresh 0 or 1; normalization is idempotent, so the
-result prints the same either way and one multiplication is saved.
+two routines: the fold ``int_combination`` for the sum and ``power_product``
+for the product.  Both skip zero entries and start from the first nonzero
+term or factor rather than from a fresh 0 or 1; normalization is
+idempotent, so the result prints the same either way and one multiplication
+is saved.
 
 Coprime-base rule: at order 1 every element has no common monomial and no
 exact division either way.  If the non-constant numerators and
 denominators of some elements are pairwise coprime, each element's own
 pair included (``coprime_base``), then no product of their powers can
-cancel either, by unique factorization.  Such a product is the product of
-the numerators' powers over that of the denominators', where a negative
-exponent swaps the two, rescaled once after a swap and not at all
-otherwise (Gauss's lemma); ``coprime_power_product`` takes it so, with no
-trial division.  It prints what ``power_product`` prints, since both are
+cancel either, by unique factorization; nor can one with at most one
+non-constant factor.  Such a product is the product of the numerators'
+powers over that of the denominators', where a negative exponent swaps the
+two, rescaled once after a swap and not at all otherwise (Gauss's lemma);
+``power_product`` takes it so, with no trial division, up to the first
+factor where that may fail: a zero base, a base of a higher order, or the
+second non-constant base when the caller does not vouch for a coprime
+base.  From there on, and at every order above 1, it multiplies each
+power on with FieldElem arithmetic.  Both print the same, since both are
 the reduced quotient whose denominator is primitive with a positive
 leading coefficient, and that is unique.  Equal bases are not merged into
-one power first: ``power_product`` does not merge them, so for p = t1 + 1
-and q = t2 + 3 it leaves ``p ** -1 * q ** -1 * p ** 2`` as p^2/(p*q), and a
-merged p/q would print differently.  Equal bases are no coprime base, so
-in such a product every power from the second non-constant base on is
-multiplied on as ``power_product`` multiplies it; the product before that
-has one non-constant factor, so it is already the reduced quotient.
+one power first: for p = t1 + 1 and q = t2 + 3, multiplying on leaves
+``p ** -1 * q ** -1 * p ** 2`` as p^2/(p*q), and a merged p/q would print
+differently.  Equal bases are no coprime base, so such a product is
+multiplied on from the second non-constant base.
 """
 
 from __future__ import annotations
@@ -79,10 +82,6 @@ class FieldElem:
             # an MPoly is always reduced, and nothing cancels against 1
             self.num = num
             self.den = den
-            return
-        if num.is_zero():
-            self.num = MPoly.zero(order)
-            self.den = MPoly.const(1, order)
             return
         num, den, _ = _cancel(num, den, order)
         self.num, self.den = _rescale(num, den)
@@ -254,9 +253,10 @@ def _elem(num: MPoly, den: MPoly) -> FieldElem:
 
 
 def _cancel(num: MPoly, den: MPoly, order: int) -> tuple:
-    """(num, den, divided): num/den, for a nonzero num and a den other
-    than 1, with the common monomial factor cancelled and an exact division
-    tried each way; ``divided`` says whether one went through."""
+    """(num, den, divided): num/den, for a den other than 1, with the
+    common monomial factor cancelled and an exact division tried each way
+    (a zero num divides out to 0/1); ``divided`` says whether one went
+    through."""
     mc_num = num.monomial_content()
     if mc_num:
         mc_den = den.monomial_content()
@@ -265,8 +265,6 @@ def _cancel(num: MPoly, den: MPoly, order: int) -> tuple:
             if common:
                 num = num.divide_monomial(common)
                 den = den.divide_monomial(common)
-    if den.is_constant():
-        return num.exact_divide(den), MPoly.const(1, order), True
     q = num.exact_divide(den)
     if q is not None:
         return q, MPoly.const(1, order), True
@@ -306,63 +304,53 @@ def int_combination(coeffs, elems, order: int = 1) -> FieldElem:
     return FieldElem.zero(order) if out is None else out
 
 
-def power_product(bases, exps, order: int = 1) -> FieldElem:
+_ONE = MPoly.const(1)  # the denominator of a product that has none
+
+
+def power_product(bases, exps, order: int = 1, coprime=None) -> FieldElem:
     """prod b_i ** z_i over the nonzero integer exponents z_i (a Fraction
-    with denominator 1 counts as an integer).  At order 1 each power is
-    taken as it is and each product rescales only after a division (the
-    order-1 rule)."""
-    out = None
-    for b, z in zip(bases, exps):
-        if z:
-            factor = coerce(b, order) ** int(z)
-            out = factor if out is None else out * factor
-    return FieldElem.one(order) if out is None else out
-
-
-def coprime_power_product(bases, exps, coprime) -> FieldElem:
-    """``power_product(bases, exps)`` over order-1 ``FieldElem`` bases, by
-    multiplication alone when nothing can cancel (the coprime-base rule):
-    the numerators' powers over the denominators' powers, where a negative
-    exponent swaps the two, rescaled once and only after such a swap.
-    That holds when at most one base with a nonzero exponent is not
-    constant, or else when ``coprime()``, asked at the second such base,
-    says the bases form a coprime base (``coprime_base``).  When it says
-    no, the product so far, which has one non-constant factor, is finished
-    as above (the normal form ``power_product`` reaches at the same point)
-    and the remaining powers are multiplied onto it as ``power_product``
-    does.  For a base of a higher order, this is ``power_product``."""
-    num = den = None
+    with denominator 1 counts as an integer), by multiplication alone while
+    nothing can cancel (the coprime-base rule): the numerators' powers over
+    the denominators' powers, where a negative exponent swaps the two,
+    rescaled once and only after such a swap.  From the first factor where
+    that may fail on, each power is multiplied on by FieldElem arithmetic:
+    at an ``order`` above 1, at a base of a higher order or a zero base,
+    and at the second non-constant base unless ``coprime()``, asked from
+    there on, says the bases form a coprime base (``coprime_base``).  The
+    product before that has one non-constant factor at most, or coprime
+    ones, so it is the normal form that multiplying each power on reaches at
+    the same point."""
+    num, den = None, _ONE
     inverted = nonconstant = False
     pairs = zip(bases, exps)
     rest = ()
     for b, z in pairs:
         if not z:
             continue
-        if b.num.order > 1:
-            return power_product(bases, exps)
-        if not b.is_constant():
-            if nonconstant and not coprime():
-                rest = chain([(b, z)], pairs)
-                break
-            nonconstant = True
+        if not isinstance(b, FieldElem):
+            b = coerce(b, order)
         p, q, z = b.num, b.den, int(z)
+        constant = b.is_constant()
+        if (order > 1 or p.order > 1 or not p.terms or not constant
+                and nonconstant and not (coprime and coprime())):
+            rest = chain([(b, z)], pairs)
+            break
+        nonconstant = nonconstant or not constant
         if z < 0:
             p, q, z, inverted = q, p, -z, True
         p = p ** z
         num = p if num is None else num * p
         if q.terms != _ONE_TERMS:
             q = q ** z
-            den = q if den is None else den * q
-    if num is None:
-        out = FieldElem.one()
-    elif den is None:
-        out = _elem(num, MPoly.const(1))
-    else:
+            den = q if den is _ONE else den * q
+    out = None
+    if num is not None:
         out = _elem(*_rescale(num, den)) if inverted else _elem(num, den)
     for b, z in rest:
         if z:
-            out = out * b ** int(z)
-    return out
+            factor = coerce(b, order) ** int(z)
+            out = factor if out is None else out * factor
+    return FieldElem.one(order) if out is None else out
 
 
 def coprime_base(elems) -> bool:

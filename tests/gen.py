@@ -1,7 +1,7 @@
 """Random builders shared by the module tests and the acceptance suite,
-``graph_conflicts``, which re-verifies certificates on two graphs, and the
-integer matrices that the kernel tests of ``test_linalg`` and
-``test_sympy_oracle`` share.
+``graph_conflicts``, which re-verifies certificates on two graphs,
+``fold_power_product``, the value-product oracle, and the integer matrices
+that the kernel tests of ``test_linalg`` and ``test_sympy_oracle`` share.
 
 Varieties are generated so their freeness status is known by construction
 and any integer relation has a representative inside the oracle's search
@@ -33,6 +33,18 @@ def graph_conflicts(f1: EFieldPresentation, f2: EFieldPresentation):
             if a1 == a2 and v1 != v2:
                 out.append((a1, v1, v2))
     return out
+
+
+def fold_power_product(bases, exps, order=1) -> FieldElem:
+    """prod b_i ** z_i as the plain fold over FieldElem ``**`` and ``*``,
+    from the first nonzero exponent: the oracle of ``power_product``, with
+    which it shares no code."""
+    out = None
+    for b, z in zip(bases, exps):
+        if z:
+            factor = coerce(b, order) ** int(z)
+            out = factor if out is None else out * factor
+    return FieldElem.one(order) if out is None else out
 
 
 def nonzero_fraction(rng: random.Random, lo=-4, hi=4) -> Fraction:

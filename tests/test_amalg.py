@@ -6,8 +6,8 @@ import random
 import pytest
 
 from expofield import (FieldElem, IndepSystem, acf_indep, amalgamate2,
-                       coerce, complete_system, e_eval, indep, presentation,
-                       tdeg, verify_independent_system)
+                       coerce, complete_system, e_eval, hull, indep,
+                       presentation, tdeg, verify_independent_system)
 from expofield import amalg
 from expofield.amalg import EmbeddedPresentation, validate_system
 from expofield.efield import extend_graph
@@ -57,6 +57,15 @@ class TestIndep:
         f = presentation("F", transcendentals=("t1", "t2"),
                          egraph=((S("t1"), S("t2")),))
         assert indep(f, [S("t1")], [S("t2")], [S("t2")])
+
+    def test_hull_closes_the_q_span_not_the_field(self):
+        """Today's documented hull: t1*t2 lies in the field that t1 and t2
+        generate but not in their Q-span with 1, so E(t1*t2) = u is not
+        added, and u is independent of t1, t2."""
+        t1, t2 = S("t1"), S("t2")
+        f = presentation("F", 1, ["t1", "t2", "u"], [(t1 * t2, S("u"))])
+        assert [str(g) for g in hull(f, [t1, t2]).generators] == ["t1", "t2"]
+        assert indep(f, [t1, t2], [S("u")], [])
 
 
 class TestIndependenceAxioms:

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from expofield.fieldelem import (FieldElem, _elem, coerce, coprime_base,
-                                 coprime_power_product, cyclotomic_root,
-                                 eliminate_symbols, int_combination,
-                                 power_product)
+                                 cyclotomic_root, eliminate_symbols,
+                                 int_combination, power_product)
 from expofield.errors import UnknownVariable
 from expofield.mpoly import MPoly
+from gen import fold_power_product
 
 S = FieldElem.from_symbol
 
@@ -297,22 +297,36 @@ P1, Q3 = T1 + 1, T2 + 3
 TRAP = ([P1, Q3, P1], [-1, -1, 2], False)
 
 
+NO_ZETA = [0] * 6
+
+
 @settings(max_examples=300, deadline=None)
-@given(value_lists())
-@example(TRAP)
-@example(([P1, P1], [1, -1], False))
-@example(([(T1 + 1) * T2, (T1 + 1) * S("t3")], [1, 1], False))
-@example(([coerce(2), T1 / 3, T2 - 2], [-2, 1, -1], True))
-def test_coprime_power_product_prints_as_power_product(case):
+@given(value_lists(), st.lists(st.integers(0, 2), min_size=6, max_size=6))
+@example(TRAP, NO_ZETA)
+@example(([P1, P1], [1, -1], False), NO_ZETA)
+@example(([(T1 + 1) * T2, (T1 + 1) * S("t3")], [1, 1], False), NO_ZETA)
+@example(([coerce(2), T1 / 3, T2 - 2], [-2, 1, -1], True), NO_ZETA)
+@example(([T1 + 1, T2], [1, -2], True), [0, 1, 1, 0, 0, 0])
+def test_power_product_prints_as_the_fold(case, zetas):
     """The check passes exactly the lists that are coprime by construction
-    (it may miss others, but not these), and the multiply-only product
-    prints what the fold prints, also where the check sends it back to the
-    fold."""
+    (it may miss others, but not these), and ``power_product`` prints what
+    the fold prints: with the check's answer, with none (multiplication
+    alone up to the second non-constant base), and on the same list with
+    zeta^k times the values where k > 0 and zeta itself appended, told the
+    order 3 (no multiplication alone) or not (up to the first value of
+    order 3)."""
     vals, exps, coprime = case
     flag = coprime_base(vals)
     assert flag == coprime
-    fast = coprime_power_product(vals, exps, lambda: flag)
-    assert str(fast) == str(power_product(vals, exps))
+    want = str(fold_power_product(vals, exps))
+    assert str(power_product(vals, exps, coprime=lambda: flag)) == want
+    assert str(power_product(vals, exps)) == want
+    vals = [v * cyclotomic_root(3, k) if k else v for k, v in zip(zetas, vals)]
+    vals.append(cyclotomic_root(3))
+    exps = exps + [zetas[-1] - 1]
+    for order in (1, 3):
+        want = str(fold_power_product(vals, exps, order))
+        assert str(power_product(vals, exps, order, lambda: flag)) == want
 
 
 def test_coprime_base_pins():
@@ -332,14 +346,41 @@ def test_coprime_base_pins():
     # equal bases are not merged: the fold leaves p^2/(p*q) as it is
     text = "(t1^2 + 2*t1 + 1)/(t1*t2 + 3*t1 + t2 + 3)"
     vals, exps, _ = TRAP
+    assert str(fold_power_product(vals, exps)) == text
     assert str(power_product(vals, exps)) == text
-    assert str(coprime_power_product(vals, exps,
-                                     lambda: coprime_base(vals))) == text
+    assert str(power_product(vals, exps, coprime=lambda: coprime_base(vals))) \
+        == text
     for vals, exps in (([lead, T1 + 3, 1 / T2], [2, -3, -1]),
                        ([coerce(3), T1 + 1], [-1, 2]), ([T1, T2], [0, 0])):
-        assert str(coprime_power_product(vals, exps, lambda: True)) == \
-            str(power_product(vals, exps))
-    # a base of a higher order takes the fold, which works at that order
+        assert str(power_product(vals, exps, coprime=lambda: True)) == \
+            str(fold_power_product(vals, exps))
+    # coprime() is asked at the second non-constant base, and not before
+    asked = []
+
+    def vouch():
+        asked.append(True)
+        return True
+    power_product([coerce(2), T1, T2], [1, 1, -1], coprime=vouch)
+    power_product([T1, coerce(2), 1 / T2], [1, 1, 0], coprime=vouch)
+    assert asked == [True]
+    # a base of a higher order is multiplied on, which works at that order
     z = cyclotomic_root(3)
-    assert coprime_power_product([T1, z], [1, 2], lambda: True) == \
-        T1 * z ** 2
+    assert power_product([T1, z], [1, 2], coprime=lambda: True) == T1 * z ** 2
+
+
+def test_zero_bases_behave_as_in_the_fold():
+    """Wherever a zero base stands, a positive power of it makes the
+    product 0, in normal form, and a negative one raises."""
+    zero, zero3 = FieldElem.zero(), FieldElem.zero(3)
+    for coprime in (None, lambda: True):
+        for vals in ([1 / T1, 0], [1 / T1, zero], [zero, T2 + 1, 1 / T1]):
+            got = power_product(vals, [1, 1, 1], coprime=coprime)
+            assert got.is_zero() and got.den.terms == {0: 1}
+            assert str(got) == str(fold_power_product(vals, [1, 1, 1])) == "0"
+        for vals, exps, order in (([0], [-1], 1), ([zero, zero], [1, -1], 1),
+                                  ([T1, zero], [2, -3], 1),
+                                  ([zero3], [-2], 3)):
+            with pytest.raises(ZeroDivisionError):
+                power_product(vals, exps, order, coprime)
+            with pytest.raises(ZeroDivisionError):
+                fold_power_product(vals, exps, order)

@@ -34,7 +34,9 @@ find the oracle's number of pivots.
 (``SpanBasis``), which alone decides the common denominator that clears
 them.  Their oracles are the loops they replaced: ``hull`` that rebuilt two
 coordinate matrices every round, and ``e_eval`` that solved for the
-coordinates on a dense coordinate matrix on every call.
+coordinates on a dense coordinate matrix on every call.  Every expected
+value product is ``gen.fold_power_product``, the plain fold, which shares
+no code with ``power_product``.
 
 Graph validation reads the argument basis, and ``additive_freeness`` the
 span coordinates of ``linalg.span_matrix``.  Their oracle is the dense
@@ -62,12 +64,13 @@ from expofield.amalg import _IndepChecks, subset_label, validate_system
 from expofield.efield import (HullBasis, adjoin_transcendentals,
                               build_unchecked)
 from expofield.exprlang import parse_element
-from expofield.fieldelem import cyclotomic_root, int_combination, power_product
+from expofield.fieldelem import cyclotomic_root, int_combination
 from expofield.linalg import (SpanBasis, _rref, coordinate_matrix, ff_rank,
                               integer_kernel_basis, kernel_basis)
-from gen import (conflicting_system, rand_extension, rand_pminus_system,
-                 rand_presentation, rand_variety, reused_transcendental_system,
-                 shared_sibling_system, zspan_pair)
+from gen import (conflicting_system, fold_power_product, rand_extension,
+                 rand_pminus_system, rand_presentation, rand_variety,
+                 reused_transcendental_system, shared_sibling_system,
+                 zspan_pair)
 
 # the benchmark's input generator, executed from its source, so that no
 # bytecode is written under bench/
@@ -204,8 +207,8 @@ def same_pair_lattice(got, want, order):
         for a, v in xs:
             z = dense_span_solve([b for b, _ in ys], a)
             assert z is not None and all(q.denominator == 1 for q in z)
-            assert power_product([w for _, w in ys], [int(q) for q in z],
-                                 order) == v
+            assert fold_power_product([w for _, w in ys],
+                                      [int(q) for q in z], order) == v
 
 
 def reduce_oracle(v):
@@ -594,7 +597,7 @@ def hull_rebuild_oracle(f, elems):
         if not proj:
             break
         ortho = kernel_basis(proj) or [[0] * len(args)]
-        cands = [power_product(vals, z, order)
+        cands = [fold_power_product(vals, z, order)
                  for z in integer_kernel_basis(ortho)]
         _, pivots = _rref(coordinate_matrix(gens + [one] + cands))
         new = [cands[c - len(gens) - 1] for c in pivots if c > len(gens)]
@@ -615,7 +618,7 @@ def e_eval_solve_oracle(f, a):
     if coords is None:
         return EEvalResult(outside_span=True)
     if all(q.denominator == 1 for q in coords):
-        return EEvalResult(value=power_product(f.vals, coords, order))
+        return EEvalResult(value=fold_power_product(f.vals, coords, order))
     return EEvalResult(root_specs=tuple(
         (val, q.denominator) for q, val in zip(coords, f.vals)
         if q.denominator != 1))
@@ -1026,8 +1029,9 @@ def test_reversal_pins_print_their_generators():
         f, elems = pin()
         gens = hull(f, elems).generators
         assert [str(g) for g in gens] == text
-        assert list(gens[2:]) == [power_product(f.vals, z, 1) for z in exps]
-        assert [str(power_product(f.vals, z, 1)) for z in old_exps] == \
+        assert list(gens[2:]) == [fold_power_product(f.vals, z, 1)
+                                  for z in exps]
+        assert [str(fold_power_product(f.vals, z, 1)) for z in old_exps] == \
             old_text
         same_lattice(exps, old_exps)
 
@@ -1087,7 +1091,7 @@ def test_presentation_clears_each_graph_argument_once(monkeypatch):
     f = presentation("F", 1, ("t1", "t2", "w1", "w2", "w3"), pairs)
     for z in ([1, 1, 0], [2, -1, 3], [0, 5, -2]):
         got = e_eval(f, int_combination(z, f.args))
-        assert got.value == power_product(f.vals, z)
+        assert got.value == fold_power_product(f.vals, z)
     args = [id(a) for a in f.args]
     assert sorted(i for i in cleared if i in args) == sorted(args)
     assert len(cleared) == len(args) + 3
