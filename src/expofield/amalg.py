@@ -2,11 +2,13 @@
 
 Independence of subfields is decided by the Jacobian rank criterion (valid
 in characteristic 0): td of a tuple over a finitely generated subfield is a
-difference of Jacobian ranks with respect to the ambient transcendentals.
-Pairwise amalgamation takes the free composite (new transcendentals of the
-two sides kept algebraically independent); higher-dimensional systems are
-completed the same way, with the homomorphism's well-definedness certified
-on the integer kernel of the concatenated graph arguments.
+difference of Jacobian ranks with respect to the ambient transcendentals,
+and A is independent from B over C when td(A/BC) = td(A/C), symmetric by
+the rank identity r(ABC) + r(C) = r(AC) + r(BC).  Pairwise amalgamation and
+the completion of independent P^-(n) systems build one free composite (new
+transcendentals kept algebraically independent), with the homomorphism's
+well-definedness certified on the integer kernel of the concatenated graph
+arguments.
 
 The independence checks of one call share their work through one
 ``_IndepChecks``.  Per node, all hulls come from one ``efield.HullBasis``,
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import IllFormedExtension, UnsupportedShape
 from .efield import (EFieldPresentation, HullBasis, WellDefCheck, e_eval,
-                     merge_graphs, presentation)
+                     merge_graphs, presentation, undeclared)
 from .fieldelem import FieldElem, lone_symbol
 from .linalg import ff_rank, jacobian_rank, jacobian_row
 
@@ -48,14 +50,10 @@ def tdeg(amb_params, elems, over=()) -> int:
 
 def acf_indep(a, b, c, amb_params) -> bool:
     """Field-theoretic independence of A from B over C inside the ambient
-    field; symmetric by construction (rank identity form)."""
-    params = list(amb_params)
-    a, b, c = list(a), list(b), list(c)
-    r_abc = jacobian_rank(a + b + c, params)
-    r_c = jacobian_rank(c, params)
-    r_ac = jacobian_rank(a + c, params)
-    r_bc = jacobian_rank(b + c, params)
-    return r_abc + r_c == r_ac + r_bc
+    field: td(A/BC) = td(A/C), which is the rank identity r(ABC) + r(C) =
+    r(AC) + r(BC), so symmetric in A and B."""
+    a, b, c, params = map(list, (a, b, c, amb_params))
+    return tdeg(params, a, b + c) == tdeg(params, a, c)
 
 
 class _IndepChecks:
@@ -110,8 +108,12 @@ class _IndepChecks:
 
 def indep(f: EFieldPresentation, a, b, c) -> bool:
     """The independence relation: the hulls of AC and BC are ACF-independent
-    over the hull of C, inside ``f``."""
+    over the hull of C, inside ``f``.  A, B and C may name only the symbols
+    ``f`` declares, since ranks differentiate by those alone."""
     a, b, c = list(a), list(b), list(c)
+    for extra in (undeclared(f, elems) for elems in (a, b, c)):
+        if extra:
+            raise UnsupportedShape(f"undeclared symbols {extra}")
     checks = _IndepChecks({None: f}, f.transcendentals)
     return checks.indep(*(checks.hull(None, i, lambda g=g: g)
                           for i, g in enumerate((a + c, b + c, c))))
@@ -143,6 +145,13 @@ class Amalgam:
     check: WellDefCheck
 
 
+def _composite(name: str, order: int, symbols, pairs) -> tuple:
+    """The free composite over ``symbols``, each once in first-seen order,
+    with the graph ``pairs`` merged, and the merge's well-definedness check."""
+    merged, check = merge_graphs(pairs, order)
+    return presentation(name, order, dict.fromkeys(symbols), merged), check
+
+
 def _check_extension(base: EFieldPresentation, ext: EFieldPresentation) -> None:
     if ext.cyclotomic_order != base.cyclotomic_order:
         raise IllFormedExtension(
@@ -168,7 +177,6 @@ def amalgamate2(base: EFieldPresentation, f1: EFieldPresentation,
     """
     _check_extension(base, f1)
     _check_extension(base, f2)
-    order = base.cyclotomic_order
     shared = set(base.transcendentals)
     name1, name2 = f1.name, f2.name
     if name1 == name2:
@@ -191,17 +199,11 @@ def amalgamate2(base: EFieldPresentation, f1: EFieldPresentation,
 
     m1 = rename_map(f1, name1)
     m2 = rename_map(f2, name2)
-    trans = list(base.transcendentals)
-    for s in f1.transcendentals:
-        if m1[s] not in trans:
-            trans.append(m1[s])
-    for s in f2.transcendentals:
-        if m2[s] not in trans:
-            trans.append(m2[s])
-    pairs = [(a.rename(m1), v.rename(m1)) for a, v in f1.egraph]
-    pairs += [(a.rename(m2), v.rename(m2)) for a, v in f2.egraph]
-    merged, check = merge_graphs(pairs, order)
-    comp = presentation(f"{base.name}({name1},{name2})", order, trans, merged)
+    comp, check = _composite(
+        f"{base.name}({name1},{name2})", base.cyclotomic_order,
+        [*base.transcendentals, *m1.values(), *m2.values()],
+        [(a.rename(m), v.rename(m))
+         for f, m in ((f1, m1), (f2, m2)) for a, v in f.egraph])
     inc1 = {s: comp.elem(m1[s]) for s in f1.transcendentals}
     inc2 = {s: comp.elem(m2[s]) for s in f2.transcendentals}
     return Amalgam(composite=comp, g1=EmbeddedPresentation(inc1),
@@ -340,18 +342,11 @@ def complete_system(s: IndepSystem, verify: bool = True) -> CompletionResult:
             raise UnsupportedShape(
                 f"input system is not independent: {rep.failures}")
     n = s.n
-    order = next(iter(s.nodes.values())).cyclotomic_order
-    codim1 = [frozenset(range(n)) - {i} for i in range(n)]
-    trans: list = []
-    pairs: list = []
-    for a in codim1:
-        f = s.nodes[a]
-        for t in f.transcendentals:
-            if t not in trans:
-                trans.append(t)
-        pairs.extend(f.egraph)
-    merged, check = merge_graphs(pairs, order)
-    top = presentation(f"F_{subset_label(range(n))}", order, trans, merged)
+    codim1 = [s.nodes[frozenset(range(n)) - {i}] for i in range(n)]
+    top, check = _composite(
+        f"F_{subset_label(range(n))}", codim1[0].cyclotomic_order,
+        [t for f in codim1 for t in f.transcendentals],
+        [pair for f in codim1 for pair in f.egraph])
     nodes = dict(s.nodes)
     nodes[frozenset(range(n))] = top
     return CompletionResult(system=IndepSystem(n=n, nodes=nodes), check=check)

@@ -16,7 +16,7 @@ import sys
 from . import serialize
 from .amalg import amalgamate2, complete_system, indep
 from .efield import (build_unchecked, check_presentation, hull, presentation,
-                     solve)
+                     solve, undeclared)
 from .errors import DomainError, ExpoFieldError, SchemaError, UnsupportedShape
 from .exprlang import eliminate_inequations, flatten, parse
 from .treeprops import (tp2_witness, type_family, verify_finite_witness,
@@ -65,16 +65,12 @@ def _load_presentation(args):
 
 
 def _elems(text: str, f, option: str):
-    """Comma-separated element texts of ``option`` in ``f``'s symbols."""
+    """Comma-separated element texts of ``option`` at ``f``'s order."""
     text = text.strip()
     if not text:
         return []
-    elems = [serialize._elem(part.strip(), f.cyclotomic_order, option)
-             for part in text.split(",")]
-    extra = set().union(*(e.symbols() for e in elems)) - set(f.transcendentals)
-    if extra:
-        raise UnsupportedShape(f"undeclared symbols {sorted(extra)}")
-    return elems
+    return [serialize._elem(part.strip(), f.cyclotomic_order, option)
+            for part in text.split(",")]
 
 
 def cmd_normalize(args) -> int:
@@ -129,7 +125,11 @@ def cmd_efield_check(args) -> int:
 
 def cmd_hull(args) -> int:
     f = _load_presentation(args)
-    h = hull(f, _elems(args.generators, f, "-g"))
+    gens = _elems(args.generators, f, "-g")
+    extra = undeclared(f, gens)
+    if extra:
+        raise UnsupportedShape(f"undeclared symbols {extra}")
+    h = hull(f, gens)
     return _emit(args, serialize.hull_to_json(h))
 
 

@@ -116,10 +116,15 @@ def _graph_violations(f):
         for i, z in zip(idx, rel[0]):
             cert[i] = z
         yield {"kind": "dependent_arguments", "certificate": cert}
-    extra = set().union(*(a.symbols() | v.symbols() for a, v in f.egraph))
-    extra -= set(f.transcendentals)
+    extra = undeclared(f, [e for pair in f.egraph for e in pair])
     if extra:
-        yield {"kind": "undeclared_symbols", "symbols": sorted(extra)}
+        yield {"kind": "undeclared_symbols", "symbols": extra}
+
+
+def undeclared(f: EFieldPresentation, elems) -> list:
+    """The symbols that ``elems`` name and ``f`` does not declare, sorted."""
+    return sorted(set().union(*(e.symbols() for e in elems))
+                  - set(f.transcendentals))
 
 
 def _validate_graph(f: EFieldPresentation) -> None:

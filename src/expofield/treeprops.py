@@ -294,10 +294,9 @@ def z_stabilizer_witness(f: EFieldPresentation, c, d=None):
         zeta_m = cyclotomic_root(f.cyclotomic_order,
                                  f.cyclotomic_order // m)
         bname = fresh_name("_z", set(f.transcendentals))
-        ext = extend_graph(adjoin_transcendentals(f, [bname]),
-                           [(FieldElem.from_symbol(bname, f.cyclotomic_order),
-                             zeta_m)])
-        b = ext.elem(bname)
+        b = FieldElem.from_symbol(bname, f.cyclotomic_order)
+        # zeta_m is constant, so extend_graph declares bname itself
+        ext = extend_graph(f, [(b, zeta_m)])
         em = e_eval(ext, coerce(m, ext.cyclotomic_order) * b).value
         en = e_eval(ext, coerce(n, ext.cyclotomic_order) * b).value
         checks = {"E(m*b) = 1": em.is_one(), "E(n*b) != 1": not en.is_one()}
@@ -315,12 +314,11 @@ def _transcendental_witness(f, c, d=None):
     d = coerce(d, order)
     if d.is_zero() or d.is_one():
         raise UnsupportedShape("need d distinct from 0 and 1")
-    used = set(f.transcendentals) | {s for s in c.symbols()} | {s for s in d.symbols()}
-    p = fresh_name("_p", used)
+    base = set(f.transcendentals) | c.symbols() | d.symbols()
+    p = fresh_name("_p", set(base))
     u = FieldElem.from_symbol(p, order)
     v = ParametricVariety(
-        base_params=tuple(sorted(set(f.transcendentals)
-                                 | c.symbols() | d.symbols())),
+        base_params=tuple(sorted(base)),
         locus_params=(p,),
         X=(u, c * u),
         Y=(FieldElem.one(order), d),

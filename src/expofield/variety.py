@@ -10,6 +10,7 @@ decision is a rational linear-algebra problem, exact and complete here.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import lcm
@@ -41,22 +42,18 @@ class ParametricVariety:
         if set(self.base_params) & set(self.locus_params):
             raise UnsupportedShape("locus parameters must be fresh")
         declared = set(self.base_params) | set(self.locus_params)
-        for e in list(self.X) + list(self.Y):
-            extra = e.symbols() - declared
+        syms = [e.symbols() for e in (*self.X, *self.Y)]
+        for extra in (s - declared for s in syms):
             if extra:
                 raise UnsupportedShape(f"undeclared symbols {sorted(extra)}")
+        # a free Y[i] is a locus parameter that no other coordinate names
+        named = Counter(u for s in syms for u in s)
         for i, y in enumerate(self.Y):
             if y.is_zero():
                 raise UnsupportedShape(f"Y[{i}] is zero")
             if self.free_Y[i]:
-                others = set()
-                for j, x in enumerate(self.X):
-                    others |= x.symbols()
-                for j, yy in enumerate(self.Y):
-                    if j != i:
-                        others |= yy.symbols()
                 sym = lone_symbol(y)
-                if sym not in self.locus_params or sym in others:
+                if sym not in self.locus_params or named[sym] != 1:
                     raise UnsupportedShape(
                         f"free Y[{i}] must be a dedicated locus parameter")
 
@@ -165,33 +162,26 @@ def reduce(v: ParametricVariety) -> ReductionResult:
                                 v.locus_params) for x, a in zip(v.X, A)]
     N = lcm(*(q.denominator for row in A for q in row))
 
-    used = set(v.base_params) | set(v.locus_params)
-    xprime = tuple(v.X[i] / N for i in selected)
     carried = N == 1
-    yprime = []
-    flags = []
-    fresh_params = []
-    for p, i in enumerate(selected):
+    vprime = None
+    if k:
+        xprime = tuple(v.X[i] / N for i in selected)
         if carried:
-            yprime.append(v.Y[i])
-            flags.append(v.free_Y[i])
+            fresh = ()
+            yprime = tuple(v.Y[i] for i in selected)
+            flags = tuple(v.free_Y[i] for i in selected)
         else:
-            fresh_params.append(fresh_name("_q", used))
-            yprime.append(FieldElem.from_symbol(fresh_params[-1], order))
-            flags.append(True)
-    if k == 0:
-        vprime = None
-    else:
-        locus = [u for u in v.locus_params
-                 if any(u in x.symbols() for x in xprime)
-                 or any(u in y.symbols() for y in yprime)]
-        locus += [q for q in fresh_params if q not in locus]
+            used = set(v.base_params) | set(v.locus_params)
+            fresh = tuple(fresh_name("_q", used) for _ in selected)
+            yprime = tuple(FieldElem.from_symbol(q, order) for q in fresh)
+            flags = (True,) * k
+        named = set().union(*(e.symbols() for e in xprime + yprime))
         vprime = ParametricVariety(
             base_params=v.base_params,
-            locus_params=tuple(locus),
+            locus_params=tuple(u for u in v.locus_params if u in named) + fresh,
             X=xprime,
-            Y=tuple(yprime),
-            free_Y=tuple(flags),
+            Y=yprime,
+            free_Y=flags,
             cyclotomic_order=order,
         )
     return ReductionResult(variety=v, vprime=vprime, A=tuple(A),
@@ -316,7 +306,7 @@ def from_flat(fs: FlatSystem, base_params,
     for c in free_cols:
         locus.append(fresh_name("_p", used))
         assignment[unknowns[c]] = FieldElem.from_symbol(locus[-1], order)
-    for row, c in reversed(list(zip(rows, pivots))):
+    for row, c in zip(rows, pivots):
         val = row.get(len(unknowns), zero)
         for fc in free_cols:
             if fc in row:
@@ -337,24 +327,19 @@ def from_flat(fs: FlatSystem, base_params,
             raise Inconsistent(f"conflicting constraints on {y}")
         y_constraints[y] = val
 
-    X = []
     Y = []
-    flags = []
-    for i, x in enumerate(paired):
-        X.append(assignment[x])
-        if fs.yvars[i] in y_constraints:
-            Y.append(y_constraints[fs.yvars[i]])
-            flags.append(False)
+    for y in fs.yvars:
+        if y in y_constraints:
+            Y.append(y_constraints[y])
         else:
             locus.append(fresh_name("_q", used))
             Y.append(FieldElem.from_symbol(locus[-1], order))
-            flags.append(True)
     v = ParametricVariety(
         base_params=base,
         locus_params=tuple(locus),
-        X=tuple(X),
+        X=tuple(assignment[x] for x in paired),
         Y=tuple(Y),
-        free_Y=tuple(flags),
+        free_Y=tuple(y not in y_constraints for y in fs.yvars),
         cyclotomic_order=order,
     )
     return FromFlatResult(variety=v, assignments=assignment,

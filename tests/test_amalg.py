@@ -11,6 +11,7 @@ from expofield import (FieldElem, IndepSystem, acf_indep, amalgamate2,
 from expofield import amalg
 from expofield.amalg import EmbeddedPresentation, validate_system
 from expofield.efield import extend_graph
+from expofield.exprlang import parse_element
 from expofield.errors import (IllFormedExtension, UnsupportedShape,
                               WellDefFailure)
 from gen import rand_extension, rand_pminus_system, rand_presentation
@@ -66,6 +67,22 @@ class TestIndep:
         f = presentation("F", 1, ["t1", "t2", "u"], [(t1 * t2, S("u"))])
         assert [str(g) for g in hull(f, [t1, t2]).generators] == ["t1", "t2"]
         assert indep(f, [t1, t2], [S("u")], [])
+
+    @pytest.mark.parametrize("a, b, c, bad", [
+        # ranks differentiate by t alone, so u's row would be zero and u
+        # would pass for independent of itself
+        (["u"], ["u"], [], "u"),
+        (["t"], ["u"], [], "u"),
+        (["t"], [], ["t", "u * t"], "u"),
+        # A, B and C are checked in turn: the first bad one is named
+        (["v"], ["u"], ["w"], "v"),
+    ])
+    def test_undeclared_symbols_rejected(self, a, b, c, bad):
+        f = presentation("F", 1, ["t"])
+        a, b, c = ([parse_element(x) for x in xs] for xs in (a, b, c))
+        with pytest.raises(UnsupportedShape) as exc:
+            indep(f, a, b, c)
+        assert str(exc.value) == f"undeclared symbols ['{bad}']"
 
 
 class TestIndependenceAxioms:

@@ -564,6 +564,18 @@ class TestCLI:
         assert doc["error"] == "UnsupportedShape"
         assert "'b'" in doc["detail"]
 
+    def test_indep_parses_every_option_before_the_symbol_check(
+            self, capsys, tmp_path):
+        """``indep`` checks symbols in the library, once all three options
+        parse: an undeclared symbol in -A with a -B that does not parse is
+        -B's schema error (exit 1), not the domain error on -A (exit 2)."""
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"name": "F", "transcendentals": ["a"],
+                                    "egraph": []}))
+        assert main(["indep", "-F", str(path), "-A", "b",
+                     "-B", "(1)/(0)"]) == 1
+        assert capsys.readouterr().err.startswith("schema error: -B:")
+
     def test_determinism_two_runs(self, capsys, tmp_path):
         v = tmp_path / "v.json"
         v.write_text(json.dumps({

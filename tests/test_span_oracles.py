@@ -14,7 +14,9 @@ Jacobian rows and ranks across all the fields of one call; their oracle
 builds three hulls and four Jacobian ranks from scratch for every pair, and
 must give the same verdicts and failures, in the same order.  So must
 ``per_node_verify``, which shares rows and ranks only inside one node, on
-the benchmark's systems.  The sharing keys a hull by the set of its inputs,
+the benchmark's systems.  ``acf_indep``, written as td(A/BC) = td(A/C),
+must agree with the four-rank identity on those hulls and keep its verdict
+when A and B are swapped.  The sharing keys a hull by the set of its inputs,
 which is exact because ``hull`` returns the same generators for any order
 of its input and for repeats, and keys each Jacobian row by its generator's
 ``key()``, with a column per symbol the generator has, whose entries must
@@ -437,6 +439,27 @@ def test_indep_matches_hull_and_acf_indep():
             assert indep(f, a, b, c) == want
             seen.add(want)
     assert seen == {True, False}
+
+
+def rank_identity(a, b, c, params):
+    """The oracle for ``acf_indep``, its four-rank form: r(ABC) + r(C) =
+    r(AC) + r(BC)."""
+    def r(elems):
+        return linalg.jacobian_rank(elems, list(params))
+    return r(a + b + c) + r(c) == r(a + c) + r(b + c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
+def test_acf_indep_is_the_rank_identity_and_symmetric(seed, pick):
+    """On the hull generators that ``indep_oracle`` ranks, td(A/BC) =
+    td(A/C) holds exactly when the rank identity does, and the verdict
+    stays when A and B are swapped."""
+    f, a, b, c = list(indep_triples(random.Random(seed)))[pick]
+    ha, hb, hc = (list(hull(f, e).generators) for e in (a + c, b + c, c))
+    want = rank_identity(ha, hb, hc, f.transcendentals)
+    assert acf_indep(ha, hb, hc, f.transcendentals) == want
+    assert acf_indep(hb, ha, hc, f.transcendentals) == want
 
 
 def same_sparse_rows(f, elems):

@@ -279,3 +279,31 @@ def test_validation_rejects_bad_free_flags():
     with pytest.raises(UnsupportedShape):
         # zero multiplicative coordinate
         _v((), ("_p1",), (u,), (FieldElem.zero(),), (False,))
+
+
+P1, P2, Q1, Q2 = S("_p1"), S("_p2"), S("_q1"), S("_q2")
+
+
+@pytest.mark.parametrize("base, xs, ys, flags, bad", [
+    # the free Y's symbol also appears in an X
+    ((), (P1 + Q1,), (Q1,), (True,), 0),
+    # ... or in another Y, flagged or not
+    ((), (P1, P2), (Q1 + 1, Q1), (False, True), 1),
+    ((), (P1, P2), (Q1, Q1), (True, True), 0),
+    # a base parameter is not a locus parameter
+    (("t",), (P1,), (S("t"),), (True,), 0),
+    # a multiple of a parameter is not the parameter
+    ((), (P1,), (2 * Q1,), (True,), 0),
+    # of two bad coordinates, the first is named
+    ((), (P1, P2), (2 * Q1, 3 * Q2), (True, True), 0),
+])
+def test_free_y_must_be_a_dedicated_locus_parameter(base, xs, ys, flags, bad):
+    locus = ("_p1", "_p2", "_q1", "_q2")
+    with pytest.raises(UnsupportedShape) as exc:
+        _v(base, locus, xs, ys, flags)
+    assert str(exc.value) == f"free Y[{bad}] must be a dedicated locus parameter"
+
+
+def test_free_y_named_by_no_other_coordinate_is_accepted():
+    v = _v((), ("_p1", "_q1", "_q2"), (P1, 2 * P1), (Q1, Q2), (True, True))
+    assert v.free_Y == (True, True)
