@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IllFormedExtension, UnsupportedShape
+from .errors import IllFormedExtension, UnsupportedShape, reject_undeclared
 from .efield import (EFieldPresentation, HullBasis, WellDefCheck, e_eval,
                      merge_graphs, presentation, undeclared)
 from .fieldelem import FieldElem, lone_symbol
@@ -111,9 +111,8 @@ def indep(f: EFieldPresentation, a, b, c) -> bool:
     over the hull of C, inside ``f``.  A, B and C may name only the symbols
     ``f`` declares, since ranks differentiate by those alone."""
     a, b, c = list(a), list(b), list(c)
-    for extra in (undeclared(f, elems) for elems in (a, b, c)):
-        if extra:
-            raise UnsupportedShape(f"undeclared symbols {extra}")
+    for elems in (a, b, c):
+        reject_undeclared(undeclared(f, elems))
     checks = _IndepChecks({None: f}, f.transcendentals)
     return checks.indep(*(checks.hull(None, i, lambda g=g: g)
                           for i, g in enumerate((a + c, b + c, c))))

@@ -17,7 +17,8 @@ from . import serialize
 from .amalg import amalgamate2, complete_system, indep
 from .efield import (build_unchecked, check_presentation, hull, presentation,
                      solve, undeclared)
-from .errors import DomainError, ExpoFieldError, SchemaError, UnsupportedShape
+from .errors import (DomainError, ExpoFieldError, SchemaError, UnsupportedShape,
+                     reject_undeclared)
 from .exprlang import eliminate_inequations, flatten, parse
 from .treeprops import (tp2_witness, type_family, verify_finite_witness,
                         z_stabilizer_witness)
@@ -38,7 +39,7 @@ def _load_json(path: str):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SchemaError("/", f"invalid JSON in {path}: {exc}")
 
 
@@ -126,9 +127,7 @@ def cmd_efield_check(args) -> int:
 def cmd_hull(args) -> int:
     f = _load_presentation(args)
     gens = _elems(args.generators, f, "-g")
-    extra = undeclared(f, gens)
-    if extra:
-        raise UnsupportedShape(f"undeclared symbols {extra}")
+    reject_undeclared(undeclared(f, gens))
     h = hull(f, gens)
     return _emit(args, serialize.hull_to_json(h))
 

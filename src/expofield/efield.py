@@ -38,8 +38,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import (CyclotomicOrderMismatch, ExponentialConflict,
-                     LinearDependence, MissingExponential, UnsupportedShape,
-                     WellDefFailure, ZeroValue)
+                     LinearDependence, MissingExponential, WellDefFailure,
+                     ZeroValue, reject_undeclared)
 from . import exprlang
 from .exprlang import ETerm, Lit, Var, fresh_name
 from .fieldelem import (FieldElem, coerce, coprime_base, int_combination,
@@ -138,7 +138,7 @@ def _validate_graph(f: EFieldPresentation) -> None:
         raise LinearDependence(
             unit, "E(0)=1 is implicit; 0 cannot be a graph argument")
     if bad["kind"] == "undeclared_symbols":
-        raise UnsupportedShape(f"undeclared symbols {bad['symbols']}")
+        reject_undeclared(bad["symbols"])
     if bad["kind"] == "foreign_order":
         raise CyclotomicOrderMismatch(
             f"graph {bad['part']} {bad['index']} has cyclotomic order "

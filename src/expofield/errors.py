@@ -45,6 +45,13 @@ class UnsupportedShape(DomainError):
     pass
 
 
+def reject_undeclared(symbols) -> None:
+    """Raise ``UnsupportedShape("undeclared symbols [...]")``, the symbols
+    sorted, when there are any."""
+    if symbols:
+        raise UnsupportedShape(f"undeclared symbols {sorted(symbols)}")
+
+
 class Inconsistent(DomainError):
     pass
 

@@ -15,6 +15,11 @@ Grammar::
 Unary minus binds below ``^``, so ``-t^2`` is ``-(t^2)``, as ordinary
 notation and ``MPoly.__str__`` have it.
 
+A term holds at most ``MAX_NESTING`` nested brackets, ``(`` and ``E(``
+alike; the parser checks that before it recurses, and the bracket past it
+is an ``ExprSyntaxError`` at its column.  A run of unary minuses is read in
+a loop, so it never recurses.
+
 A term has five node kinds: ``Lit``, ``Var``, ``BinOp`` (``+``, ``-`` or
 ``*``), ``Pow`` and ``Exp``.  ``evaluate`` is the one fold over terms, so
 ``term_to_poly`` and ``efield.eval_term`` differ only in their leaves.
@@ -117,10 +122,17 @@ def _tokenize(text: str):
     return tokens
 
 
+# nested "(" and "E(" a term may hold: three parser frames each, so the
+# deepest parse takes about 600 frames, inside the default recursion limit
+# of 1000 with room for its callers
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # brackets open around the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -172,35 +184,35 @@ class _Parser:
         self.fail("'=' or '!='")
 
     def parse_term(self) -> ETerm:
-        node = self.parse_prod()
-        while self.peek()[0] in ("+", "-"):
+        """sum and prod in one frame, each folded to the left, so that a
+        bracket nests three frames deep: this, ``parse_factor`` and
+        ``parse_unit``."""
+        node = op = None
+        while True:
+            prod = self.parse_factor()
+            while self.peek()[0] == "*":
+                self.next()
+                prod = BinOp("*", prod, self.parse_factor())
+            node = prod if op is None else BinOp(op, node, prod)
+            if self.peek()[0] not in ("+", "-"):
+                return node
             op = self.next()[0]
-            node = BinOp(op, node, self.parse_prod())
-        return node
-
-    def parse_prod(self) -> ETerm:
-        node = self.parse_factor()
-        while self.peek()[0] == "*":
-            self.next()
-            node = BinOp("*", node, self.parse_factor())
-        return node
 
     def parse_factor(self) -> ETerm:
-        if self.peek()[0] != "-":
-            return self.parse_pow()
-        self.next()
-        inner = self.parse_factor()
-        if isinstance(inner, Lit):
-            return Lit(-inner.value)
-        return BinOp("*", Lit(-1), inner)
-
-    def parse_pow(self) -> ETerm:
-        base = self.parse_unit()
+        """factor and pow: a run of unary minuses is read in a loop, with no
+        recursion, and applied innermost first, a literal negated."""
+        signs = 0
+        while self.peek()[0] == "-":
+            self.next()
+            signs += 1
+        node = self.parse_unit()
         if self.peek()[0] == "^":
             self.next()
-            tok = self.expect("INT")
-            return Pow(base=base, exponent=int(tok[1]))
-        return base
+            node = Pow(base=node, exponent=int(self.expect("INT")[1]))
+        for _ in range(signs):
+            node = (Lit(-node.value) if isinstance(node, Lit)
+                    else BinOp("*", Lit(-1), node))
+        return node
 
     def parse_unit(self) -> ETerm:
         kind, val = self.peek()[:2]
@@ -210,19 +222,20 @@ class _Parser:
                 self.fail("a nonzero denominator")
             self.next()
             return Lit(Fraction(int(num), int(den)) if den else int(num))
-        if kind == "IDENT":
+        if kind == "IDENT" and val != "E":
             self.next()
-            if val == "E":
-                self.expect("(")
-                arg = self.parse_term()
-                self.expect(")")
-                return Exp(arg=arg)
             return Var(name=val)
-        if kind == "(":
+        if kind in ("(", "IDENT"):  # "(" term ")" or "E" "(" term ")"
+            if self.depth == MAX_NESTING:
+                self.fail(f"at most {MAX_NESTING} nested brackets")
             self.next()
+            if kind == "IDENT":
+                self.expect("(")
+            self.depth += 1
             node = self.parse_term()
+            self.depth -= 1
             self.expect(")")
-            return node
+            return node if kind == "(" else Exp(arg=node)
         self.fail("a term")
 
 

@@ -33,6 +33,22 @@ term or factor rather than from a fresh 0 or 1; normalization is
 idempotent, so the result prints the same either way and one multiplication
 is saved.
 
+Monomial rule: at order 1 an element whose num and den are one term each
+is c*M/N for a rational c and monomials M and N with no common symbol,
+since the monomial cancellation has removed gcd(M, N), and N is monic,
+since a one-term denominator rescales to coefficient 1.  A quotient of
+monomials has no other normal form, because c, M/N as a Laurent monomial
+and gcd(M, N) = 1 fix c, M and N.  A product of powers of such elements is
+one again, so ``power_product`` computes it from four ints: the numerator
+and denominator of c, and M and N, which add |z| times each base's
+monomials (swapped for z < 0), cancelling their common monomial after each
+factor as the fold does, so that an exponent passes ``MAX_EXPONENT``, and
+raises, at the factor where it does in the fold.  The result is the single
+normal form the fold reaches.  The rule needs order 1: above it a monomial
+times zeta is reduced modulo the cyclotomic polynomial, so a power of a
+monomial in zeta need not be one term, as (t1*zeta)^2 = -t1^2*zeta - t1^2
+shows at order 3.
+
 Coprime-base rule: at order 1 every element has no common monomial and no
 exact division either way.  If the non-constant numerators and
 denominators of some elements are pairwise coprime, each element's own
@@ -61,8 +77,8 @@ from functools import reduce
 from itertools import chain
 from operator import or_
 
-from .mpoly import (MPoly, ZETA, _ONE_TERMS, _join_order, decode, encode,
-                    monomial_gcd)
+from .mpoly import (MPoly, ZETA, _ONE_TERMS, _join_order, _quotient, decode,
+                    encode, monomial_gcd, monomial_power, monomial_product)
 
 
 class FieldElem:
@@ -309,27 +325,31 @@ _ONE = MPoly.const(1)  # the denominator of a product that has none
 
 def power_product(bases, exps, order: int = 1, coprime=None) -> FieldElem:
     """prod b_i ** z_i over the nonzero integer exponents z_i (a Fraction
-    with denominator 1 counts as an integer), by multiplication alone while
-    nothing can cancel (the coprime-base rule): the numerators' powers over
-    the denominators' powers, where a negative exponent swaps the two,
-    rescaled once and only after such a swap.  From the first factor where
-    that may fail on, each power is multiplied on by FieldElem arithmetic:
-    at an ``order`` above 1, at a base of a higher order or a zero base,
-    and at the second non-constant base unless ``coprime()``, asked from
-    there on, says the bases form a coprime base (``coprime_base``).  The
-    product before that has one non-constant factor at most, or coprime
-    ones, so it is the normal form that multiplying each power on reaches at
-    the same point."""
+    with denominator 1 counts as an integer).  At ``order`` 1, when every
+    such base is a nonzero element of order 1 whose num and den are one
+    term each, the product is taken from four ints (the monomial rule,
+    ``_monomial_product``), and ``coprime`` is never asked.  Otherwise it
+    is taken by multiplication alone while nothing can cancel (the
+    coprime-base rule): the numerators' powers over the denominators'
+    powers, where a negative exponent swaps the two, rescaled once and only
+    after such a swap.  From the first factor where that may fail on, each
+    power is multiplied on by FieldElem arithmetic: at an ``order`` above
+    1, at a base of a higher order or a zero base, and at the second
+    non-constant base unless ``coprime()``, asked from there on, says the
+    bases form a coprime base (``coprime_base``).  The product before that
+    has one non-constant factor at most, or coprime ones, so it is the
+    normal form that multiplying each power on reaches at the same point."""
+    pairs = [(b if isinstance(b, FieldElem) else coerce(b, order), int(z))
+             for b, z in zip(bases, exps) if z]
+    if order == 1 and all(len(b.num.terms) == 1 == len(b.den.terms)
+                          and b.num.order == 1 for b, _ in pairs):
+        return _monomial_product(pairs)
     num, den = None, _ONE
     inverted = nonconstant = False
-    pairs = zip(bases, exps)
+    pairs = iter(pairs)
     rest = ()
     for b, z in pairs:
-        if not z:
-            continue
-        if not isinstance(b, FieldElem):
-            b = coerce(b, order)
-        p, q, z = b.num, b.den, int(z)
+        p, q = b.num, b.den
         constant = b.is_constant()
         if (order > 1 or p.order > 1 or not p.terms or not constant
                 and nonconstant and not (coprime and coprime())):
@@ -347,10 +367,37 @@ def power_product(bases, exps, order: int = 1, coprime=None) -> FieldElem:
     if num is not None:
         out = _elem(*_rescale(num, den)) if inverted else _elem(num, den)
     for b, z in rest:
-        if z:
-            factor = coerce(b, order) ** int(z)
-            out = factor if out is None else out * factor
+        out = b ** z if out is None else out * b ** z
     return FieldElem.one(order) if out is None else out
+
+
+def _monomial_product(pairs) -> FieldElem:
+    """prod b ** z over pairs (b, z) with z nonzero and b = c*M/N of order
+    1, as the monomial rule says: the numerator and denominator of the
+    coefficient and the numerator and denominator monomials, cancelled
+    after each factor as the fold cancels, so that every monomial sum and
+    power raises ``UnsupportedShape`` where that of the fold does."""
+    p = q = 1
+    up = down = 0
+    for b, z in pairs:
+        (m, c), = b.num.terms.items()
+        n, = b.den.terms
+        cp, cq = c.numerator, c.denominator
+        if z < 0:
+            m, n, cp, cq, z = n, m, cq, cp, -z
+        if z > 1:
+            m, n, cp, cq = (monomial_power(m, z), monomial_power(n, z),
+                            cp ** z, cq ** z)
+        if m:
+            up = monomial_product(up, m)
+        if n:
+            down = monomial_product(down, n)
+        if up and down:
+            common = monomial_gcd(up, down)
+            up, down = up - common, down - common
+        p, q = p * cp, q * cq
+    num = MPoly({up: _quotient(p, q)}, 1, _reduce=False)
+    return _elem(num, MPoly({down: 1}, 1, _reduce=False) if down else _ONE)
 
 
 def coprime_base(elems) -> bool:

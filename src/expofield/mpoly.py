@@ -16,9 +16,9 @@ from sorted (symbol, exponent) pairs.
 
 The width is a limit: an exponent above ``MAX_EXPONENT`` = 2^31 - 1 would
 carry into the next symbol's field.  Multiplication (so also ``**``),
-``encode`` and ``rename`` raise ``UnsupportedShape`` where an exponent
-would pass it, seen as a set guard bit, instead of wrapping; the CLI
-reports that with exit code 2.
+``encode``, ``rename``, ``monomial_product`` and ``monomial_power`` raise
+``UnsupportedShape`` where an exponent would pass it, seen as a set guard
+bit, instead of wrapping; the CLI reports that with exit code 2.
 
 A coefficient is an ``int`` when it is integral and a ``Fraction`` only
 otherwise, so integer arithmetic never builds a Fraction, and ``==``,
@@ -125,6 +125,35 @@ def monomial_gcd(a: int, b: int) -> int:
     b_le_a = ((a | _GUARDS) - b) & _GUARDS  # guard bits of fields with a >= b
     take_b = b_le_a - (b_le_a >> (FIELD_BITS - 1))  # their exponent bits
     return (b & take_b) | (a & ~take_b)
+
+
+def monomial_product(a: int, b: int) -> int:
+    """The monomial a * b, raising where ``MPoly.__mul__`` does: the sum of
+    two valid fields cannot carry, so a set guard bit is the only sign."""
+    mono = a + b
+    if mono & _GUARDS:
+        raise _too_large()
+    return mono
+
+
+def monomial_power(mono: int, n: int) -> int:
+    """The monomial mono ** n for n >= 1, raising exactly when
+    ``MPoly.__pow__`` does: when n times some exponent passes
+    ``MAX_EXPONENT``.  For n below 2^k, k < 32, with every exponent below
+    2^(31 - k), none can, and the product is ``n * mono``; otherwise it
+    doubles where that power squares, with the guard test of each step."""
+    k = n.bit_length()
+    # _GUARDS - (_GUARDS >> k): bits 31 - k up to 30 of every field
+    if k < FIELD_BITS and not mono & (_GUARDS - (_GUARDS >> k)):
+        return n * mono
+    out = 0
+    while True:
+        if n & 1:
+            out = monomial_product(out, mono)
+        n >>= 1
+        if not n:
+            return out
+        mono = monomial_product(mono, mono)
 
 
 def _grlex_descending(mono: int) -> tuple:

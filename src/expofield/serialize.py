@@ -349,7 +349,7 @@ def assignments_from_json(text: str, order: int) -> list:
     mapping plain decimal exponents to element strings."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError("/", f"invalid JSON in --assignments: {exc}")
     assignments = []
     for i, entry in enumerate(_typed(doc, [dict], "")):

@@ -16,7 +16,8 @@ from itertools import product
 from math import lcm
 from operator import mul
 
-from .errors import Inconsistent, UnsupportedShape, MissingExponential
+from .errors import (Inconsistent, UnsupportedShape, MissingExponential,
+                     reject_undeclared)
 from .exprlang import FlatSystem, fresh_name
 from .fieldelem import (FieldElem, coerce, eliminate_symbols, int_combination,
                         lone_symbol, power_product)
@@ -43,9 +44,8 @@ class ParametricVariety:
             raise UnsupportedShape("locus parameters must be fresh")
         declared = set(self.base_params) | set(self.locus_params)
         syms = [e.symbols() for e in (*self.X, *self.Y)]
-        for extra in (s - declared for s in syms):
-            if extra:
-                raise UnsupportedShape(f"undeclared symbols {sorted(extra)}")
+        for s in syms:
+            reject_undeclared(s - declared)
         # a free Y[i] is a locus parameter that no other coordinate names
         named = Counter(u for s in syms for u in s)
         for i, y in enumerate(self.Y):

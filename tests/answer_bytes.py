@@ -17,10 +17,10 @@ hashes with SHA-256:
 
 It prints one "seed digest" line per seed and exits 1 when a workload's
 lines differ from its digests below.  A speedup must leave them as they
-are.  Set order must not reach an answer either, so amalg-n is checked
-under more than one hash seed:
+are.  Set order must not reach an answer either, so both workloads are
+checked under more than one hash seed:
 
-    PYTHONHASHSEED=1 python tests/answer_bytes.py amalg-n
+    PYTHONHASHSEED=1 python tests/answer_bytes.py
 
 It reads ``bench/`` and writes nothing in the repository, not even
 bytecode.

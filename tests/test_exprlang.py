@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from expofield.exprlang import (Atom, BinOp, ESystem, Exp, Lit, Pow, Var,
-                                eliminate_inequations, flatten, parse,
-                                parse_element, print_flat, print_system,
-                                print_term, system_symbols, term_to_poly)
+from expofield.exprlang import (MAX_NESTING, Atom, BinOp, ESystem, Exp, Lit,
+                                Pow, Var, eliminate_inequations, flatten,
+                                parse, parse_element, print_flat,
+                                print_system, print_term, system_symbols,
+                                term_to_poly)
 from expofield.fieldelem import FieldElem
 from expofield.errors import ExprSyntaxError, UnsupportedShape
 
@@ -73,6 +74,41 @@ def test_malformed_text_names_what_was_expected(text, kind, col, expected):
     with pytest.raises(ExprSyntaxError) as exc:
         parse(text) if kind == "system" else parse_element(text)
     assert str(exc.value) == f"line 1, col {col}: expected {expected}"
+
+
+def _nested(n: int, opener: str) -> str:
+    return opener * n + "t" + ")" * n
+
+
+@pytest.mark.parametrize("opener", ["(", "E("])
+def test_nesting_bound(opener):
+    """Up to MAX_NESTING brackets parse, 198 among them, the deepest that
+    parsed before the bound; one more is a syntax error at the column of
+    the bracket past it, and so are 3,000 nested parentheses."""
+    for n in (198, MAX_NESTING):
+        node = parse(_nested(n, opener), kind="term")
+        for _ in range(n if opener == "E(" else 0):
+            node = node.arg
+        assert node == Var("t")
+    col = len(opener) * MAX_NESTING + 1
+    for n in (MAX_NESTING + 1, 3000 if opener == "(" else MAX_NESTING + 1):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(_nested(n, opener), kind="term")
+        assert str(exc.value) == (f"line 1, col {col}: expected at most "
+                                  f"{MAX_NESTING} nested brackets")
+
+
+def test_unary_minus_runs_do_not_recurse():
+    """A run of unary minuses is read in a loop: 990, the deepest that
+    parsed while each minus took a frame, and 5,000 parse, and each minus
+    wraps the term once, a literal negated instead."""
+    for n in (990, 5000):
+        node = parse("-" * n + "t", kind="term")
+        for _ in range(n):
+            assert node.op == "*" and node.left == Lit(-1)
+            node = node.right
+        assert node == Var("t")
+        assert parse("-" * n + "3", kind="term") == Lit((-1) ** n * 3)
 
 
 def test_parse_rejects_an_unknown_kind():

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from expofield.fieldelem import (FieldElem, _elem, coerce, coprime_base,
                                  cyclotomic_root, eliminate_symbols,
                                  int_combination, power_product)
-from expofield.errors import UnknownVariable
-from expofield.mpoly import MPoly
+from expofield.errors import UnknownVariable, UnsupportedShape
+from expofield.mpoly import MAX_EXPONENT, MPoly
 from gen import fold_power_product
 
 S = FieldElem.from_symbol
@@ -360,8 +360,11 @@ def test_coprime_base_pins():
     def vouch():
         asked.append(True)
         return True
-    power_product([coerce(2), T1, T2], [1, 1, -1], coprime=vouch)
-    power_product([T1, coerce(2), 1 / T2], [1, 1, 0], coprime=vouch)
+    power_product([coerce(2), P1, Q3], [1, 1, -1], coprime=vouch)
+    power_product([P1, coerce(2), 1 / Q3], [1, 1, 0], coprime=vouch)
+    assert asked == [True]
+    # nor ever over monomials, which take the monomial rule
+    power_product([coerce(2), T1, T2, 1 / T1], [1, 1, -1, 2], coprime=vouch)
     assert asked == [True]
     # a base of a higher order is multiplied on, which works at that order
     z = cyclotomic_root(3)
@@ -370,17 +373,69 @@ def test_coprime_base_pins():
 
 def test_zero_bases_behave_as_in_the_fold():
     """Wherever a zero base stands, a positive power of it makes the
-    product 0, in normal form, and a negative one raises."""
+    product 0, in normal form, and a negative one raises; also among
+    monomials, which then do not take the monomial rule."""
     zero, zero3 = FieldElem.zero(), FieldElem.zero(3)
     for coprime in (None, lambda: True):
-        for vals in ([1 / T1, 0], [1 / T1, zero], [zero, T2 + 1, 1 / T1]):
+        for vals in ([1 / T1, 0], [1 / T1, zero], [zero, T2 + 1, 1 / T1],
+                     [T1 * T2 / 3, coerce(2), zero]):
             got = power_product(vals, [1, 1, 1], coprime=coprime)
             assert got.is_zero() and got.den.terms == {0: 1}
             assert str(got) == str(fold_power_product(vals, [1, 1, 1])) == "0"
         for vals, exps, order in (([0], [-1], 1), ([zero, zero], [1, -1], 1),
                                   ([T1, zero], [2, -3], 1),
+                                  ([T1 / T2, zero], [-2, -1], 1),
                                   ([zero3], [-2], 3)):
             with pytest.raises(ZeroDivisionError):
                 power_product(vals, exps, order, coprime)
             with pytest.raises(ZeroDivisionError):
                 fold_power_product(vals, exps, order)
+
+
+# -- power products of monomials ----------------------------------------------
+
+@st.composite
+def monomial_quotients(draw):
+    """c * t1^a * t2^b / t3^d for a nonzero Fraction c of either sign and
+    exponents a, b, d in 0..3: the bases share their symbols, so that the
+    powers cancel against each other."""
+    c = draw(nonzero_scalars)
+    a, b, d = (draw(st.integers(0, 3)) for _ in range(3))
+    return c * T1 ** a * T2 ** b / S("t3") ** d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(monomial_quotients(),
+                          st.one_of(st.integers(-3, 3),
+                                    st.builds(Fraction, st.integers(-3, 3)))),
+                max_size=5))
+@example([(T1 * T2, 1), (T1, -1)])
+@example([(coerce(Fraction(-2, 3)), Fraction(-3)), (T1 / 2, 0), (T2, 2)])
+def test_monomial_power_product_is_the_fold(pairs):
+    """Over monomial quotients ``power_product`` takes c*M/N from four ints;
+    it prints as the fold and has its terms, an int coefficient where the
+    fold has an int and a Fraction where it has a Fraction."""
+    vals, exps = [v for v, _ in pairs], [z for _, z in pairs]
+    got, want = power_product(vals, exps), fold_power_product(vals, exps)
+    assert str(got) == str(want)
+    for g, w in ((got.num, want.num), (got.den, want.den)):
+        assert g.terms == w.terms
+        assert [type(c) for c in g.terms.values()] == \
+            [type(c) for c in w.terms.values()]
+
+
+def test_monomial_power_product_pins():
+    """A monomial that cancels, exponents past the limit, which raise as
+    in the fold, and powers whose monomials pass the limit only when they
+    are not cancelled after each factor."""
+    got = power_product([T1 * T2, T1], [1, -1])
+    assert str(got) == "t2" and got.den.terms == {0: 1}
+    big, t = MAX_EXPONENT, S("t")
+    for vals, exps in (([t ** 3], [big]), ([1 / t ** 3], [-big]),
+                       ([t ** (1 << 30), t ** (1 << 30)], [1, 1])):
+        with pytest.raises(UnsupportedShape):
+            power_product(vals, exps)
+        with pytest.raises(UnsupportedShape):
+            fold_power_product(vals, exps)
+    vals, exps = [t ** (1 << 30)] * 3, [1, -1, 1]
+    assert str(power_product(vals, exps)) == str(fold_power_product(vals, exps))

@@ -5,12 +5,13 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expofield import mpoly
 from expofield.fieldelem import cyclotomic_root
 from expofield.mpoly import (FIELD_BITS, MAX_EXPONENT, MPoly,
-                             cyclotomic_polynomial, decode, encode)
+                             cyclotomic_polynomial, decode, encode,
+                             monomial_power, monomial_product)
 from expofield.errors import (CyclotomicOrderMismatch, UnknownVariable,
                               UnsupportedShape)
 from expofield.exprlang import parse_element
@@ -197,6 +198,40 @@ def test_exponent_limit_raises_and_never_wraps():
     # remainder, which no exact quotient needs: an exponent above the
     # dividend's
     assert (top + 1).exact_divide(y + x ** 5 + 1) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(["x", "limit_x", "limit_y"]),
+                       st.one_of(st.integers(1, 9),
+                                 st.integers(1, MAX_EXPONENT)), max_size=3),
+       st.one_of(st.integers(1, 9), st.integers(1, 1 << 40),
+                 st.sampled_from([MAX_EXPONENT, MAX_EXPONENT + 1,
+                                  1 << FIELD_BITS, 1 << 30])))
+@example({"x": 1 << 29}, 3)  # passes 2^(31 - 2), not the limit: doubled
+@example({"x": 3}, MAX_EXPONENT)
+@example({"x": 1, "limit_x": 2}, 1 << 30)
+def test_monomial_power_and_product_raise_as_mpoly_does(exps, n):
+    """mono ** n multiplies each exponent by n, takes ``n * mono`` only
+    when no exponent can pass the limit, and raises exactly where
+    ``MPoly.__pow__`` does; a product raises where ``MPoly.__mul__`` does."""
+    def outcome(make):
+        try:
+            return make()
+        except UnsupportedShape:
+            return UnsupportedShape
+
+    mono = encode(exps.items())
+    poly = MPoly({mono: 1})
+    power = outcome(lambda: monomial_power(mono, n))
+    assert (power is UnsupportedShape) == any(e * n > MAX_EXPONENT
+                                              for e in exps.values())
+    if power is not UnsupportedShape:
+        assert decode(power) == tuple(sorted((s, e * n)
+                                             for s, e in exps.items()))
+        power = {power: 1}
+    assert power == outcome(lambda: (poly ** n).terms)
+    square = outcome(lambda: {monomial_product(mono, mono): 1})
+    assert square == outcome(lambda: (poly * poly).terms)
 
 
 LATE = [f"late{i}" for i in range(24)]

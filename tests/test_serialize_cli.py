@@ -93,6 +93,22 @@ class TestCLI:
                             f"x = t^{MAX_EXPONENT} * t")
         assert code == 2 and json.loads(out)["error"] == "UnsupportedShape"
 
+    def test_json_nested_past_the_recursion_limit_exits_1(self, capsys,
+                                                          tmp_path):
+        """A document of 100,000 nested arrays is a schema error at "/", in
+        a file or in ``--assignments``, and no RecursionError."""
+        deep = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        for argv, where in ((["roundtrip", "-f", str(path)], str(path)),
+                            (["type-family", "--assignments", deep],
+                             "--assignments")):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(
+                f"schema error: /: invalid JSON in {where}: maximum recursion")
+
     def test_zeta_at_order_1_exits_1(self, capsys):
         assert main(["normalize", "-e", "x = zeta"]) == 1
         assert capsys.readouterr() == (
