@@ -15,10 +15,13 @@ Grammar::
 Unary minus binds below ``^``, so ``-t^2`` is ``-(t^2)``, as ordinary
 notation and ``MPoly.__str__`` have it.
 
-A term holds at most ``MAX_NESTING`` nested brackets, ``(`` and ``E(``
-alike; the parser checks that before it recurses, and the bracket past it
-is an ``ExprSyntaxError`` at its column.  A run of unary minuses is read in
-a loop, so it never recurses.
+A term nests at most ``MAX_NESTING`` deep, where each bracket, ``(`` and
+``E(`` alike, and each unary minus counts one level; the parser checks that
+before it goes a level deeper, and the token past the bound is an
+``ExprSyntaxError`` at its column.  So brackets and minuses add at most
+``MAX_NESTING`` levels to a term, and neither the parser nor a later walk
+over the term, which recurses once per level, meets the recursion limit
+through them.
 
 A term has five node kinds: ``Lit``, ``Var``, ``BinOp`` (``+``, ``-`` or
 ``*``), ``Pow`` and ``Exp``.  ``evaluate`` is the one fold over terms, so
@@ -122,9 +125,10 @@ def _tokenize(text: str):
     return tokens
 
 
-# nested "(" and "E(" a term may hold: three parser frames each, so the
-# deepest parse takes about 600 frames, inside the default recursion limit
-# of 1000 with room for its callers
+# nested brackets and unary minuses a term may hold: a bracket takes three
+# parser frames, so the deepest parse takes about 600 frames, and they add
+# at most 200 levels to the term, inside the default recursion limit of
+# 1000 with room for the callers of a walk
 MAX_NESTING = 200
 
 
@@ -132,7 +136,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.depth = 0  # brackets open around the current token
+        self.depth = 0  # brackets and minuses open around the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -150,6 +154,24 @@ class _Parser:
         if self.peek()[0] != kind:
             self.fail(f"{kind!r}")
         return self.next()
+
+    def nest(self):
+        """One level deeper at the next token, failing at it past
+        ``MAX_NESTING``."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"at most {MAX_NESTING} nested brackets and minuses")
+        self.depth += 1
+
+    def bracketed(self) -> ETerm:
+        """The "(" term ")" that starts at the next token, "(" or "E", one
+        level deeper."""
+        self.nest()
+        if self.next()[0] != "(":
+            self.expect("(")
+        node = self.parse_term()
+        self.expect(")")
+        self.depth -= 1
+        return node
 
     def skip_newlines(self):
         while self.peek()[0] == "NEWLINE":
@@ -199,19 +221,21 @@ class _Parser:
             op = self.next()[0]
 
     def parse_factor(self) -> ETerm:
-        """factor and pow: a run of unary minuses is read in a loop, with no
-        recursion, and applied innermost first, a literal negated."""
-        signs = 0
+        """factor and pow: a run of unary minuses is read in a loop, each
+        minus one level deeper, and applied innermost first, a literal
+        negated."""
+        depth = self.depth
         while self.peek()[0] == "-":
+            self.nest()
             self.next()
-            signs += 1
         node = self.parse_unit()
         if self.peek()[0] == "^":
             self.next()
             node = Pow(base=node, exponent=int(self.expect("INT")[1]))
-        for _ in range(signs):
+        for _ in range(self.depth - depth):
             node = (Lit(-node.value) if isinstance(node, Lit)
                     else BinOp("*", Lit(-1), node))
+        self.depth = depth
         return node
 
     def parse_unit(self) -> ETerm:
@@ -222,20 +246,13 @@ class _Parser:
                 self.fail("a nonzero denominator")
             self.next()
             return Lit(Fraction(int(num), int(den)) if den else int(num))
-        if kind == "IDENT" and val != "E":
+        if kind == "IDENT":
+            if val == "E":
+                return Exp(arg=self.bracketed())
             self.next()
             return Var(name=val)
-        if kind in ("(", "IDENT"):  # "(" term ")" or "E" "(" term ")"
-            if self.depth == MAX_NESTING:
-                self.fail(f"at most {MAX_NESTING} nested brackets")
-            self.next()
-            if kind == "IDENT":
-                self.expect("(")
-            self.depth += 1
-            node = self.parse_term()
-            self.depth -= 1
-            self.expect(")")
-            return node if kind == "(" else Exp(arg=node)
+        if kind == "(":
+            return self.bracketed()
         self.fail("a term")
 
 

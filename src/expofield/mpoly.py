@@ -137,15 +137,8 @@ def monomial_product(a: int, b: int) -> int:
 
 
 def monomial_power(mono: int, n: int) -> int:
-    """The monomial mono ** n for n >= 1, raising exactly when
-    ``MPoly.__pow__`` does: when n times some exponent passes
-    ``MAX_EXPONENT``.  For n below 2^k, k < 32, with every exponent below
-    2^(31 - k), none can, and the product is ``n * mono``; otherwise it
-    doubles where that power squares, with the guard test of each step."""
-    k = n.bit_length()
-    # _GUARDS - (_GUARDS >> k): bits 31 - k up to 30 of every field
-    if k < FIELD_BITS and not mono & (_GUARDS - (_GUARDS >> k)):
-        return n * mono
+    """The monomial mono ** n for n >= 1, by square-and-multiply as
+    ``MPoly.__pow__`` does, so it raises exactly where that power does."""
     out = 0
     while True:
         if n & 1:

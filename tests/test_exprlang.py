@@ -95,20 +95,29 @@ def test_nesting_bound(opener):
         with pytest.raises(ExprSyntaxError) as exc:
             parse(_nested(n, opener), kind="term")
         assert str(exc.value) == (f"line 1, col {col}: expected at most "
-                                  f"{MAX_NESTING} nested brackets")
+                                  f"{MAX_NESTING} nested brackets and minuses")
 
 
-def test_unary_minus_runs_do_not_recurse():
-    """A run of unary minuses is read in a loop: 990, the deepest that
-    parsed while each minus took a frame, and 5,000 parse, and each minus
-    wraps the term once, a literal negated instead."""
-    for n in (990, 5000):
-        node = parse("-" * n + "t", kind="term")
-        for _ in range(n):
-            assert node.op == "*" and node.left == Lit(-1)
-            node = node.right
-        assert node == Var("t")
-        assert parse("-" * n + "3", kind="term") == Lit((-1) ** n * 3)
+def test_unary_minuses_count_against_the_nesting_bound():
+    """A run of MAX_NESTING unary minuses parses, each wrapping the term
+    once, a literal negated instead; one more minus, or one inside
+    MAX_NESTING brackets, is a syntax error at its column, and so are
+    5,000 minuses."""
+    n = MAX_NESTING
+    node = parse("-" * n + "t", kind="term")
+    for _ in range(n):
+        assert node.op == "*" and node.left == Lit(-1)
+        node = node.right
+    assert node == Var("t")
+    assert parse("-" * n + "3", kind="term") == Lit((-1) ** n * 3)
+    half = n // 2
+    for text, col in (("-" * (n + 1) + "t", n + 1), ("-" * 5000 + "t", n + 1),
+                      ("E(" * half + "-" * (half + 1) + "t" + ")" * half,
+                       3 * half + 1)):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(text, kind="term")
+        assert str(exc.value) == (f"line 1, col {col}: expected at most "
+                                  f"{MAX_NESTING} nested brackets and minuses")
 
 
 def test_parse_rejects_an_unknown_kind():

@@ -109,6 +109,14 @@ class TestCLI:
             assert err.startswith(
                 f"schema error: /: invalid JSON in {where}: maximum recursion")
 
+    def test_nesting_past_the_bound_exits_1(self, capsys):
+        """1,000 unary minuses, past ``MAX_NESTING``, are a syntax error and
+        no RecursionError in a later walk over the term."""
+        assert main(["normalize", "-e", "x = " + "-" * 1000 + "t"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: line 1, col 205: expected at most 200 nested "
+            "brackets and minuses\n")
+
     def test_zeta_at_order_1_exits_1(self, capsys):
         assert main(["normalize", "-e", "x = zeta"]) == 1
         assert capsys.readouterr() == (
