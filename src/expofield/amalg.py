@@ -3,12 +3,31 @@
 Independence of subfields is decided by the Jacobian rank criterion (valid
 in characteristic 0): td of a tuple over a finitely generated subfield is a
 difference of Jacobian ranks with respect to the ambient transcendentals,
-and A is independent from B over C when td(A/BC) = td(A/C), symmetric by
-the rank identity r(ABC) + r(C) = r(AC) + r(BC).  Pairwise amalgamation and
-the completion of independent P^-(n) systems build one free composite (new
-transcendentals kept algebraically independent), with the homomorphism's
-well-definedness certified on the integer kernel of the concatenated graph
-arguments.
+and A is independent from B over C when td(A/BC) = td(A/C), that is when
+r(ABC) + r(C) = r(AC) + r(BC), so symmetric in A and B.  Pairwise
+amalgamation and the completion of independent P^-(n) systems build one
+free composite (new transcendentals kept algebraically independent), with
+the homomorphism's well-definedness certified on the integer kernel of the
+concatenated graph arguments.
+
+One function decides each relation here:
+
+- independence: ``_IndepChecks.indep``, the one statement of the rank
+  identity.  ``acf_indep`` applies it to Jacobian rows of the given
+  elements, and ``indep`` and ``verify_independent_system`` to rows of
+  hull generators.  Tests: ``test_span_oracles``, whose
+  ``rank_identity`` writes the identity out as the oracle of
+  ``acf_indep``, whose ``indep_oracle`` and ``verify_oracle`` rebuild
+  every hull and rank per pair, and whose ``per_node_verify`` shares
+  ranks only inside a node; ``test_amalg``'s ``TestAcfIndep``,
+  ``TestIndep`` and ``TestIndependenceAxioms`` and acceptance criterion 6
+  check pinned verdicts and the relation's axioms.
+- td: ``tdeg``, a difference of two ``_IndepChecks.rank``.  Tests:
+  ``test_amalg.TestTdeg`` and
+  ``test_span_oracles.test_tdeg_is_a_difference_of_jacobian_ranks``.
+- well-definedness of a composite: ``efield.merge_graphs``, through
+  ``_composite``.  Tests: ``test_amalg``'s ``TestAmalgamate2`` and
+  ``TestSystems``, and those ``efield`` names for ``merge_graphs``.
 
 The independence checks of one call share their work through one
 ``_IndepChecks``.  Per node, all hulls come from one ``efield.HullBasis``,
@@ -17,9 +36,9 @@ generators is closed to its hull once.  Per call, across the nodes of
 ``verify_independent_system``, each hull generator is differentiated once,
 keyed by its value's ``key()``, by the symbols it has, into a sparse
 Jacobian row with a column per symbol, and each distinct set of rows is
-ranked once.  One ``_IndepChecks`` serves one ``indep`` or
-``verify_independent_system`` call and is dropped when it returns; nothing
-is kept between calls.
+ranked once.  One ``_IndepChecks`` serves one ``indep``, ``acf_indep``,
+``tdeg`` or ``verify_independent_system`` call and is dropped when it
+returns; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -30,30 +49,10 @@ from .errors import IllFormedExtension, UnsupportedShape, reject_undeclared
 from .efield import (EFieldPresentation, HullBasis, WellDefCheck, e_eval,
                      merge_graphs, presentation, undeclared)
 from .fieldelem import FieldElem, lone_symbol
-from .linalg import ff_rank, jacobian_rank, jacobian_row
+from .linalg import ff_rank, jacobian_row
 
 
 # -- transcendence degree and ACF-independence --------------------------------
-
-
-def tdeg(amb_params, elems, over=()) -> int:
-    """td of ``elems`` over the subfield generated by ``over``.
-
-    Jacobian criterion: rank J(elems + over) - rank J(over), derivatives
-    taken by every ambient transcendental.
-    """
-    params = list(amb_params)
-    base = list(over)
-    return (jacobian_rank(list(elems) + base, params)
-            - jacobian_rank(base, params))
-
-
-def acf_indep(a, b, c, amb_params) -> bool:
-    """Field-theoretic independence of A from B over C inside the ambient
-    field: td(A/BC) = td(A/C), which is the rank identity r(ABC) + r(C) =
-    r(AC) + r(BC), so symmetric in A and B."""
-    a, b, c, params = map(list, (a, b, c, amb_params))
-    return tdeg(params, a, b + c) == tdeg(params, a, c)
 
 
 class _IndepChecks:
@@ -68,7 +67,8 @@ class _IndepChecks:
     sparse dict {symbol: derivative} over the symbols of ``params`` it has;
     and a rank per set of row keys, the union of the hulls' keys, which
     fixes it.  A generator of a node lies in the field of that node's
-    transcendentals, so its rank there is its rank over all of ``params``."""
+    transcendentals, so its rank there is its rank over all of ``params``.
+    ``tdeg`` and ``acf_indep`` rank through one with no nodes."""
 
     def __init__(self, nodes: dict, params):
         self.nodes = nodes
@@ -78,6 +78,13 @@ class _IndepChecks:
         self.rows: dict = {}  # generator's key() -> Jacobian row
         self.ranks: dict = {}  # frozenset of row keys -> rank
 
+    def add_rows(self, gens: dict) -> tuple:
+        """The keys of ``gens``, {key(): element}, after storing the
+        Jacobian row of each element whose key has none yet."""
+        self.rows.update((k, jacobian_row(g, self.params))
+                         for k, g in gens.items() if k not in self.rows)
+        return tuple(gens)
+
     def hull(self, node, key, elems) -> tuple:
         """Row keys of the hull in ``node`` of the list ``elems()`` returns,
         computed once per (node, key)."""
@@ -85,25 +92,45 @@ class _IndepChecks:
         if keys is None:
             if node not in self.bases:
                 self.bases[node] = HullBasis(self.nodes[node])
-            gens = self.bases[node].hull(elems())
-            keys = self.hulls[node, key] = tuple(gens)
-            for k, g in gens.items():
-                if k not in self.rows:
-                    self.rows[k] = jacobian_row(g, self.params)
+            keys = self.hulls[node, key] = self.add_rows(
+                self.bases[node].hull(elems()))
         return keys
 
-    def rank(self, *hulls) -> int:
-        key = frozenset().union(*hulls)
-        r = self.ranks.get(key)
-        if r is None:
-            rows = dict.fromkeys(k for h in hulls for k in h)
-            r = self.ranks[key] = ff_rank([self.rows[k] for k in rows])
+    def rank(self, *keys) -> int:
+        """The rank of the rows of the union of the key tuples ``keys``."""
+        union = frozenset().union(*keys)
+        if (r := self.ranks.get(union)) is None:
+            rows = dict.fromkeys(k for ks in keys for k in ks)
+            r = self.ranks[union] = ff_rank([self.rows[k] for k in rows])
         return r
 
-    def indep(self, h_ac, h_bc, h_c) -> bool:
-        """``acf_indep`` on hulls given by their row keys."""
-        return (self.rank(h_ac, h_bc, h_c) + self.rank(h_c)
-                == self.rank(h_ac, h_c) + self.rank(h_bc, h_c))
+    def indep(self, a, b, c) -> bool:
+        """A is independent from B over C, each given by row keys:
+        td(A/BC) = td(A/C), that is r(ABC) + r(C) = r(AC) + r(BC), so
+        symmetric in A and B.  This is the one statement of independence:
+        ``acf_indep``, ``indep`` and ``verify_independent_system`` all
+        decide through it."""
+        return (self.rank(a, b, c) + self.rank(c)
+                == self.rank(a, c) + self.rank(b, c))
+
+
+def tdeg(amb_params, elems, over=()) -> int:
+    """td of ``elems`` over the subfield generated by ``over``.
+
+    Jacobian criterion: rank J(elems + over) - rank J(over), derivatives
+    taken by every ambient transcendental.
+    """
+    checks = _IndepChecks({}, amb_params)
+    e, o = (checks.add_rows({x.key(): x for x in xs}) for xs in (elems, over))
+    return checks.rank(e, o) - checks.rank(o)
+
+
+def acf_indep(a, b, c, amb_params) -> bool:
+    """Field-theoretic independence of A from B over C inside the ambient
+    field, ``_IndepChecks.indep`` on their Jacobian rows."""
+    checks = _IndepChecks({}, amb_params)
+    return checks.indep(*(checks.add_rows({e.key(): e for e in x})
+                          for x in (a, b, c)))
 
 
 def indep(f: EFieldPresentation, a, b, c) -> bool:

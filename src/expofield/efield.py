@@ -28,6 +28,23 @@ is cached between calls, nor on the presentation beyond ``arg_basis`` and
 ``coprime_vals``.  Every lattice basis here is a Hermite normal form
 (``linalg.hermite_form``), also the unit vectors that
 ``column_kernel_basis`` returns without it.
+
+One function decides each relation here, each checked against an oracle
+in ``test_span_oracles`` that rebuilds the answer one element at a time:
+
+- well-definedness of a graph family: ``merge_graphs`` (``TestMergeGraphs``,
+  ``test_merge_graphs_matches_per_element_solves``).  It writes out
+  ``integer_kernel_basis``'s two ``hermite_form`` steps, because it also
+  rebuilds the pairs on the transform's first rows;
+- a graph's validity: ``_graph_violations`` (``TestCheckPresentation``,
+  ``test_dependence_certificates_match_the_dense_route``);
+- E of an element: ``e_eval`` (``TestEEval``,
+  ``test_e_eval_matches_span_solve``, acceptance criterion 3);
+- the hull: ``HullBasis.hull``, which ``hull`` calls (``TestHull``,
+  ``test_hull_matches_per_element_solves``,
+  ``test_hull_matches_rebuild_oracle``,
+  ``test_shared_hull_basis_is_history_independent``);
+- an exponential point: ``solve`` (``TestSolve``, acceptance criterion 2).
 """
 
 from __future__ import annotations

@@ -16,6 +16,10 @@ update, ``_add_multiple``, which touches only the nonzero entries:
   ``ff_rank`` and each hull's basis of coordinates in ``efield.HullBasis``,
   and the rows of ``SpanBasis``, which clears field elements into vectors,
   keeps the Q-span of them and gives each row its coordinates in them.
+  ``ff_rank`` stops once its basis has as many rows as there are columns
+  where some row is nonzero, since the rank cannot pass that: a row past
+  full column rank reduces to zero, and reducing it can swell its entries
+  for nothing.
 
 ``hermite_form`` is the one integer elimination, under the one kernel
 path, ``integer_kernel_basis``.  Every lattice basis the library prints is
@@ -29,6 +33,17 @@ elements itself, and rebuilds over a larger D when an element needs it.
 each presentation's validation builds one.  ``coordinate_matrix``, the
 cleared numerators as a dense matrix, is the reference path:
 ``variety.freeness_oracle`` alone reads it.
+
+One function decides each question here: rank over the function field is
+``ff_rank`` (``jacobian_rank`` is it on Jacobian rows; tests
+``test_linalg``, ``test_sympy_oracle.test_ff_rank_matches_domain_matrix_rank``
+and the dense Gauss-Jordan oracle of ``test_span_oracles``), an integer
+kernel is ``integer_kernel_basis`` over ``hermite_form`` (``test_linalg``,
+``test_sympy_oracle``), and a Q-span with coordinates is ``SpanBasis``
+(``test_linalg`` and every span oracle of ``test_span_oracles``).
+``qlin_solve``, ``kernel_basis`` and ``rational_span_solve`` run on no
+answer path: they stay public, tests use them as oracles, and the
+benchmark's tracer names them.
 """
 
 from __future__ import annotations
@@ -392,15 +407,19 @@ def ff_rank(rows) -> int:
     Each row in turn extends one semi-echelon basis (``extend_basis``).
     Only a row's nonzero entries are touched, so a Jacobian row of a
     generator costs its own symbols, and the pivot column is dropped
-    rather than computed to zero.
+    rather than computed to zero.  The rank is at most the number of
+    distinct columns where some row is nonzero, so once the basis has that
+    many rows the rest are not reduced: each would reduce to zero.
     """
     rows = list(rows)
     if rows and not isinstance(rows[0], dict):
         _check_rect(rows)
         rows = [dict(enumerate(row)) for row in rows]
+    rows = [{j: x for j, x in row.items() if x} for row in rows]
+    width = len(set().union(*rows))
     basis = []
-    return sum(extend_basis(basis, {j: x for j, x in row.items() if x})
-               for row in rows)
+    return sum(extend_basis(basis, row) for row in rows
+               if len(basis) < width)
 
 
 def jacobian_row(e, params) -> dict:

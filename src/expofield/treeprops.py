@@ -5,6 +5,14 @@ psi(y1z1, y2z2) := y1 = y2 & z1 != z2.  Arrays built on Q-linearly
 independent multipliers b_i and distinct nonzero constants c_j realize
 every branch through an additively free variety; candidate trees for the
 strong order property are falsified by the same finite checks.
+
+``check_branch`` decides condition (i) for a branch given as parameters,
+through the flat-system pipeline.  ``tp2_witness`` realizes its own
+branch by ``efield.solve`` on ``branch_variety`` instead, a second route
+kept on purpose: its certificate's first branch point lists the point in
+that variety's coordinate order, and the benchmark's cli-mix workload
+reads sigma off its ``y[1:]``.  Tests: ``test_treeprops`` and acceptance
+criterion 7.
 """
 
 from __future__ import annotations

@@ -6,6 +6,18 @@ transcendentals and fresh locus parameters.  Additive freeness asks for no
 integer relation sum(m_i X_i) = a with a over the base; since an element is
 base-valued exactly when all its locus-parameter derivatives vanish, the
 decision is a rational linear-algebra problem, exact and complete here.
+
+``additive_freeness`` alone decides freeness, by the integer kernel of the
+derivatives' span coordinates.  ``freeness_oracle`` is a second route kept
+on purpose: a brute-force search of a box on the dense coordinate matrix,
+which acceptance criterion 1 compares with it, which criterion 10 runs
+through ``free-check --oracle``, and which README documents.  Tests:
+``test_variety.TestAdditiveFreeness``, acceptance criterion 1 and
+``test_span_oracles.test_freeness_relations_match_the_dense_route``.
+``reduce`` alone reduces a variety to additively free form
+(``test_variety.TestReduce``,
+``test_span_oracles.test_reduce_matches_per_element_solves``, acceptance
+criterion 2).
 """
 
 from __future__ import annotations

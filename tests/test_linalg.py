@@ -161,6 +161,29 @@ def test_ff_rank_sparse_rows_and_ragged_rows():
         ff_rank([[t1], [t1, FieldElem.zero()]])
 
 
+class Untouchable:
+    """A nonzero entry on which any arithmetic raises."""
+
+    def _raise(self, *args):
+        raise AssertionError("an entry past full column rank was reduced")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _raise
+    __truediv__ = __rtruediv__ = __neg__ = _raise
+
+
+def test_ff_rank_stops_at_full_column_rank():
+    """Once the basis has a row per column where some row is nonzero, the
+    rows after it are not reduced: the rank cannot grow."""
+    t1, t2 = S("t1"), S("t2")
+    assert ff_rank([[t1, t2], [t2, t1], [Untouchable(), t1]]) == 2
+    assert ff_rank([{0: t1}, {1: t2}, {0: Untouchable()}]) == 2
+    # a row with a zero entry counts no column, so full rank comes sooner
+    assert ff_rank([{0: t1, 1: FieldElem.zero()}, {0: Untouchable()}]) == 1
+    # a zero row and a dependent row before full rank are reduced as before
+    assert ff_rank([{0: t1}, {0: 2 * t1}, {1: t1 + t2}, {1: Untouchable()}]) \
+        == 2
+
+
 def test_rank_determinant_identity():
     # det(t1^2 - t2^2) is a nonzero polynomial, so the rank is full
     t1, t2 = S("t1"), S("t2")

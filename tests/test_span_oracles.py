@@ -14,13 +14,16 @@ Jacobian rows and ranks across all the fields of one call; their oracle
 builds three hulls and four Jacobian ranks from scratch for every pair, and
 must give the same verdicts and failures, in the same order.  So must
 ``per_node_verify``, which shares rows and ranks only inside one node, on
-the benchmark's systems.  ``acf_indep``, written as td(A/BC) = td(A/C),
-must agree with the four-rank identity on those hulls and keep its verdict
-when A and B are swapped.  The sharing keys a hull by the set of its inputs,
-which is exact because ``hull`` returns the same generators for any order
-of its input and for repeats, and keys each Jacobian row by its generator's
-``key()``, with a column per symbol the generator has, whose entries must
-equal those of the dense row of ``jacobian``, kept here as that oracle.
+the benchmark's systems.  ``acf_indep``, which decides through the one
+statement of the rank identity in ``_IndepChecks.indep``, must agree with
+the identity written out here, on those hulls and on the generators they
+close, and keep its verdict when A and B are swapped; ``tdeg`` must be a
+difference of two ``jacobian_rank``s.  The sharing keys a hull by the set
+of its inputs, which is exact because ``hull`` returns the same generators
+for any order of its input and for repeats, and keys each Jacobian row by
+its generator's ``key()``, with a column per symbol the generator has,
+whose entries must equal those of the dense row of ``jacobian``, kept here
+as that oracle.
 All hulls of one call or node come from one ``HullBasis``, which reduces
 the graph arguments once: each of its hulls must equal the rebuild oracle's,
 or a fresh ``hull``, whatever hulls the basis closed before.
@@ -38,7 +41,10 @@ them.  Their oracles are the loops they replaced: ``hull`` that rebuilt two
 coordinate matrices every round, and ``e_eval`` that solved for the
 coordinates on a dense coordinate matrix on every call.  Every expected
 value product is ``gen.fold_power_product``, the plain fold, which shares
-no code with ``power_product``.
+no code with ``power_product``.  Values are compared with ``gen.same_text``,
+by value and by printed text; above order 1 the graphs' values often are
+or carry a constant with zeta, which a value product must bring out of a
+denominator as the fold does.
 
 Graph validation reads the argument basis, and ``additive_freeness`` the
 span coordinates of ``linalg.span_matrix``.  Their oracle is the dense
@@ -60,7 +66,7 @@ from expofield import (CyclotomicOrderMismatch, EEvalResult, FieldElem,
                        acf_indep, additive_freeness, amalg,
                        check_presentation, coerce, e_eval, eliminate_symbols,
                        extend_graph, hull, indep, linalg, merge_graphs,
-                       presentation, qlin_solve, reduce,
+                       presentation, qlin_solve, reduce, tdeg,
                        verify_independent_system)
 from expofield.amalg import _IndepChecks, subset_label, validate_system
 from expofield.efield import (HullBasis, adjoin_transcendentals,
@@ -71,8 +77,8 @@ from expofield.linalg import (SpanBasis, _rref, coordinate_matrix, ff_rank,
                               integer_kernel_basis, kernel_basis)
 from gen import (conflicting_system, fold_power_product, rand_extension,
                  rand_pminus_system, rand_presentation, rand_variety,
-                 reused_transcendental_system, shared_sibling_system,
-                 zspan_pair)
+                 reused_transcendental_system, same_text,
+                 shared_sibling_system, zspan_pair)
 
 # the benchmark's input generator, executed from its source, so that no
 # bytecode is written under bench/
@@ -209,8 +215,8 @@ def same_pair_lattice(got, want, order):
         for a, v in xs:
             z = dense_span_solve([b for b, _ in ys], a)
             assert z is not None and all(q.denominator == 1 for q in z)
-            assert fold_power_product([w for _, w in ys],
-                                      [int(q) for q in z], order) == v
+            same_text(v, fold_power_product([w for _, w in ys],
+                                            [int(q) for q in z], order))
 
 
 def reduce_oracle(v):
@@ -246,11 +252,6 @@ def reduce_oracle(v):
     return tuple(selected), tuple(A), tuple(b), N
 
 
-def same(got, want):
-    assert list(got) == list(want)
-    assert [str(x) for x in got] == [str(x) for x in want]
-
-
 def merge_family(rng):
     """Coherent pairs over a random graph plus duplicates, integer
     combinations and fractional lattices such as (2c, w^2), (3c, w^3), whose
@@ -281,8 +282,8 @@ def test_merge_graphs_matches_per_element_solves(seed):
     kernel = integer_kernel_basis(coordinate_matrix([a for a, _ in pairs]))
     assert check.kernel_basis == tuple(tuple(vec) for vec in kernel)
     if not kernel:
-        same([a for a, _ in got], [a for a, _ in pairs])
-        same([v for _, v in got], [v for _, v in pairs])
+        same_text([a for a, _ in got], [a for a, _ in pairs])
+        same_text([v for _, v in got], [v for _, v in pairs])
         return
     same_pair_lattice(got, merge_oracle(pairs, 1), 1)
 
@@ -305,7 +306,7 @@ def test_hull_matches_per_element_solves(seed):
     elems = [S(rng.choice(f.transcendentals))]
     if f.egraph:
         elems += list(zspan_pair(rng, f))
-    same(hull(f, elems).generators, hull_oracle(f, elems))
+    same_text(hull(f, elems).generators, hull_oracle(f, elems))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -315,8 +316,8 @@ def test_reduce_matches_per_element_solves(seed):
     index_map, A, b, N = reduce_oracle(v)
     assert rr.index_map == index_map and rr.N == N
     for got, want in zip(rr.A, A):
-        same(got, want)
-    same(rr.b, b)
+        same_text(got, want)
+    same_text(rr.b, b)
 
 
 def indep_oracle(f, a, b, c):
@@ -445,21 +446,35 @@ def rank_identity(a, b, c, params):
     """The oracle for ``acf_indep``, its four-rank form: r(ABC) + r(C) =
     r(AC) + r(BC)."""
     def r(elems):
-        return linalg.jacobian_rank(elems, list(params))
+        return linalg.jacobian_rank(elems, params)
     return r(a + b + c) + r(c) == r(a + c) + r(b + c)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
 def test_acf_indep_is_the_rank_identity_and_symmetric(seed, pick):
-    """On the hull generators that ``indep_oracle`` ranks, td(A/BC) =
-    td(A/C) holds exactly when the rank identity does, and the verdict
-    stays when A and B are swapped."""
+    """On the hull generators that ``indep_oracle`` ranks, and on the
+    generators they are the hulls of, td(A/BC) = td(A/C) holds exactly when
+    the rank identity does, and the verdict stays when A and B are
+    swapped."""
     f, a, b, c = list(indep_triples(random.Random(seed)))[pick]
     ha, hb, hc = (list(hull(f, e).generators) for e in (a + c, b + c, c))
-    want = rank_identity(ha, hb, hc, f.transcendentals)
-    assert acf_indep(ha, hb, hc, f.transcendentals) == want
-    assert acf_indep(hb, ha, hc, f.transcendentals) == want
+    for x, y, z in ((a, b, c), (ha, hb, hc)):
+        want = rank_identity(x, y, z, f.transcendentals)
+        assert acf_indep(x, y, z, f.transcendentals) == want
+        assert acf_indep(y, x, z, f.transcendentals) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
+def test_tdeg_is_a_difference_of_jacobian_ranks(seed, pick):
+    """On the hull generators of AC and C, td(AC/C) is rank J(AC + C) -
+    rank J(C), from ``jacobian_rank`` on the lists as they are."""
+    f, a, b, c = list(indep_triples(random.Random(seed)))[pick]
+    ha, hc = (list(hull(f, e).generators) for e in (a + c, c))
+    params = f.transcendentals
+    assert tdeg(params, ha, hc) == (linalg.jacobian_rank(ha + hc, params)
+                                    - linalg.jacobian_rank(hc, params))
 
 
 def same_sparse_rows(f, elems):
@@ -476,8 +491,8 @@ def same_sparse_rows(f, elems):
     for k, want in zip(keys, jacobian(gens, f.transcendentals)):
         row = checks.rows[k]
         assert set(row) <= set(column)
-        same([row[p] for p in sorted(row)],
-             [want[column[p]] for p in sorted(row)])
+        same_text([row[p] for p in sorted(row)],
+                  [want[column[p]] for p in sorted(row)])
         assert all(x.is_zero() for p, x in zip(f.transcendentals, want)
                    if p not in row)
     return gens
@@ -647,13 +662,6 @@ def e_eval_solve_oracle(f, a):
         if q.denominator != 1))
 
 
-def same_eval(got, want):
-    assert got == want
-    assert str(got.value) == str(want.value)
-    assert [(str(v), d) for v, d in got.root_specs] == \
-        [(str(v), d) for v, d in want.root_specs]
-
-
 SPAN_ORDERS = (1, 3, 4, 6)
 
 
@@ -681,15 +689,29 @@ def span_elements(draw, order):
     return num / draw(st.sampled_from(denominators_of(order)))
 
 
+def zeta_units(order):
+    """Constants that carry zeta: zeta^k and 1 + zeta^k, where nonzero."""
+    units = [cyclotomic_root(order, k) + c
+             for k in range(1, order) for c in (0, 1)]
+    return st.sampled_from([u for u in units if not u.is_zero()])
+
+
 @st.composite
 def graphs(draw, order):
     """A presentation over t1, t2, t3 whose values are often arguments of
-    the graph, so that hulls grow over several rounds."""
+    the graph, so that hulls grow over several rounds.  Above order 1 the
+    other values are often a constant with zeta, or carry one, which a
+    value product with a negative exponent must bring out of its
+    denominator, as the fold does: 1/zeta is -zeta - 1 at order 3."""
     args = draw(st.lists(span_elements(order), min_size=1, max_size=3))
     vals = []
     for i in range(len(args)):
         if i + 1 < len(args) and draw(st.booleans()):
             vals.append(args[i + 1])
+        elif order > 1 and draw(st.booleans()):
+            unit = draw(zeta_units(order))
+            vals.append(unit if draw(st.booleans())
+                        else unit * draw(span_elements(order)))
         else:
             vals.append(draw(span_elements(order)))
     try:
@@ -715,10 +737,13 @@ def hull_cases(draw):
 
 @st.composite
 def eval_cases(draw):
+    """A graph and a point of the Q-span of its arguments, often with
+    integer coordinates, where E is a value product, and sometimes off it."""
     order = draw(st.sampled_from(SPAN_ORDERS))
     f = draw(graphs(order))
-    q = draw(st.lists(st.fractions(-3, 3, max_denominator=3),
-                      min_size=len(f.args), max_size=len(f.args)))
+    coords = draw(st.sampled_from((st.integers(-3, 3),
+                                   st.fractions(-3, 3, max_denominator=3))))
+    q = draw(st.lists(coords, min_size=len(f.args), max_size=len(f.args)))
     a = FieldElem.zero(order)
     for c, arg in zip(q, f.args):
         if c:
@@ -805,7 +830,7 @@ def plain_rref_pin():
 @example((partial_fraction_pin()[0], [partial_fraction_pin()[1]]))
 def test_hull_matches_rebuild_oracle(case):
     f, elems = case
-    same(hull(f, elems).generators, hull_rebuild_oracle(f, elems))
+    same_text(hull(f, elems).generators, hull_rebuild_oracle(f, elems))
 
 
 def test_partial_fraction_pin_prints_its_hull_and_value():
@@ -882,8 +907,8 @@ def test_shared_hull_basis_is_history_independent(case):
     f, calls = case
     basis = HullBasis(f)
     for elems in calls:
-        same(tuple(basis.hull(elems).values()),
-             hull_rebuild_oracle(f, elems))
+        same_text(tuple(basis.hull(elems).values()),
+                  hull_rebuild_oracle(f, elems))
 
 
 def test_rebuild_pin_rebuilds_the_shared_basis():
@@ -931,7 +956,7 @@ def test_shared_hulls_match_fresh_hulls_on_benchmark_systems(n):
             for names in sets:
                 elems = [f.elem(t) for t in sorted(names)]
                 got = tuple(basis.hull(elems).values())
-                same(got, hull(f, elems).generators)
+                same_text(got, hull(f, elems).generators)
                 checked += 1
                 grew += len(got) > len(elems)
     assert checked - grew > 500 and grew > 200
@@ -1052,8 +1077,7 @@ def test_reversal_pins_print_their_generators():
         f, elems = pin()
         gens = hull(f, elems).generators
         assert [str(g) for g in gens] == text
-        assert list(gens[2:]) == [fold_power_product(f.vals, z, 1)
-                                  for z in exps]
+        same_text(gens[2:], [fold_power_product(f.vals, z, 1) for z in exps])
         assert [str(fold_power_product(f.vals, z, 1)) for z in old_exps] == \
             old_text
         same_lattice(exps, old_exps)
@@ -1065,14 +1089,14 @@ def test_reversal_pins_print_their_generators():
 @example(partial_fraction_eval_pin())
 def test_e_eval_matches_span_solve(case):
     f, a = case
-    same_eval(e_eval(f, a), e_eval_solve_oracle(f, a))
+    same_text(e_eval(f, a), e_eval_solve_oracle(f, a))
 
 
 def test_zeta_pin_evaluates_without_growing_the_argument_basis():
     f, a = zeta_pin()
     basis = f.arg_basis
     dens, rows = list(basis.dens), list(basis.rows)
-    assert e_eval(f, a).value == S("u", 3) * S("v", 3)
+    same_text(e_eval(f, a).value, S("u", 3) * S("v", 3))
     assert f.arg_basis is basis
     assert basis.dens == dens and basis.rows == rows
 
@@ -1082,15 +1106,15 @@ def test_each_presentation_evaluates_on_its_own_graph():
     it after its basis exists see their own graph."""
     s, t, u = S("s"), S("t"), S("u")
     f = presentation("F", 1, ("s", "t", "u"), [(s, t)])
-    assert e_eval(f, 2 * s).value == t ** 2
+    same_text(e_eval(f, 2 * s).value, t ** 2)
     assert e_eval(f, u).outside_span
     g = extend_graph(f, [(u, s + 1)])
-    assert e_eval(g, s + u).value == t * (s + 1)
+    same_text(e_eval(g, s + u).value, t * (s + 1))
     assert e_eval(f, u).outside_span
     h = adjoin_transcendentals(f, ["w"])
-    assert e_eval(h, 3 * s).value == t ** 3
+    same_text(e_eval(h, 3 * s).value, t ** 3)
     k = build_unchecked("K", 1, ("s", "t", "u"), [(u, coerce(5))])
-    assert e_eval(k, 2 * u).value == coerce(25)
+    same_text(e_eval(k, 2 * u).value, coerce(25))
     assert e_eval(k, s).outside_span
 
 
@@ -1114,7 +1138,7 @@ def test_presentation_clears_each_graph_argument_once(monkeypatch):
     f = presentation("F", 1, ("t1", "t2", "w1", "w2", "w3"), pairs)
     for z in ([1, 1, 0], [2, -1, 3], [0, 5, -2]):
         got = e_eval(f, int_combination(z, f.args))
-        assert got.value == fold_power_product(f.vals, z)
+        same_text(got.value, fold_power_product(f.vals, z))
     args = [id(a) for a in f.args]
     assert sorted(i for i in cleared if i in args) == sorted(args)
     assert len(cleared) == len(args) + 3
