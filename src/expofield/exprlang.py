@@ -42,7 +42,7 @@ from itertools import accumulate
 
 from .errors import ExprSyntaxError, UnsupportedShape
 from .fieldelem import FieldElem
-from .mpoly import MPoly
+from .mpoly import MPoly, _int_str, _parse_int
 
 # -- AST --------------------------------------------------------------------
 
@@ -231,7 +231,8 @@ class _Parser:
         node = self.parse_unit()
         if self.peek()[0] == "^":
             self.next()
-            node = Pow(base=node, exponent=int(self.expect("INT")[1]))
+            node = Pow(base=node,
+                       exponent=_parse_int(self.expect("INT")[1]))
         for _ in range(self.depth - depth):
             node = (Lit(-node.value) if isinstance(node, Lit)
                     else BinOp("*", Lit(-1), node))
@@ -242,10 +243,11 @@ class _Parser:
         kind, val = self.peek()[:2]
         if kind in ("INT", "RAT"):
             num, _, den = val.partition("/")
-            if den and not int(den):
+            if den and not _parse_int(den):
                 self.fail("a nonzero denominator")
             self.next()
-            return Lit(Fraction(int(num), int(den)) if den else int(num))
+            num = _parse_int(num)
+            return Lit(Fraction(num, _parse_int(den)) if den else num)
         if kind == "IDENT":
             if val == "E":
                 return Exp(arg=self.bracketed())
@@ -285,7 +287,8 @@ def _is_int(t: ETerm, v: int) -> bool:  # not a Fraction equal to v
 def _print_term(t: ETerm, prec: int) -> str:
     if isinstance(t, Lit):
         v = t.value
-        return str(v) if type(v) is int else f"{v.numerator}/{v.denominator}"
+        return (_int_str(v) if type(v) is int
+                else f"{_int_str(v.numerator)}/{_int_str(v.denominator)}")
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Exp):

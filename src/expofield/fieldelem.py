@@ -56,18 +56,29 @@ pair included (``coprime_base``), then no product of their powers can
 cancel either, by unique factorization; nor can one with at most one
 non-constant factor.  Such a product is the product of the numerators'
 powers over that of the denominators', where a negative exponent swaps the
-two, rescaled once after a swap and not at all otherwise (Gauss's lemma);
-``power_product`` takes it so, with no trial division, up to the first
-factor where that may fail: a zero base, a base of a higher order, or the
-second non-constant base when the caller does not vouch for a coprime
-base.  From there on, and at every order above 1, it multiplies each
-power on with FieldElem arithmetic.  Both print the same, since both are
-the reduced quotient whose denominator is primitive with a positive
-leading coefficient, and that is unique.  Equal bases are not merged into
-one power first: for p = t1 + 1 and q = t2 + 3, multiplying on leaves
-``p ** -1 * q ** -1 * p ** 2`` as p^2/(p*q), and a merged p/q would print
-differently.  Equal bases are no coprime base, so such a product is
-multiplied on from the second non-constant base.
+two, scaled so that the denominator is primitive with a positive leading
+coefficient.  ``power_product`` takes it on primitive parts: each element
+is (c/d) * P/Q for ints c and d and primitive P and Q, with int
+coefficients and positive leading coefficients, kept on the element by the
+first product that uses it, as ``key()`` keeps its key.  The powers and
+products of the P and Q are taken with int coefficients, and those of c
+and d in two ints.  By Gauss's lemma a product of primitive polynomials is
+primitive, and it leads with the product of their leading coefficients,
+so the product of the Q, and of the P that a negative exponent swapped in,
+is the denominator as it is, and the numerator is scaled once, by the two
+ints.  Each product is the one over the rational coefficients times a
+constant, so terms cancel at the same places, and the terms come out in
+the same order.  ``power_product`` takes a product so, with no trial
+division, up to the first factor where that may fail: a zero base, a base
+of a higher order, or the second non-constant base when the caller does
+not vouch for a coprime base.  From there on, and at every order above 1,
+it multiplies each power on with FieldElem arithmetic.  Both print the
+same, since both are the reduced quotient whose denominator is primitive
+with a positive leading coefficient, and that is unique.  Equal bases are
+not merged into one power first: for p = t1 + 1 and q = t2 + 3,
+multiplying on leaves ``p ** -1 * q ** -1 * p ** 2`` as p^2/(p*q), and a
+merged p/q would print differently.  Equal bases are no coprime base, so
+such a product is multiplied on from the second non-constant base.
 """
 
 from __future__ import annotations
@@ -82,7 +93,8 @@ from .mpoly import (MPoly, ZETA, _ONE_TERMS, _join_order, _quotient, decode,
 
 
 class FieldElem:
-    __slots__ = ("num", "den", "_key")  # _key: filled by the first key()
+    # _key and _parts: filled by the first key() and _primitive_parts()
+    __slots__ = ("num", "den", "_key", "_parts")
 
     def __init__(self, num: MPoly, den: MPoly | None = None):
         if den is None:
@@ -156,6 +168,17 @@ class FieldElem:
         if not hasattr(self, "_key"):
             self._key = (self.num.key(), self.den.key())
         return self._key
+
+    def _primitive_parts(self) -> tuple:
+        """(c, d, P, Q): this element, of order 1, as (c/d) * P/Q for ints c
+        and d and primitive P and Q with int coefficients and positive
+        leading coefficients (``_primitive``).  Kept by the first call, as
+        ``key()`` is."""
+        if not hasattr(self, "_parts"):
+            pn, pd, num = _primitive(self.num)
+            qn, qd, den = _primitive(self.den)
+            self._parts = (pn * qd, pd * qn, num, den)
+        return self._parts
 
     # -- arithmetic --------------------------------------------------------
 
@@ -293,13 +316,23 @@ def _cancel(num: MPoly, den: MPoly, order: int) -> tuple:
 def _rescale(num: MPoly, den: MPoly) -> tuple:
     """num/den scaled so den is primitive with positive leading
     coefficient."""
-    c = den.content()
-    if den.leading()[1] < 0:
+    n, d, den = _primitive(den)
+    return (num if n == d else num.divide_scalar(Fraction(n, d))), den
+
+
+def _primitive(poly: MPoly) -> tuple:
+    """(n, d, P): the nonzero ``poly`` as (n/d) * P for ints n and d > 0
+    and a primitive P of its order, with int coefficients of gcd 1 and a
+    positive leading coefficient; ``poly`` itself is P when it is one."""
+    c = poly.content()
+    if poly.leading()[1] < 0:
         c = -c
-    if c != 1:
-        num = num.divide_scalar(c)
-        den = den.divide_scalar(c)
-    return num, den
+    if c == 1:
+        return 1, 1, poly
+    n, d = c.numerator, c.denominator
+    return n, d, MPoly({m: k.numerator * (d // k.denominator) // n
+                        for m, k in poly.terms.items()}, poly.order,
+                       _reduce=False)
 
 
 def coerce(value, order: int = 1) -> FieldElem:
@@ -325,50 +358,69 @@ _ONE = MPoly.const(1)  # the denominator of a product that has none
 
 def power_product(bases, exps, order: int = 1, coprime=None) -> FieldElem:
     """prod b_i ** z_i over the nonzero integer exponents z_i (a Fraction
-    with denominator 1 counts as an integer).  At ``order`` 1, when every
-    such base is a nonzero element of order 1 whose num and den are one
-    term each, the product is taken from four ints (the monomial rule,
-    ``_monomial_product``), and ``coprime`` is never asked.  Otherwise it
-    is taken by multiplication alone while nothing can cancel (the
-    coprime-base rule): the numerators' powers over the denominators'
-    powers, where a negative exponent swaps the two, rescaled once and only
-    after such a swap.  From the first factor where that may fail on, each
-    power is multiplied on by FieldElem arithmetic: at an ``order`` above
-    1, at a base of a higher order or a zero base, and at the second
-    non-constant base unless ``coprime()``, asked from there on, says the
-    bases form a coprime base (``coprime_base``).  The product before that
-    has one non-constant factor at most, or coprime ones, so it is the
-    normal form that multiplying each power on reaches at the same point."""
-    pairs = [(b if isinstance(b, FieldElem) else coerce(b, order), int(z))
+    with denominator 1 counts as an integer, and any other exponent raises
+    ``ValueError``).  At ``order`` 1, when every such base is a nonzero
+    element of order 1 whose num and den are one term each, the product is
+    taken from four ints (the monomial rule, ``_monomial_product``), and
+    ``coprime`` is never asked.  Otherwise it is taken by multiplication
+    alone while nothing can cancel (the coprime-base rule): the powers of
+    the bases' primitive parts (``_primitive_parts``), where a negative
+    exponent swaps numerator and denominator, multiplied with int
+    coefficients, and their contents in two ints, by which the numerator
+    is scaled once at the end.  From the first factor where that may fail
+    on, each power is multiplied on by FieldElem arithmetic: at an
+    ``order`` above 1, at a base of a higher order or a zero base, and at
+    the second non-constant base unless ``coprime()``, asked from there
+    on, says the bases form a coprime base (``coprime_base``).  The product
+    before that has one non-constant factor at most, or coprime ones, so it
+    is the normal form that multiplying each power on reaches at the same
+    point."""
+    pairs = [(b if isinstance(b, FieldElem) else coerce(b, order),
+              z if z.__class__ is int else _exponent(z))
              for b, z in zip(bases, exps) if z]
     if order == 1 and all(len(b.num.terms) == 1 == len(b.den.terms)
                           and b.num.order == 1 for b, _ in pairs):
         return _monomial_product(pairs)
-    num, den = None, _ONE
-    inverted = nonconstant = False
+    p = q = 1  # the content of the product, p/q
+    num = den = _ONE
+    taken = nonconstant = False
     pairs = iter(pairs)
     rest = ()
     for b, z in pairs:
-        p, q = b.num, b.den
         constant = b.is_constant()
-        if (order > 1 or p.order > 1 or not p.terms or not constant
+        if (order > 1 or b.num.order > 1 or not b.num.terms or not constant
                 and nonconstant and not (coprime and coprime())):
             rest = chain([(b, z)], pairs)
             break
         nonconstant = nonconstant or not constant
+        c, d, bn, bd = b._primitive_parts()
         if z < 0:
-            p, q, z, inverted = q, p, -z, True
-        p = p ** z
-        num = p if num is None else num * p
-        if q.terms != _ONE_TERMS:
-            q = q ** z
-            den = q if den is _ONE else den * q
+            c, d, bn, bd, z = d, c, bd, bn, -z
+        p, q = p * c ** z, q * d ** z
+        if bn.terms != _ONE_TERMS:
+            bn = bn ** z
+            num = bn if num is _ONE else num * bn
+        if bd.terms != _ONE_TERMS:
+            bd = bd ** z
+            den = bd if den is _ONE else den * bd
+        taken = True
     out = None
-    if num is not None:
-        out = _elem(*_rescale(num, den)) if inverted else _elem(num, den)
+    if taken:
+        if p != q:
+            num = MPoly({m: _quotient(k * p, q) for m, k in num.terms.items()},
+                        1, _reduce=False)
+        out = _elem(num, den)
     for b, z in rest:
         out = b ** z if out is None else out * b ** z
     return FieldElem.one(order) if out is None else out
+
+
+def _exponent(z) -> int:
+    """The exponent z, which is not an int, as an int: a Fraction with
+    denominator 1 or a bool is one, and anything else raises."""
+    if getattr(z, "denominator", None) != 1:
+        raise ValueError(f"power_product: the exponent {z} is not an integer")
+    return int(z)
 
 
 def _monomial_product(pairs) -> FieldElem:

@@ -553,7 +553,36 @@ class MPoly:
 
 
 def _frac_str(f) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    num = _int_str(f.numerator)
+    return num if f.denominator == 1 else f"{num}/{_int_str(f.denominator)}"
+
+
+def _int_str(n: int) -> str:
+    """str(n), also past CPython's cap on the digits of one int-to-string
+    conversion (4,300 by default; ``sys.set_int_max_str_digits``): such an
+    int is split by a power of 10 into halves, each converted apart."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_str(-n)
+    k = n.bit_length() * 3 // 20  # about half its digits: log10(2) > 0.3
+    high, low = divmod(n, 10 ** k)
+    return _int_str(high) + _int_str(low).zfill(k)
+
+
+def _parse_int(digits: str) -> int:
+    """int(digits) for a string of decimal digits, also past CPython's cap
+    on the digits of one string-to-int conversion: such a string is split
+    into halves, each converted apart."""
+    try:
+        return int(digits)
+    except ValueError:
+        if len(digits) < 2:
+            raise
+    k = len(digits) // 2
+    return _parse_int(digits[:-k]) * 10 ** k + _parse_int(digits[-k:])
 
 
 def _coerce(value, order: int) -> MPoly:

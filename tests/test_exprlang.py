@@ -12,6 +12,7 @@ from expofield.exprlang import (MAX_NESTING, Atom, BinOp, ESystem, Exp, Lit,
                                 term_to_poly)
 from expofield.fieldelem import FieldElem
 from expofield.errors import ExprSyntaxError, UnsupportedShape
+from expofield.mpoly import _parse_int
 
 
 def test_parse_axiom_examples():
@@ -22,6 +23,22 @@ def test_parse_axiom_examples():
     s = parse("E(x+y) = E(x)*E(y)")
     assert s.atoms[0].rel == "eq"
 
+
+
+def test_coefficients_past_the_digit_cap_round_trip():
+    """A coefficient of 5,001 digits, past CPython's 4,300-digit cap on one
+    int-string conversion, prints and parses back, as an element and as a
+    term."""
+    sevens = 7 * (10 ** 5001 - 1) // 9  # made without a string
+    e = FieldElem.from_int(sevens) * FieldElem.from_symbol("t") / 2 + 1
+    text = "7" * 5001 + "/2*t + 1"
+    assert str(e) == text
+    back = parse_element(text)
+    assert back == e and str(back) == text
+    assert print_term(parse(f"x = {text}").atoms[0].rhs) == text
+    assert print_term(parse(f"x = -{text}").atoms[0].rhs) == "-" + text
+    with pytest.raises(ValueError):  # not digits: as int() does
+        _parse_int("1x")
 
 def test_a_system_needs_an_atom():
     # the parser cannot build an empty system, but the constructor is public

@@ -244,6 +244,17 @@ def test_key_is_kept_and_is_the_key_of_num_and_den(a, b, k, q):
     assert a.key() == (a.num.key(), a.den.key())  # after a + b and the rest
 
 
+def test_power_product_takes_integer_exponents_only():
+    """An exponent that is not an integer raises and is named, where it
+    used to be truncated: t^(1/2) was t and t^2.7 was t^2."""
+    t = S("t")
+    for z, text in ((Fraction(1, 2), "1/2"), (2.7, "2.7")):
+        with pytest.raises(ValueError, match=f"^power_product: the exponent "
+                           f"{text} is not an integer$"):
+            power_product([t], [z])
+    assert str(power_product([t], [Fraction(4, 2)])) == "t^2"
+
+
 def test_folds_skip_zero_entries():
     t1, t2 = S("t1"), S("t2")
     assert power_product([t1, t2, t1], [2, Fraction(-1), 0]) == t1 ** 2 / t2
@@ -300,6 +311,17 @@ TRAP = ([P1, Q3, P1], [-1, -1, 2], False)
 NO_ZETA = [0] * 6
 
 
+def same_form(got, want):
+    """``got`` prints as ``want``, its num and den have the same terms in
+    the same order, and each coefficient is an int where ``want``'s is an
+    int and a Fraction where it is a Fraction."""
+    assert str(got) == str(want)
+    for g, w in ((got.num, want.num), (got.den, want.den)):
+        assert list(g.terms.items()) == list(w.terms.items())
+        assert [type(c) for c in g.terms.values()] == \
+            [type(c) for c in w.terms.values()]
+
+
 @settings(max_examples=300, deadline=None)
 @given(value_lists(), st.lists(st.integers(0, 2), min_size=6, max_size=6))
 @example(TRAP, NO_ZETA)
@@ -314,19 +336,49 @@ def test_power_product_prints_as_the_fold(case, zetas):
     alone up to the second non-constant base), and on the same list with
     zeta^k times the values where k > 0 and zeta itself appended, told the
     order 3 (no multiplication alone) or not (up to the first value of
-    order 3)."""
+    order 3); each with the fold's terms and coefficient types too."""
     vals, exps, coprime = case
     flag = coprime_base(vals)
     assert flag == coprime
-    want = str(fold_power_product(vals, exps))
-    assert str(power_product(vals, exps, coprime=lambda: flag)) == want
-    assert str(power_product(vals, exps)) == want
+    want = fold_power_product(vals, exps)
+    same_form(power_product(vals, exps, coprime=lambda: flag), want)
+    same_form(power_product(vals, exps), want)
     vals = [v * cyclotomic_root(3, k) if k else v for k, v in zip(zetas, vals)]
     vals.append(cyclotomic_root(3))
     exps = exps + [zetas[-1] - 1]
     for order in (1, 3):
-        want = str(fold_power_product(vals, exps, order))
-        assert str(power_product(vals, exps, order, lambda: flag)) == want
+        same_form(power_product(vals, exps, order, lambda: flag),
+                  fold_power_product(vals, exps, order))
+
+
+def test_coprime_power_product_pins():
+    """The coprime-base rule multiplies primitive parts with int
+    coefficients and scales the numerator once; these print as the fold,
+    with its terms and coefficient types: a Fraction content, a negative
+    constant, a numerator whose leading coefficient is negative turned
+    into a denominator, which must lead positive, and a numerator of 1.
+    A power whose exponent passes the limit raises as in the fold."""
+    half = T1 / 2 + Fraction(1, 3)
+    cases = [([half, T2 + 1], [2, -1]), ([half, T2 + 1], [-3, 1]),
+             ([coerce(-3), T1 + 1], [3, -1]), ([coerce(-3), T1 + 1], [-1, 2]),
+             ([2 - T1], [-1]), ([(2 - T1) / (T2 + 1), T2 - 3], [-1, -2]),
+             ([-T1 * T2 + Fraction(5, 2), S("t3") + 1], [-2, 1]),
+             ([1 / (T1 + 1), 1 / (T2 + 2)], [1, 1]),
+             ([T1 + 1, Fraction(1, 3) * T2 + 1], [-1, -1])]
+    for vals, exps in cases:
+        want = fold_power_product(vals, exps)
+        for coprime in (None, lambda: True):
+            same_form(power_product(vals, exps, coprime=coprime), want)
+    got = power_product([2 - T1, T2 + 1], [-1, -1], coprime=lambda: True)
+    assert str(got) == "(-1)/(t1*t2 + t1 - 2*t2 - 2)"
+    got = power_product([T1 + 1, T2 + 2], [-1, -1], coprime=lambda: True)
+    assert str(got) == "(1)/(t1*t2 + 2*t1 + t2 + 2)"
+    big = S("t") ** (1 << 30) + 1
+    for vals, exps in (([big], [2]), ([T1 + 1, big], [1, -2])):
+        with pytest.raises(UnsupportedShape):
+            power_product(vals, exps, coprime=lambda: True)
+        with pytest.raises(UnsupportedShape):
+            fold_power_product(vals, exps)
 
 
 def test_coprime_base_pins():
@@ -416,12 +468,7 @@ def test_monomial_power_product_is_the_fold(pairs):
     it prints as the fold and has its terms, an int coefficient where the
     fold has an int and a Fraction where it has a Fraction."""
     vals, exps = [v for v, _ in pairs], [z for _, z in pairs]
-    got, want = power_product(vals, exps), fold_power_product(vals, exps)
-    assert str(got) == str(want)
-    for g, w in ((got.num, want.num), (got.den, want.den)):
-        assert g.terms == w.terms
-        assert [type(c) for c in g.terms.values()] == \
-            [type(c) for c in w.terms.values()]
+    same_form(power_product(vals, exps), fold_power_product(vals, exps))
 
 
 def test_monomial_power_product_pins():

@@ -117,6 +117,30 @@ class TestCLI:
             "", "error: line 1, col 205: expected at most 200 nested "
             "brackets and minuses\n")
 
+    def test_coefficients_past_the_digit_cap_exit_0(self, capsys):
+        """CPython caps one int-string conversion at 4,300 digits; past it,
+        a coefficient is printed and parsed in pieces.  2^20000 has 6,021
+        digits, the literal 5,001; an exponent of 5,001 digits still stops
+        at the field width and exits 2."""
+        code, out = run_cli(capsys, "normalize", "-e", "x = 2^20000*t")
+        assert code == 0
+        (poly,) = json.loads(out)["polys"]
+        assert poly.startswith("-") and poly.endswith("*t + x")
+        digits = poly[1:-len("*t + x")]
+        assert len(digits) == 6021
+        value = 0  # read back 100 digits at a time, each under the cap
+        for i in range(0, len(digits), 100):
+            chunk = digits[i:i + 100]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == 2 ** 20000
+        sevens = "7" * 5001
+        code, out = run_cli(capsys, "normalize", "-e", f"x = {sevens}*t")
+        assert code == 0
+        assert json.loads(out)["polys"] == [f"-{sevens}*t + x"]
+        code, out = run_cli(capsys, "normalize", "-e",
+                            "x = t^1" + "0" * 5000)
+        assert code == 2 and json.loads(out)["error"] == "UnsupportedShape"
+
     def test_zeta_at_order_1_exits_1(self, capsys):
         assert main(["normalize", "-e", "x = zeta"]) == 1
         assert capsys.readouterr() == (

@@ -605,10 +605,20 @@ def row_order_rows():
         ("0", "(t1 + 1)/(t1)", "1", "(-1)/(t1*zeta + t1)"))]
 
 
+def rescaled_order_rows():
+    """Here a denominator rescaled to its primitive part, 2*t1*zeta -
+    2*t1 and the like, must keep the order 3 of the element."""
+    return [[parse_element(t, 3) for t in row] for row in (
+        ("0", "0", "1", "1", "0"),
+        ("0", "1", "(-3)/(t1*zeta - t1)", "0", "0"),
+        ("0", "1", "1", "(-1)/(t1*zeta + t1)", "0"))]
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices(field_entries(), 4, 5))
 @example(rational_multiple_rows())
 @example(row_order_rows())
+@example(rescaled_order_rows())
 def test_sparse_rref_matches_dense_on_field_elements(rows):
     same_rref(rows)
 
